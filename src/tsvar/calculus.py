@@ -17,6 +17,8 @@ example "defined only off the maximum point") is explicit and checkable.
 
 from __future__ import annotations
 
+import itertools
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,43 +202,79 @@ def cumulative_nabla(f: GridFunction, a: float) -> GridFunction:
     return GridFunction(f.scale, prefix - prefix[ia])
 
 
+_ROW = "%.17g,%.17g\n"
+_BLOCK_ROWS = 1024
+
+
+def _write_rows(fh, header: str, t, v) -> None:
+    """Write ``header`` and one ``t,v`` row per point, 17 significant digits.
+
+    Rows are formatted a block at a time by one ``%`` over a repeated row
+    template, which gives the same bytes as formatting each row on its own.
+    """
+    t = np.asarray(t, dtype=float)
+    v = np.asarray(v, dtype=float)
+    fh.write(header + "\n")
+    for lo in range(0, t.size, _BLOCK_ROWS):
+        block = np.column_stack((t[lo : lo + _BLOCK_ROWS], v[lo : lo + _BLOCK_ROWS]))
+        fh.write((_ROW * len(block)) % tuple(block.ravel().tolist()))
+
+
+def _is_path(x) -> bool:
+    return isinstance(x, (str, bytes)) or hasattr(x, "__fspath__")
+
+
 def write_csv(f: GridFunction, target) -> None:
-    """Write rows ``t,value`` with 17 significant digits (round-trip exact)."""
-    own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
-    fh = open(target, "w", encoding="utf-8") if own else target
+    """Write the header ``t,value`` and then one ``t,value`` row per point.
+
+    ``target`` is a path or an open text handle.  Numbers carry 17
+    significant digits (``%.17g``), so ``read_csv`` gets back the same bits.
+    """
+    fh = open(target, "w", encoding="utf-8") if _is_path(target) else target
     try:
-        fh.write("t,value\n")
-        for t, v in zip(f.t, f.values):
-            fh.write(f"{t:.17g},{v:.17g}\n")
+        _write_rows(fh, "t,value", f.t, f.values)
     finally:
-        if own:
+        if fh is not target:
             fh.close()
 
 
 def read_csv(source, scale: TimeScale | None = None) -> GridFunction:
-    """Read a ``t,value`` CSV; with ``scale`` given, points must match exactly."""
-    own = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
-    fh = open(source, "r", encoding="utf-8") if own else source
+    """Read a ``t,value`` CSV from a path or an open text handle.
+
+    The first line is the header; its first two cells must be ``t`` and
+    ``value``.  Every later line that is not blank or whitespace-only is a
+    row of exactly two comma-separated decimal numbers; spaces and tabs
+    around a cell and CRLF line endings are accepted.  Numbers are parsed
+    with correct rounding, so a ``write_csv`` file reads back bit for bit;
+    Python-only spellings such as ``1_0`` are rejected.  Malformed rows and
+    non-finite values raise ``ValueError``; a file without rows, or with
+    ``scale`` given and points that differ from it, raises ``TimeScaleError``.
+    """
+    fh = open(source, "r", encoding="utf-8") if _is_path(source) else source
     try:
         header = fh.readline().strip()
         if header.split(",")[:2] != ["t", "value"]:
             raise ValueError("expected CSV header 't,value'")
-        ts, vs = [], []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != 2:
-                raise ValueError(f"malformed CSV row: {line!r}")
-            ts.append(float(cells[0]))
-            vs.append(float(cells[1]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            rows = np.loadtxt(
+                itertools.filterfalse(str.isspace, fh),
+                dtype=float,
+                delimiter=",",
+                comments=None,
+                ndmin=2,
+            )
     finally:
-        if own:
+        if fh is not source:
             fh.close()
-    pts = np.asarray(ts, dtype=float)
+    if rows.size and rows.shape[1] != 2:
+        raise ValueError(f"expected 2 cells per CSV row, found {rows.shape[1]}")
+    rows = rows.reshape(-1, 2)  # a body without rows parses as shape (0, 1)
+    # two separate buffers: later array work on them touched fewer fresh
+    # pages than on views of one shared block
+    pts, vals = rows[:, 0].copy(), rows[:, 1].copy()
     if scale is None:
         scale = TimeScale(pts)
     elif not np.array_equal(pts, scale.points):
         raise TimeScaleError("trajectory points do not match the problem's time scale")
-    return GridFunction(scale, np.asarray(vs, dtype=float))
+    return GridFunction(scale, vals)

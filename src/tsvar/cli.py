@@ -13,14 +13,14 @@ variable and can be overridden per file ([solver] seed = ...) or with --seed.
 
 Exit codes: 0 success/converged, 1 verification failure, 2 no extremal or
 no convergence, 3 infeasible constraint, 64 parse error, 65 trajectory/scale
-mismatch, 66 inapplicable residual form.
+mismatch, 66 inapplicable residual form, 67 an integrand undefined along the
+trajectory (domain violation).
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import io
 import json
 import os
 import sys
@@ -53,6 +53,7 @@ EXIT_INFEASIBLE = 3
 EXIT_PARSE = 64
 EXIT_SCALE_MISMATCH = 65
 EXIT_BAD_FORM = 66
+EXIT_DOMAIN = 67
 
 
 class ProblemFileError(ValueError):
@@ -196,7 +197,7 @@ def parse_problem_text(text: str) -> tuple[va.VariationalProblem, dict]:
 def parse_problem_file(path) -> tuple[va.VariationalProblem, dict]:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ProblemFileError(f"cannot read problem file: {err}") from None
     return parse_problem_text(text)
 
@@ -216,13 +217,11 @@ def _config_for(overrides: dict, seed_flag: int | None) -> so.SolverConfig:
 
 def _load_trajectory(path, scale) -> ca.GridFunction:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return ca.read_csv(path, scale)
     except OSError as err:
         raise ProblemFileError(f"cannot read trajectory file: {err}") from None
-    try:
-        return ca.read_csv(io.StringIO(text), scale)
-    except tsc.TimeScaleError as err:
-        raise err
+    except tsc.TimeScaleError:
+        raise
     except ValueError as err:
         raise ProblemFileError(f"bad trajectory CSV: {err}") from None
 
@@ -244,14 +243,14 @@ def _residual_rows(problem, y, args):
     form = args.form
     if form in ("el1", "el2"):
         rep = va.el_residual_1(problem, y) if form == "el1" else va.el_residual_2(problem, y)
-        return rep.residual, rep.defect, rep.mean
+        return rep.residual.t, rep.residual.values, rep.defect, rep.mean
     if form in ("iso1", "iso2"):
         if problem.constraint is None:
             raise InapplicableFormError("isoperimetric form needs a [constraint] section")
         if args.lambda0 is None or args.lam is None:
             raise InapplicableFormError("isoperimetric form needs --lambda0 and --lambda")
         rep = va.iso_residual(problem, y, args.lambda0, args.lam, "el1" if form == "iso1" else "el2")
-        return rep.residual, rep.defect, rep.mean
+        return rep.residual.t, rep.residual.values, rep.defect, rep.mean
     # natural boundary conditions
     if problem.bc_a is not None and problem.bc_b is not None:
         raise InapplicableFormError("form nbc needs at least one free endpoint")
@@ -263,28 +262,22 @@ def _residual_rows(problem, y, args):
     if problem.bc_b is None:
         idx.append(len(ts) - 1)
         vals.append(va.natural_bc_residual_b(problem, y))
-    rows = [(ts.points[i], v) for i, v in zip(idx, vals)]
     defect = max(abs(v) for v in vals)
     mean = float(np.mean(vals))
-    return rows, defect, mean
+    return ts.points[idx], vals, defect, mean
 
 
 def _cmd_residual(args) -> int:
     problem, _ = parse_problem_file(args.problem)
     y = _load_trajectory(args.trajectory, problem.scale)
-    residual, defect, mean = _residual_rows(problem, y, args)
-    lines = ["t,residual"]
-    if isinstance(residual, ca.GridFunction):
-        lines += [f"{t:.17g},{v:.17g}" for t, v in zip(residual.t, residual.values)]
-    else:
-        lines += [f"{t:.17g},{v:.17g}" for t, v in residual]
-    csv_text = "\n".join(lines) + "\n"
+    t, values, defect, mean = _residual_rows(problem, y, args)
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "residual.csv").write_text(csv_text, encoding="utf-8")
+        with open(outdir / "residual.csv", "w", encoding="utf-8") as fh:
+            ca._write_rows(fh, "t,residual", t, values)
     else:
-        sys.stdout.write(csv_text)
+        ca._write_rows(sys.stdout, "t,residual", t, values)
     print(f"form={args.form} defect={_fmt(defect)} mean={_fmt(mean)}")
     return EXIT_OK
 
@@ -436,10 +429,8 @@ def _case_context(case: dict, cfg: so.SolverConfig) -> dict:
         if roots:
             ctx.update(A=roots[0].A, B=roots[0].B, trajectory=roots[0].trajectory.values)
     elif mode == "trajectory":
-        y = ca.read_csv(
-            io.StringIO(_bundled_path(case["trajectory"]).read_text(encoding="utf-8")),
-            problem.scale,
-        )
+        with resources.as_file(_bundled_path(case["trajectory"])) as path:
+            y = ca.read_csv(path, problem.scale)
         jd, jn = va.eval_J_delta(problem, y), va.eval_J_nabla(problem, y)
         ctx.update(
             J_delta=jd,
@@ -570,6 +561,9 @@ def main(argv=None) -> int:
     except InapplicableFormError as err:
         print(f"inapplicable form: {err}", file=sys.stderr)
         return EXIT_BAD_FORM
+    except ex.DomainViolation as err:
+        print(err, file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -63,6 +63,7 @@ class DomainViolation(ArithmeticError):
     def __init__(self, message: str, offset: int | None = None):
         where = "" if offset is None else f" (node at offset {offset})"
         super().__init__(message + where)
+        self.reason = message
         self.offset = offset
 
 

@@ -145,7 +145,7 @@ def _locate(e, t, yy, vv, err):
         try:
             ex.eval_arrays(e, ti, yi, vi)
         except ex.DomainViolation:
-            return ex.DomainViolation(f"{err} at t={ti!r}", err.offset)
+            return ex.DomainViolation(f"{err.reason} at t={float(ti)!r}", err.offset)
     return err
 
 
@@ -332,8 +332,10 @@ def natural_bc_residual_a(p: VariationalProblem, y: GridFunction) -> float:
 def natural_bc_residual_b(p: VariationalProblem, y: GridFunction) -> float:
     """Residual that vanishes at an extremal when y(b) is free:
 
-        Jn * (d3 Ld(rho(b)) - int_a^rho(b) d2 Ld) + int_a^b d2 Ld
-      + Jd * (d3 Ln(b)      - int_a^b      d2 Ln) + int_a^b d2 Ln
+        Jn * (d3 Ld(rho(b)) - int_a^rho(b) d2 Ld + int_a^b d2 Ld)
+      + Jd * (d3 Ln(b)      - int_a^b      d2 Ln + int_a^b d2 Ln)
+
+    which equals dJ/dy(b), the gradient entry of the free node b.
     """
     _check_trajectory(p, y)
     if p.bc_b is not None:
@@ -346,7 +348,7 @@ def natural_bc_residual_b(p: VariationalProblem, y: GridFunction) -> float:
     d2ln = _eval_on_nabla(ex.differentiate(p.L_nabla, "y"), ts, y.values)
     a_full = float(np.dot(mu, d2ld))
     b_full = float(np.dot(nu, d2ln))
-    return float(Jn * f[-1] + a_full + Jd * g[-1] + b_full)
+    return float(Jn * (f[-1] + a_full) + Jd * (g[-1] + b_full))
 
 
 def natural_bc_reduced(

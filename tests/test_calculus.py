@@ -396,3 +396,81 @@ class TestCsv:
         ts = from_points([0, 1, 2])
         with pytest.raises(TimeScaleError):
             read_csv(io.StringIO("t,value\n0,0\n0.5,1\n2,2\n"), ts)
+
+    def test_blank_and_whitespace_only_lines_are_skipped(self):
+        text = "t,value\n\n0,1\n   \n\t\n1,2\n \t \n\n2,4\n  \n"
+        back = read_csv(io.StringIO(text))
+        np.testing.assert_array_equal(back.t, [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(back.values, [1.0, 2.0, 4.0])
+
+    def test_crlf_endings_and_padded_cells_accepted(self, tmp_path):
+        text = "t,value\r\n 0 , 1 \r\n1,\t2\r\n\t2\t,4\r\n"
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(text.encode("utf-8"))
+        for source in (path, str(path), io.StringIO(text, newline="")):
+            back = read_csv(source)
+            np.testing.assert_array_equal(back.t, [0.0, 1.0, 2.0])
+            np.testing.assert_array_equal(back.values, [1.0, 2.0, 4.0])
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "0\n1\n2\n",  # one cell per row
+            "0,1,9\n1,2,9\n2,4,9\n",  # three cells per row
+            "0,1\n1,2,9\n2,4\n",  # mixed widths
+            "0,1\n1\n2,4\n",
+            "0,1,\n1,2,\n2,4,\n",  # trailing comma
+            "0,1\n1,two\n2,4\n",  # non-numeric text
+            "zero,1\n1,2\n2,4\n",
+            "0,1\n1,,2\n2,4\n",
+            "0,1\n1, \n2,4\n",
+            "0,1\n# note\n2,4\n",
+        ],
+    )
+    def test_malformed_rows_rejected(self, body):
+        with pytest.raises(ValueError):
+            read_csv(io.StringIO("t,value\n" + body))
+
+    def test_header_only_file_has_no_scale(self):
+        with pytest.raises(TimeScaleError):
+            read_csv(io.StringIO("t,value\n"))
+        with pytest.raises(TimeScaleError):
+            read_csv(io.StringIO("t,value\n\n  \n"), Z4)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "1e400"])
+    def test_nonfinite_values_rejected(self, cell):
+        with pytest.raises(ValueError):
+            read_csv(io.StringIO(f"t,value\n0,1\n1,{cell}\n2,3\n"))
+        with pytest.raises(ValueError):
+            read_csv(io.StringIO(f"t,value\n0,1\n{cell},2\n2,3\n"))
+
+    def test_large_round_trip_is_bit_exact(self):
+        rng = np.random.default_rng(20)
+        n = 100_003
+        # values: arbitrary finite bit patterns plus the awkward corners
+        bits = rng.integers(0, 2**64, size=n, dtype=np.uint64)
+        vals = bits.view(np.float64).copy()
+        vals[~np.isfinite(vals)] = 0.5
+        corners = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                   1e300, -1e300, 1.7976931348623157e308, 0.1, 1 / 3]
+        vals[: len(corners)] = corners
+        pts = np.cumsum(rng.uniform(0.5, 1.5, size=n)) * 1e-3 - 7.0
+        f = GridFunction(from_points(pts), vals)
+        buf = io.StringIO()
+        write_csv(f, buf)
+        buf.seek(0)
+        back = read_csv(buf, f.scale)
+        np.testing.assert_array_equal(back.values.view(np.uint64), vals.view(np.uint64))
+        np.testing.assert_array_equal(back.t.view(np.uint64), pts.view(np.uint64))
+
+    def test_written_bytes_match_17_digit_reference(self, tmp_path):
+        rng = np.random.default_rng(21)
+        ts = random_scale(rng, nmin=2000, nmax=2000)
+        f = GridFunction(ts, rng.standard_normal(len(ts)) * 10.0 ** rng.integers(-320, 300, len(ts)))
+        want = "t,value\n" + "".join("%.17g,%.17g\n" % (t, v) for t, v in zip(f.t, f.values))
+        path = tmp_path / "f.csv"
+        write_csv(f, path)
+        assert path.read_bytes() == want.encode("ascii")
+        buf = io.StringIO()
+        write_csv(f, buf)
+        assert buf.getvalue() == want

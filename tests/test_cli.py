@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from tsvar import cli
+from tsvar import variational as va
+from tsvar.calculus import read_csv
 from tsvar.cli import (
     EXIT_BAD_FORM,
+    EXIT_DOMAIN,
     EXIT_NOT_CONVERGED,
     EXIT_PARSE,
     EXIT_SCALE_MISMATCH,
@@ -186,7 +189,107 @@ class TestEvalCommand:
         assert main(["eval", "--problem", prob, "--trajectory", str(tmp_path / "no.csv")]) == EXIT_PARSE
 
 
+class TestTrajectoryCsv:
+    def test_blank_lines_crlf_and_padding_accepted(self, tmp_path, capsys):
+        prob = write(tmp_path, "p.problem", GOOD)
+        messy = tmp_path / "messy.csv"
+        messy.write_bytes(b"t,value\r\n\r\n 0 , 0 \r\n   \r\n1,\t1\r\n\t\r\n2 ,2\r\n")
+        assert main(["eval", "--problem", prob, "--trajectory", str(messy)]) == 0
+        assert capsys.readouterr().out.strip() == "J_delta=2 J_nabla=2 J=4"
+
+    @pytest.mark.parametrize(
+        "body",
+        ["0\n1\n2\n", "0,0,0\n1,1,1\n2,2,2\n", "0,0\n1,1,1\n2,2\n", "0,0,\n1,1,\n2,2,\n",
+         "0,0\n1,one\n2,2\n"],
+    )
+    def test_malformed_rows_are_parse_errors(self, tmp_path, capsys, body):
+        prob = write(tmp_path, "p.problem", GOOD)
+        bad = write(tmp_path, "t.csv", "t,value\n" + body)
+        assert main(["eval", "--problem", prob, "--trajectory", bad]) == EXIT_PARSE
+        assert "bad trajectory CSV" in capsys.readouterr().err
+
+    def test_header_only_trajectory_is_scale_mismatch(self, tmp_path):
+        prob = write(tmp_path, "p.problem", GOOD)
+        empty = write(tmp_path, "t.csv", "t,value\n")
+        assert main(["eval", "--problem", prob, "--trajectory", empty]) == EXIT_SCALE_MISMATCH
+
+    def test_non_utf8_trajectory_is_parse_error(self, tmp_path, capsys):
+        prob = write(tmp_path, "p.problem", GOOD)
+        latin = tmp_path / "t.csv"
+        latin.write_bytes(b"t,value\n0,0\n1,1\xe9\n2,2\n")
+        for command in (["eval"], ["residual", "--form", "el1"]):
+            rc = main(command + ["--problem", prob, "--trajectory", str(latin)])
+            assert rc == EXIT_PARSE
+            assert "parse error" in capsys.readouterr().err
+
+    def test_non_utf8_problem_is_parse_error(self, tmp_path, capsys):
+        prob = tmp_path / "p.problem"
+        prob.write_bytes(GOOD.replace("v^2", "v^2 # caf\xe9", 1).encode("latin-1"))
+        traj = line_csv(tmp_path, [0, 1, 2], [0, 1, 2])
+        assert main(["eval", "--problem", str(prob), "--trajectory", traj]) == EXIT_PARSE
+        assert main(["solve", "--problem", str(prob), "--out", str(tmp_path / "o")]) == EXIT_PARSE
+        assert "parse error" in capsys.readouterr().err
+
+
+class TestDomainViolations:
+    LOG = GOOD.replace("delta = v^2", "delta = ln(y) + v^2")
+
+    def test_eval_and_residual_exit_with_domain_code(self, tmp_path, capsys):
+        prob = write(tmp_path, "p.problem", self.LOG)
+        traj = line_csv(tmp_path, [0, 1, 2], [-1.0, -2.0, -3.0])
+        for command in (["eval"], ["residual", "--form", "el1"], ["residual", "--form", "el2"]):
+            rc = main(command + ["--problem", prob, "--trajectory", traj])
+            assert rc == EXIT_DOMAIN
+            err = capsys.readouterr().err
+            assert err == "domain violation in 'ln' at t=0.0 (node at offset 0)\n"
+
+    def test_solve_with_undefined_objective_exits_with_domain_code(self, tmp_path, capsys):
+        text = GOOD.replace("delta = v^2", "delta = sqrt(-1 - y^2) + v^2")
+        prob = write(tmp_path, "p.problem", text)
+        rc = main(["solve", "--problem", prob, "--out", str(tmp_path / "o")])
+        assert rc == EXIT_DOMAIN
+        assert capsys.readouterr().err == "objective undefined at every multistart\n"
+
+
+def _reference_rows(points, values) -> str:
+    return "t,residual\n" + "".join("%.17g,%.17g\n" % (t, v) for t, v in zip(points, values))
+
+
 class TestResidualCommand:
+    def test_residual_csv_matches_reference_bytes(self, tmp_path, capsys):
+        n = 257
+        rng = np.random.default_rng(3)
+        text = GOOD.replace("uniform 0 2 3", f"uniform 0 2 {n}").replace(
+            "delta = v^2", "delta = v^2 + sin(y)^2")
+        prob = write(tmp_path, "p.problem", text)
+        ts_pts = np.linspace(0, 2, n)
+        ys = np.sin(3 * ts_pts) + rng.normal(scale=1e-3, size=n)
+        ys[0], ys[-1] = 0.0, 2.0
+        traj = line_csv(tmp_path, ts_pts, ys)
+        problem, _ = cli.parse_problem_file(prob)
+        y = read_csv(traj, problem.scale)
+        for form, fn in (("el1", va.el_residual_1), ("el2", va.el_residual_2)):
+            residual = fn(problem, y).residual
+            want = _reference_rows(residual.t, residual.values)
+            out = tmp_path / form
+            argv = ["residual", "--problem", prob, "--trajectory", traj, "--form", form]
+            assert main(argv + ["--out", str(out)]) == 0
+            assert (out / "residual.csv").read_bytes() == want.encode("ascii")
+            assert capsys.readouterr().out.startswith(f"form={form} ")
+            assert main(argv) == 0
+            assert capsys.readouterr().out.startswith(want + f"form={form} ")
+
+    def test_nbc_rows_match_reference_bytes(self, tmp_path, capsys):
+        text = GOOD.replace("a = fixed:0", "a = free").replace("b = fixed:2", "b = free")
+        prob = write(tmp_path, "p.problem", text)
+        traj = line_csv(tmp_path, [0, 1, 2], [0.1, 1.0 / 3.0, 2.5])
+        problem, _ = cli.parse_problem_file(prob)
+        y = read_csv(traj, problem.scale)
+        vals = [va.natural_bc_residual_a(problem, y), va.natural_bc_residual_b(problem, y)]
+        want = _reference_rows([0.0, 2.0], vals)
+        assert main(["residual", "--problem", prob, "--trajectory", traj, "--form", "nbc"]) == 0
+        assert capsys.readouterr().out.startswith(want + "form=nbc ")
+
     def test_stationary_line_small_defect(self, tmp_path, capsys):
         prob = write(tmp_path, "p.problem", GOOD)
         traj = line_csv(tmp_path, [0, 1, 2], [0, 1, 2])

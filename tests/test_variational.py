@@ -83,6 +83,12 @@ class TestFunctionalValues:
         with pytest.raises(DomainViolation) as err:
             eval_J_delta(p, y)
         assert "t=" in str(err.value)
+        # one offset and a plain float, however deep the failing node sits
+        assert str(err.value) == "domain violation in 'ln' at t=-1.0 (node at offset 0)"
+        p = VariationalProblem(ts, parse("v^2 + ln(t + 3)/ln(t + 2)"), V2, 0.0, 0.0)
+        with pytest.raises(DomainViolation) as err:
+            eval_J_delta(p, y)
+        assert str(err.value) == "domain violation in '/' at t=-1.0 (node at offset 15)"
 
     def test_trajectory_scale_must_match(self):
         p = quad_problem(from_points([0, 1, 2]), 0.0, 2.0)
@@ -274,6 +280,22 @@ class TestNaturalBoundary:
             y = from_callable(ts, lambda t: -t)  # continuum minimizer has slope -1
             target.append(abs(natural_bc_reduced(p, y, "b")))
         assert all(v <= 1e-12 for v in target)
+
+    def test_general_residuals_are_endpoint_gradients(self):
+        # with both weights away from 1 the residuals must still equal
+        # -dJ/dy(a) and dJ/dy(b)
+        rng = np.random.default_rng(16)
+        problems = [(uniform(0, 1, 41), parse("v^2 + 0.7*y^2"), parse("exp(0.8*v) + y^2"))]
+        for _ in range(25):
+            ts = random_scale(rng, nmax=15)
+            problems.append((ts, quadratic_expr(rng), quadratic_expr(rng)))
+        for ts, Ld, Ln in problems:
+            p = VariationalProblem(ts, Ld, Ln, None, None)
+            y = random_gridfn(rng, ts, amp=0.5)
+            _, grad = functional_gradient(ts, Ld, Ln, y.values)
+            scale = 1.0 + np.max(np.abs(grad))
+            assert abs(natural_bc_residual_b(p, y) - grad[-1]) <= 1e-12 * scale
+            assert abs(natural_bc_residual_a(p, y) + grad[0]) <= 1e-12 * scale
 
     def test_fixed_endpoint_rejected(self):
         ts = from_points([0, 1, 2])
