@@ -12,9 +12,10 @@ are rejected.  The default random seed comes from the TSVAR_SEED environment
 variable and can be overridden per file ([solver] seed = ...) or with --seed.
 
 Exit codes: 0 success/converged, 1 verification failure, 2 no extremal or
-no convergence, 3 infeasible constraint, 64 parse error, 65 trajectory/scale
-mismatch, 66 inapplicable residual form, 67 an integrand undefined along the
-trajectory (domain violation).
+no convergence, 3 infeasible constraint, 64 parse error or an --out path
+that cannot be a directory, 65 trajectory/scale mismatch, 66 inapplicable
+residual form, 67 an integrand undefined along the trajectory (domain
+violation).
 """
 
 from __future__ import annotations
@@ -62,6 +63,21 @@ class ProblemFileError(ValueError):
 
 class InapplicableFormError(ValueError):
     pass
+
+
+class OutputPathError(OSError):
+    """``--out`` names a path that cannot be used as an output directory."""
+
+
+def _output_dir(path) -> Path:
+    outdir = Path(path)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise OutputPathError(
+            f"cannot use {str(outdir)!r} as output directory: {err.strerror or err}"
+        ) from None
+    return outdir
 
 
 def _fmt(x: float) -> str:
@@ -272,8 +288,7 @@ def _cmd_residual(args) -> int:
     y = _load_trajectory(args.trajectory, problem.scale)
     t, values, defect, mean = _residual_rows(problem, y, args)
     if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
+        outdir = _output_dir(args.out)
         with open(outdir / "residual.csv", "w", encoding="utf-8") as fh:
             ca._write_rows(fh, "t,residual", t, values)
     else:
@@ -361,8 +376,7 @@ def _cmd_solve(args) -> int:
     if report is None:
         print("no self-consistent extremal found (empty consistency set)")
         return EXIT_NOT_CONVERGED
-    outdir = Path(args.out) if args.out else Path(".")
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(args.out or ".")
     ca.write_csv(report.trajectory, outdir / "trajectory.csv")
     (outdir / "report.txt").write_text("\n".join(_report_lines(report)) + "\n", encoding="utf-8")
     print(
@@ -554,6 +568,9 @@ def main(argv=None) -> int:
         return _cmd_verify(args)
     except (ProblemFileError, ex.ExprSyntaxError) as err:
         print(f"parse error: {err}", file=sys.stderr)
+        return EXIT_PARSE
+    except OutputPathError as err:
+        print(f"bad --out: {err}", file=sys.stderr)
         return EXIT_PARSE
     except tsc.TimeScaleError as err:
         print(f"scale mismatch: {err}", file=sys.stderr)

@@ -299,7 +299,7 @@ def eval_arrays(e: Expression, t, y, v):
 
 
 def _check_finite(out, node, opname):
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise DomainViolation(f"domain violation in {opname!r}", node.span)
 
 

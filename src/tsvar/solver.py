@@ -1,17 +1,39 @@
 """Direct numerical extremization of the discretized product functional.
 
-The free node values (interior nodes plus any free endpoint) are optimized
-directly: the objective value and its exact chain-rule gradient come from
-``variational.functional_gradient`` and a quasi-Newton (BFGS) descent with a
-backtracking line search drives the gradient below tolerance.  Because the
-product of two integral functionals is nonconvex, every solve multistarts
-from seeded random perturbations of the straight-line interpolant between
-the boundary values.
+The free node values (interior nodes plus any free endpoint, always one
+contiguous block) are optimized directly by one exact-Newton core.  Each
+sample of J = J_delta * J_nabla couples two neighbouring nodes, so the exact
+Hessian is Jn*Hd + Jd*Hn + gd gn^T + gn gd^T: a tridiagonal matrix built
+from the exact second partials of the integrands
+(``variational.functional_hessian``) plus a rank-2 term.  A Newton step is
+an LDL^T factorization of the tridiagonal part and a Woodbury correction for
+the low-rank part, O(n) time and memory; no n x n array is ever formed.
+
+One globalisation keeps every step a descent step:
+
+- a Levenberg shift tau*I on the tridiagonal part when a pivot is not
+  positive or the step is not a descent direction, and the steepest-descent
+  direction when no shift helps or the Hessian is undefined;
+- Armijo backtracking from the full step; where the predicted decrease is
+  below what f resolves in double precision, a smaller gradient also
+  accepts the step, so the default grad_tol = 1e-9 is reachable;
+- step expansion: a full step that was shifted, or that fell by more than
+  the quadratic model predicted, is doubled while the value keeps falling,
+  which ends unbounded searches (value below -1e100) quickly and crosses
+  the exp(c*v) regime, where a pure Newton step moves v by only about 1/c.
+
+Trial points whose value or gradient is undefined (``DomainViolation``) or
+not finite are rejected steps.  Because the product of two integral
+functionals is nonconvex, every solve multistarts from seeded random
+perturbations of the straight-line interpolant between the boundary values;
+a report's ``iterations`` counts the Newton steps of the reported start.
 
 Isoperimetric problems are handled by an augmented Lagrangian around the
-same descent core, with multiplier updates lam <- lam - penalty*(K - k) and
+same Newton core, with multiplier updates lam <- lam - penalty*(K - k) and
 a fallback to the abnormal multiplier pair (0, 1) when the candidate is an
-extremal of the constraint functional itself.
+extremal of the constraint functional itself.  Each merit function adds its
+own terms to the same structure: for J - lam*r + pen*r^2/2 with r = K - k
+they are (pen*r - lam)*HK and pen*gradK gradK^T, so the low rank is at most 5.
 
 For problems whose stationarity equation is affine in the derivative slot
 (state-independent integrands), ``consistency_solve`` instead solves the
@@ -101,79 +123,278 @@ class ConsistencyRoot:
 
 
 # ---------------------------------------------------------------------------
-# BFGS with backtracking
+# Structured linear algebra: tridiagonal LDL^T plus a low-rank correction
 
 
-def _bfgs(fun, z0, accept_tol, max_iter):
-    """Minimize fun (returning value and gradient) from z0.
+def _ldl(diag, off):
+    """LDL^T factors (pivots, multipliers) of the symmetric tridiagonal
+    matrix with main diagonal ``diag`` and off-diagonal ``off`` (sequences
+    of Python floats), or None as soon as a pivot is not positive."""
+    d = diag[0]
+    if not d > 0.0:
+        return None
+    piv, mult = [d], []
+    for a, b in zip(diag[1:], off):
+        m = b / d
+        d = a - m * b
+        if not d > 0.0:
+            return None
+        mult.append(m)
+        piv.append(d)
+    return piv, mult
 
-    Returns (z, f, g, iterations, converged); drives the gradient well below
-    ``accept_tol`` when possible and reports convergence against it.
+
+def _ldl_solve(fac, b):
+    """Solve L D L^T x = b for one right-hand side (a list of floats)."""
+    piv, mult = fac
+    y = [b[0]]
+    for bi, m in zip(b[1:], mult):
+        y.append(bi - m * y[-1])
+    x = [y[-1] / piv[-1]]
+    for yi, p, m in zip(reversed(y[:-1]), reversed(piv[:-1]), reversed(mult)):
+        x.append(yi / p - m * x[-1])
+    x.reverse()
+    return x
+
+
+def _structured_solve(diag, off, U, C, b):
+    """Solve (T + U^T C U) x = b, T the tridiagonal matrix (diag, off), U a
+    k x n array of rows and C a k x k array, by LDL^T of T and the Woodbury
+    identity.  Returns None when T has a non-positive pivot or the k x k
+    capacitance system is singular."""
+    fac = _ldl(diag.tolist(), off.tolist())
+    if fac is None:
+        return None
+    x = np.array(_ldl_solve(fac, b.tolist()))
+    if len(U) == 0:
+        return x
+    Z = np.array([_ldl_solve(fac, u) for u in U.tolist()])
+    try:
+        w = np.linalg.solve(np.eye(len(U)) + C @ (U @ Z.T), C @ (U @ x))
+    except np.linalg.LinAlgError:
+        return None
+    return x - Z.T @ w
+
+
+def _model(terms, rank_one=()):
+    """Tridiagonal-plus-low-rank form (diag, off, U, C) of the Hessian
+    sum(c * H for c, H in terms) + sum(w * u u^T for w, u in rank_one), each
+    H a free-block ``va.ProductHessian``; None when an H is missing."""
+    if any(H is None for _, H in terms):
+        return None
+    diag = sum(c * H.diag for c, H in terms)
+    off = sum(c * H.off for c, H in terms)
+    rows = [u for _, H in terms for u in (H.grad_delta, H.grad_nabla)]
+    rows += [u for _, u in rank_one]
+    C = np.zeros((len(rows), len(rows)))
+    for i, (c, _) in enumerate(terms):
+        C[2 * i, 2 * i + 1] = C[2 * i + 1, 2 * i] = c
+    for j, (w, _) in enumerate(rank_one, start=2 * len(terms)):
+        C[j, j] = w
+    return diag, off, np.array(rows), C
+
+
+# ---------------------------------------------------------------------------
+# Exact-Newton core with one globalisation
+
+
+_SHIFT_TRIES = 16
+_MAX_EXPANSION = 2.0**50
+
+
+def _direction(model, g, shift_prev):
+    """Newton direction d = -(H + tau I)^{-1} g on the structured Hessian
+    model, with the Levenberg shift tau on its tridiagonal part.
+
+    The shift is kept relative to the size of the model.  It starts from 0,
+    or from a tenth of the previous iteration's relative shift, and rises
+    tenfold while a pivot is not positive or g.d is not negative.  Returns
+    (d, g.d, relative shift); a shift of inf marks the fallback
+    d = -g / max|g|, taken when the model is missing or no shift gives a
+    descent direction.
+    """
+    if model is not None:
+        diag, off, U, C = model
+        scale = float(max(np.max(np.abs(diag)), np.max(np.abs(off), initial=0.0)))
+        if scale == 0.0 and len(U):
+            scale = float(np.max(np.abs(C)) * np.max(np.abs(U)) ** 2)
+        if np.isfinite(scale) and scale > 0.0:
+            shift = shift_prev / 10.0 if 1e-11 <= shift_prev < np.inf else 0.0
+            for _ in range(_SHIFT_TRIES):
+                d = _structured_solve(diag + shift * scale, off, U, C, -g)
+                gd = float(g @ d) if d is not None else np.nan
+                if np.isfinite(gd) and gd < 0.0:
+                    return d, gd, shift
+                shift = 10.0 * shift if shift else 1e-12
+    gmax = float(np.max(np.abs(g)))
+    d = -g / gmax
+    return d, -gmax * float(d @ d), np.inf
+
+
+def _newton(fun, hess, z0, accept_tol, max_iter):
+    """Minimize fun from z0 by exact-Newton steps on the structured Hessian.
+
+    ``fun(z)`` returns (value, gradient), or (inf, None) where the objective
+    is undefined or not finite; ``hess(z)`` returns the ``_model`` form of
+    the Hessian at an accepted iterate, or None.  Steps are globalised by
+    Armijo backtracking from alpha = 1, and a full step that may be too
+    short is expanded.  Returns (z, f, g, iterations, converged); drives the
+    gradient well below ``accept_tol`` when possible and reports convergence
+    against it.
     """
     z = np.asarray(z0, dtype=float)
-    f, g = fun(z)
-    it = 0
-    if not np.isfinite(f):
-        return z, f, g, it, False
-    n = z.size
-    target = accept_tol * 1e-3
-    if n == 0:
-        return z, f, g, it, True
-    H = np.eye(n)
-    while it < max_iter and np.max(np.abs(g)) > target:
-        if f < -1e100:  # objective unbounded below along this start
-            break
-        d = -H @ g
-        gd = float(g @ d)
-        if gd >= 0.0:
-            H = np.eye(n)
-            d = -g
-            gd = float(g @ d)
-        alpha, accepted = 1.0, False
-        while alpha >= 1e-20:
-            zn = z + alpha * d
-            fn, gn = fun(zn)
-            if np.isfinite(fn) and fn <= f + 1e-4 * alpha * gd:
-                accepted = True
+    with np.errstate(all="ignore"):
+        f, g = fun(z)
+        it = 0
+        if not np.isfinite(f):
+            return z, f, g, it, False
+        target = accept_tol * 1e-3
+        if z.size == 0:
+            return z, f, g, it, True
+        shift = 0.0
+        while it < max_iter and np.max(np.abs(g)) > target:
+            if f < -1e100:  # objective unbounded below along this start
                 break
-            alpha *= 0.5
-        if not accepted:
-            break
-        s = zn - z
-        yv = gn - g
-        stalled = fn >= f - 1e-16 * (1.0 + abs(f)) and float(
-            np.max(np.abs(s))
-        ) <= 1e-14 * (1.0 + float(np.max(np.abs(z))))
-        z, f, g = zn, fn, gn
-        it += 1
-        if stalled:
-            break
-        sy = float(s @ yv)
-        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(yv):
-            rho = 1.0 / sy
-            Hy = H @ yv
-            H = (
-                H
-                - rho * (np.outer(s, Hy) + np.outer(Hy, s))
-                + rho * (1.0 + rho * float(yv @ Hy)) * np.outer(s, s)
-            )
-        else:
-            H = np.eye(n)
+            d, gd, shift = _direction(hess(z), g, shift)
+            # Once the predicted decrease is below what f resolves in double
+            # precision, a smaller max|g| also accepts the step: comparing
+            # values alone would stall at about |g| ~ 1e-8.
+            flat = -gd <= 1e-12 * (1.0 + abs(f))
+            gmax = np.max(np.abs(g))
+            alpha, accepted = 1.0, False
+            while alpha >= 1e-20:
+                zn = z + alpha * d
+                fn, gn = fun(zn)
+                if fn <= f + 1e-4 * alpha * gd or (
+                    flat and np.isfinite(fn) and np.max(np.abs(gn)) < gmax
+                ):
+                    accepted = True
+                    break
+                alpha *= 0.5
+            if not accepted:
+                break
+            # A full step may be too short: when it was shifted, or when it
+            # fell by over 1.2 times the -gd/2 that the quadratic model
+            # predicts (as in the exp(c*v) regime, where it moves v by 1/c),
+            # keep doubling it while the value keeps falling.
+            if alpha == 1.0 and (shift > 0.0 or f - fn > -0.6 * gd):
+                while fn >= -1e100 and alpha < _MAX_EXPANSION:
+                    zt = z + 2.0 * alpha * d
+                    ft, gt = fun(zt)
+                    if not ft < fn:
+                        break
+                    alpha, zn, fn, gn = 2.0 * alpha, zt, ft, gt
+            stalled = fn >= f - 1e-16 * (1.0 + abs(f)) and float(
+                np.max(np.abs(zn - z))
+            ) <= 1e-14 * (1.0 + float(np.max(np.abs(z))))
+            z, f, g = zn, fn, gn
+            it += 1
+            if stalled:
+                break
     return z, f, g, it, bool(np.max(np.abs(g)) <= accept_tol)
+
+
+def _finite(val, grad):
+    """(val, grad), or (inf, None) when either is not finite: a rejected
+    step, like a trial point where an integrand is undefined."""
+    if not (np.isfinite(val) and np.isfinite(grad).all()):
+        return np.inf, None
+    return val, grad
 
 
 # ---------------------------------------------------------------------------
 # Shared plumbing
 
 
-def _free_indices(p: va.VariationalProblem) -> np.ndarray:
-    n = len(p.scale)
-    idx = list(range(1, n - 1))
-    if p.bc_a is None:
-        idx.insert(0, 0)
-    if p.bc_b is None:
-        idx.append(n - 1)
-    return np.asarray(idx, dtype=int)
+class _Compiled:
+    """A problem compiled once for the solvers: its free nodes, which always
+    form one contiguous block [lo, hi), and a work trajectory that carries
+    the fixed values.  Every trial point is evaluated through
+    ``va.functional_gradient`` and every Newton model through
+    ``va.functional_hessian``, with partials differentiated once."""
+
+    def __init__(self, p: va.VariationalProblem, base: np.ndarray):
+        n = len(p.scale)
+        self.scale = p.scale
+        self.lo = 0 if p.bc_a is None else 1
+        self.hi = n if p.bc_b is None else n - 1
+        self.y = base.copy()
+
+    def trajectory(self, z) -> GridFunction:
+        y = self.y.copy()
+        y[self.lo : self.hi] = z
+        return GridFunction(self.scale, y)
+
+    def _at(self, z) -> np.ndarray:
+        self.y[self.lo : self.hi] = z
+        return self.y
+
+    def value_grad(self, z, Ld, Ln):
+        """Value and free-block gradient of the product functional of
+        (Ld, Ln) at z; (inf, None) where it is undefined or not finite."""
+        try:
+            with np.errstate(all="ignore"):
+                val, grad = va.functional_gradient(self.scale, Ld, Ln, self._at(z))
+        except ex.DomainViolation:
+            return np.inf, None
+        return _finite(val, grad[self.lo : self.hi])
+
+    def hessian(self, z, Ld, Ln):
+        """``va.ProductHessian`` of (Ld, Ln) restricted to the free block, or
+        None where it is undefined or not finite."""
+        try:
+            with np.errstate(all="ignore"):
+                H = va.functional_hessian(self.scale, Ld, Ln, self._at(z))
+        except ex.DomainViolation:
+            return None
+        lo, hi = self.lo, self.hi
+        H = H._replace(grad_delta=H.grad_delta[lo:hi], grad_nabla=H.grad_nabla[lo:hi],
+                       diag=H.diag[lo:hi], off=H.off[lo : hi - 1])
+        if not all(np.isfinite(part).all() for part in H):
+            return None
+        return H
+
+
+def _merit(cp: _Compiled, p: va.VariationalProblem, a=1.0, b=0.0, q=0.0):
+    """(fun, hess) for ``_newton``: the merit a*J + b*r + q*r^2/2 on the free
+    block, with r = K - k.
+
+    Its gradient is a*gradJ + (b + q*r)*gradK and its Hessian
+    a*HJ + (b + q*r)*HK + q*gradK gradK^T.  ``solve`` minimizes J alone, the
+    augmented Lagrangian takes b = -lambda and q = penalty, and the abnormal
+    branch restores feasibility with r^2/2 alone.
+    """
+    Ld, Ln = p.L_delta, p.L_nabla
+    c = p.constraint if (b or q) else None
+
+    def fun(z):
+        val, grad = 0.0, 0.0
+        if a:
+            jval, jgrad = cp.value_grad(z, Ld, Ln)
+            if jgrad is None:
+                return np.inf, None
+            val, grad = a * jval, a * jgrad
+        if c is not None:
+            kval, kgrad = cp.value_grad(z, c.K_delta, c.K_nabla)
+            if kgrad is None:
+                return np.inf, None
+            r = kval - c.k
+            val, grad = val + b * r + 0.5 * q * r * r, grad + (b + q * r) * kgrad
+        return _finite(val, grad)
+
+    def hess(z):
+        terms = [(a, cp.hessian(z, Ld, Ln))] if a else []
+        rank_one = []
+        if c is not None:
+            HK = cp.hessian(z, c.K_delta, c.K_nabla)
+            if HK is None:
+                return None
+            r = HK.J_delta * HK.J_nabla - c.k
+            terms.append((b + q * r, HK))
+            rank_one.append((q, HK.gradient))
+        return _model(terms, rank_one)
+
+    return fun, hess
 
 
 def _base_trajectory(p: va.VariationalProblem) -> np.ndarray:
@@ -194,41 +415,17 @@ def _perturb_amplitude(p: va.VariationalProblem) -> float:
     return 0.5 * (abs(alpha) + abs(beta) + 1.0)
 
 
-def _starts(p: va.VariationalProblem, cfg: SolverConfig, free: np.ndarray):
+def _starts(p: va.VariationalProblem, cfg: SolverConfig):
+    """The compiled problem and its multistarts: the straight-line
+    interpolant, then seeded random perturbations of it."""
     rng = np.random.default_rng(cfg.seed)
-    base = _base_trajectory(p)
+    cp = _Compiled(p, _base_trajectory(p))
+    z = cp.y[cp.lo : cp.hi]
     amp = _perturb_amplitude(p)
-    out = [base[free].copy()]
+    out = [z.copy()]
     for _ in range(cfg.multistarts - 1):
-        out.append(base[free] + amp * rng.standard_normal(free.size))
-    return base, out
-
-
-def _objective(p: va.VariationalProblem, free: np.ndarray, base: np.ndarray):
-    ts, Ld, Ln = p.scale, p.L_delta, p.L_nabla
-    y = base.copy()
-
-    def fun(z):
-        y[free] = z
-        try:
-            val, grad = va.functional_gradient(ts, Ld, Ln, y)
-        except ex.DomainViolation:
-            return np.inf, np.zeros(free.size)
-        return val, grad[free]
-
-    return fun
-
-
-def _functional(p: va.VariationalProblem, free: np.ndarray, base: np.ndarray, Ld, Ln):
-    ts = p.scale
-    y = base.copy()
-
-    def fun(z):
-        y[free] = z
-        val, grad = va.functional_gradient(ts, Ld, Ln, y)
-        return val, grad[free]
-
-    return fun
+        out.append(z + amp * rng.standard_normal(z.size))
+    return cp, out
 
 
 def _finish_report(
@@ -268,21 +465,15 @@ def solve(p: va.VariationalProblem, cfg: SolverConfig = SolverConfig()) -> Solve
     """
     if p.constraint is not None:
         raise ValueError("problem is constrained; use solve_isoperimetric")
-    free = _free_indices(p)
-    base, starts = _starts(p, cfg, free)
-    fun = _objective(p, free, base)
+    cp, starts = _starts(p, cfg)
+    fun, hess = _merit(cp, p)
     candidates = []
     for s, z0 in enumerate(starts):
-        z, f, g, it, ok = _bfgs(fun, z0, cfg.grad_tol, cfg.max_iter)
+        z, f, g, it, ok = _newton(fun, hess, z0, cfg.grad_tol, cfg.max_iter)
         if np.isfinite(f):
             candidates.append((s, z, f, float(np.max(np.abs(g), initial=0.0)), it, ok))
     if not candidates:
         raise ex.DomainViolation("objective undefined at every multistart")
-
-    def trajectory_of(z):
-        y = base.copy()
-        y[free] = z
-        return GridFunction(p.scale, y)
 
     converged = [c for c in candidates if c[5]]
     if converged:
@@ -290,12 +481,12 @@ def solve(p: va.VariationalProblem, cfg: SolverConfig = SolverConfig()) -> Solve
         ok = True
     else:
         s, z, f, gn, it, ok = min(candidates, key=lambda c: (c[3], c[0]))
-    traj = trajectory_of(z)
+    traj = cp.trajectory(z)
     message = "stationary point found" if ok else "did not converge; best iterate"
     if len(converged) > 1:
         # multimodality diagnostic: how far apart the converged starts landed
         spread = max(
-            va.weak_norm(traj, trajectory_of(c[1])) for c in converged if c[0] != s
+            va.weak_norm(traj, cp.trajectory(c[1])) for c in converged if c[0] != s
         )
         message += (
             f"; weak-norm spread across {len(converged)} converged starts: {spread:.3g}"
@@ -318,10 +509,8 @@ def solve_isoperimetric(
     defects of the multiplier residual at the reported (lambda0, lambda).
     """
     c = va._require_constraint(p)
-    free = _free_indices(p)
-    base, starts = _starts(p, cfg, free)
-    jfun = _functional(p, free, base, p.L_delta, p.L_nabla)
-    kfun = _functional(p, free, base, c.K_delta, c.K_nabla)
+    cp, starts = _starts(p, cfg)
+    Ld, Ln, Kd, Kn = p.L_delta, p.L_nabla, c.K_delta, c.K_nabla
     feas_target = min(cfg.constraint_tol, 1e-10)
 
     def alm(z0):
@@ -331,24 +520,12 @@ def solve_isoperimetric(
         feas_prev = np.inf
         stagnant = 0
         for _ in range(60):
-            def merit(zz):
-                try:
-                    jval, jgrad = jfun(zz)
-                    kval, kgrad = kfun(zz)
-                except ex.DomainViolation:
-                    return np.inf, np.zeros(zz.size)
-                r = kval - c.k
-                return (
-                    jval - lam * r + 0.5 * pen * r * r,
-                    jgrad + (pen * r - lam) * kgrad,
-                )
-
-            z, _, _, it, _ = _bfgs(merit, z, cfg.grad_tol, cfg.max_iter)
+            merit, merit_hess = _merit(cp, p, 1.0, -lam, pen)
+            z, _, _, it, _ = _newton(merit, merit_hess, z, cfg.grad_tol, cfg.max_iter)
             total_it += it
-            try:
-                jval, jgrad = jfun(z)
-                kval, kgrad = kfun(z)
-            except ex.DomainViolation:
+            jval, jgrad = cp.value_grad(z, Ld, Ln)
+            kval, kgrad = cp.value_grad(z, Kd, Kn)
+            if jgrad is None or kgrad is None:
                 return None
             r = kval - c.k
             lam = lam - pen * r
@@ -386,9 +563,7 @@ def solve_isoperimetric(
                 f"(best |K - k| = {best['feas']:.3e})"
             )
 
-    y = base.copy()
-    y[free] = best["z"]
-    traj = GridFunction(p.scale, y)
+    traj = cp.trajectory(best["z"])
     kprob = va._as_constraint_problem(p)
     kres1, kres2 = va.el_residual_1(kprob, traj), va.el_residual_2(kprob, traj)
     abnormal_tol = 1e-6 * (1.0 + abs(kres1.mean) + abs(kres2.mean))
@@ -396,20 +571,12 @@ def solve_isoperimetric(
 
     if abnormal:
         if best["feas"] > cfg.constraint_tol:
-            # restore feasibility along the abnormal branch
-            def feas_merit(zz):
-                try:
-                    kval, kgrad = kfun(zz)
-                except ex.DomainViolation:
-                    return np.inf, np.zeros(zz.size)
-                r = kval - c.k
-                return 0.5 * r * r, r * kgrad
-
-            z, _, _, it, _ = _bfgs(feas_merit, best["z"], cfg.grad_tol, cfg.max_iter)
-            best = dict(best, z=z, it=best["it"] + it, feas=abs(kfun(z)[0] - c.k))
-            y = base.copy()
-            y[free] = best["z"]
-            traj = GridFunction(p.scale, y)
+            # restore feasibility along the abnormal branch: minimize r^2/2
+            feas_merit, feas_hess = _merit(cp, p, 0.0, 0.0, 1.0)
+            z, _, _, it, _ = _newton(feas_merit, feas_hess, best["z"], cfg.grad_tol, cfg.max_iter)
+            feas = abs(cp.value_grad(z, Kd, Kn)[0] - c.k)
+            best = dict(best, z=z, it=best["it"] + it, feas=feas)
+            traj = cp.trajectory(best["z"])
         lambda0, lam = 0.0, 1.0
         conv = best["feas"] <= cfg.constraint_tol
         message = "abnormal extremal (candidate is an extremal of K)"
@@ -606,22 +773,20 @@ def probe_extremal_type(
         raise ValueError(
             f"trajectory is not stationary (defect {max(r1.defect, r2.defect):.3e})"
         )
-    free = _free_indices(p)
-    base = y.values.copy()
-    fun = _objective(p, free, base)
-    z0 = base[free]
+    cp = _Compiled(p, y.values)
+    z0 = cp.y[cp.lo : cp.hi].copy()
     rng = np.random.default_rng(cfg.seed)
     h = 1e-4
     k = 50
     pos = neg = 0
     for _ in range(k):
-        d = rng.standard_normal(free.size)
+        d = rng.standard_normal(z0.size)
         nrm = np.linalg.norm(d)
         if nrm == 0.0:
             continue
         d /= nrm
-        fp, _ = fun(z0 + h * d)
-        fm, _ = fun(z0 - h * d)
+        fp, _ = cp.value_grad(z0 + h * d, p.L_delta, p.L_nabla)
+        fm, _ = cp.value_grad(z0 - h * d, p.L_delta, p.L_nabla)
         if not (np.isfinite(fp) and np.isfinite(fm)):
             continue
         d2 = (fp - 2.0 * Jval + fm) / (h * h)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +53,8 @@ __all__ = [
     "weak_norm",
     "first_variation",
     "functional_gradient",
+    "functional_hessian",
+    "ProductHessian",
 ]
 
 
@@ -105,38 +108,29 @@ def _check_trajectory(p: VariationalProblem, y: GridFunction):
         raise ValueError("trajectory must be defined at every point, a and b included")
 
 
-def _delta_samples(ts: TimeScale, yvals: np.ndarray):
-    """(t, y^sigma, Dy) arrays over the scale minus its maximum point."""
-    mu = ts.mu_values[:-1]
-    t = ts.points[:-1]
-    ysig = yvals[1:]
-    dy = np.diff(yvals) / mu
-    return t, ysig, dy, mu
+def _on_delta(ts: TimeScale, yvals: np.ndarray):
+    """Evaluator of integrands at the forward samples (t, y^sigma, Dy) over
+    the scale minus its maximum point."""
+    return _sampler(ts.points[:-1], yvals[1:], np.diff(yvals) / ts.mu_values[:-1])
 
 
-def _nabla_samples(ts: TimeScale, yvals: np.ndarray):
-    """(t, y^rho, Ny) arrays over the scale minus its minimum point."""
-    nu = ts.nu_values[1:]
-    t = ts.points[1:]
-    yrho = yvals[:-1]
-    ny = np.diff(yvals) / nu
-    return t, yrho, ny, nu
+def _on_nabla(ts: TimeScale, yvals: np.ndarray):
+    """Evaluator of integrands at the backward samples (t, y^rho, Ny) over
+    the scale minus its minimum point."""
+    return _sampler(ts.points[1:], yvals[:-1], np.diff(yvals) / ts.nu_values[1:])
 
 
-def _eval_on_delta(e: ex.Expression, ts: TimeScale, yvals: np.ndarray) -> np.ndarray:
-    t, ysig, dy, _ = _delta_samples(ts, yvals)
-    try:
-        return np.broadcast_to(ex.eval_arrays(e, t, ysig, dy), t.shape).astype(float)
-    except ex.DomainViolation as err:
-        raise _locate(e, t, ysig, dy, err) from None
+def _sampler(t, yy, vv):
+    def ev(e: ex.Expression) -> np.ndarray:
+        try:
+            out = ex.eval_arrays(e, t, yy, vv)
+        except ex.DomainViolation as err:
+            raise _locate(e, t, yy, vv, err) from None
+        if np.ndim(out) == 0:
+            return np.full(t.shape, float(out))
+        return np.array(out, dtype=float)
 
-
-def _eval_on_nabla(e: ex.Expression, ts: TimeScale, yvals: np.ndarray) -> np.ndarray:
-    t, yrho, ny, _ = _nabla_samples(ts, yvals)
-    try:
-        return np.broadcast_to(ex.eval_arrays(e, t, yrho, ny), t.shape).astype(float)
-    except ex.DomainViolation as err:
-        raise _locate(e, t, yrho, ny, err) from None
+    return ev
 
 
 def _locate(e, t, yy, vv, err):
@@ -149,15 +143,31 @@ def _locate(e, t, yy, vv, err):
     return err
 
 
+def _d(e: ex.Expression, slots: str) -> ex.Expression:
+    """Exact partial of ``e`` in the slots named by ``slots`` ('y', 'v',
+    'yy', 'yv', 'vv'), differentiated once per integrand.
+
+    The partials are kept in the integrand's own instance dictionary, as
+    ``functools.cached_property`` does on frozen dataclasses, so they live
+    exactly as long as the integrand; equality and hashing ignore them.
+    """
+    memo = vars(e).setdefault("_partials", {})
+    hit = memo.get(slots)
+    if hit is None:
+        inner = e if len(slots) == 1 else _d(e, slots[:-1])
+        hit = memo[slots] = ex.differentiate(inner, slots[-1])
+    return hit
+
+
 def eval_J_delta(p: VariationalProblem, y: GridFunction) -> float:
     _check_trajectory(p, y)
-    vals = _eval_on_delta(p.L_delta, p.scale, y.values)
+    vals = _on_delta(p.scale, y.values)(p.L_delta)
     return float(np.dot(p.scale.mu_values[:-1], vals))
 
 
 def eval_J_nabla(p: VariationalProblem, y: GridFunction) -> float:
     _check_trajectory(p, y)
-    vals = _eval_on_nabla(p.L_nabla, p.scale, y.values)
+    vals = _on_nabla(p.scale, y.values)(p.L_nabla)
     return float(np.dot(p.scale.nu_values[1:], vals))
 
 
@@ -202,15 +212,14 @@ def _el_parts(ts: TimeScale, Ld, Ln, yvals):
     """
     mu = ts.mu_values[:-1]
     nu = ts.nu_values[1:]
-    ld_vals = _eval_on_delta(Ld, ts, yvals)
-    ln_vals = _eval_on_nabla(Ln, ts, yvals)
-    Jd = float(np.dot(mu, ld_vals))
-    Jn = float(np.dot(nu, ln_vals))
+    on_d, on_n = _on_delta(ts, yvals), _on_nabla(ts, yvals)
+    Jd = float(np.dot(mu, on_d(Ld)))
+    Jn = float(np.dot(nu, on_n(Ln)))
 
-    d2ld = _eval_on_delta(ex.differentiate(Ld, "y"), ts, yvals)
-    d3ld = _eval_on_delta(ex.differentiate(Ld, "v"), ts, yvals)
-    d2ln = _eval_on_nabla(ex.differentiate(Ln, "y"), ts, yvals)
-    d3ln = _eval_on_nabla(ex.differentiate(Ln, "v"), ts, yvals)
+    d2ld = on_d(_d(Ld, "y"))
+    d3ld = on_d(_d(Ld, "v"))
+    d2ln = on_n(_d(Ln, "y"))
+    d3ln = on_n(_d(Ln, "v"))
 
     # A(t_j) = sum_{i<j} mu_i d2ld_i, indexed over 0..N-2 (the f domain)
     acum = np.concatenate([[0.0], np.cumsum(mu * d2ld)])  # length N
@@ -222,14 +231,11 @@ def _el_parts(ts: TimeScale, Ld, Ln, yvals):
     return Jd, Jn, f, g
 
 
-def _residual_form_1(ts, Jd, Jn, f, g) -> np.ndarray:
-    # Jn * f(rho(t)) + Jd * g(t) over the scale minus its minimum point
+def _residual(Jd, Jn, f, g) -> np.ndarray:
+    # Jn * f(rho(t)) + Jd * g(t) over the scale minus its minimum point, and
+    # equally Jd * g(sigma(t)) + Jn * f(t) over the scale minus its maximum:
+    # both forms are this one array, only their domains differ
     return Jn * f + Jd * g
-
-
-def _residual_form_2(ts, Jd, Jn, f, g) -> np.ndarray:
-    # Jd * g(sigma(t)) + Jn * f(t) over the scale minus its maximum point
-    return Jd * g + Jn * f
 
 
 def _report(ts: TimeScale, vals: np.ndarray, domain: range, form: str) -> ResidualReport:
@@ -247,8 +253,7 @@ def el_residual_1(p: VariationalProblem, y: GridFunction) -> ResidualReport:
     _check_trajectory(p, y)
     ts = p.scale
     Jd, Jn, f, g = _el_parts(ts, p.L_delta, p.L_nabla, y.values)
-    vals = _residual_form_1(ts, Jd, Jn, f, g)
-    return _report(ts, vals, range(1, len(ts)), "el1")
+    return _report(ts, _residual(Jd, Jn, f, g), range(1, len(ts)), "el1")
 
 
 def el_residual_2(p: VariationalProblem, y: GridFunction) -> ResidualReport:
@@ -260,8 +265,7 @@ def el_residual_2(p: VariationalProblem, y: GridFunction) -> ResidualReport:
     _check_trajectory(p, y)
     ts = p.scale
     Jd, Jn, f, g = _el_parts(ts, p.L_delta, p.L_nabla, y.values)
-    vals = _residual_form_2(ts, Jd, Jn, f, g)
-    return _report(ts, vals, range(0, len(ts) - 1), "el2")
+    return _report(ts, _residual(Jd, Jn, f, g), range(0, len(ts) - 1), "el2")
 
 
 def _pure_kind(p: VariationalProblem) -> str:
@@ -288,8 +292,8 @@ def el_differential_delta(p: VariationalProblem, y: GridFunction) -> GridFunctio
             stacklevel=2,
         )
     ts = p.scale
-    d3 = _eval_on_delta(ex.differentiate(p.L_delta, "v"), ts, y.values)
-    d2 = _eval_on_delta(ex.differentiate(p.L_delta, "y"), ts, y.values)
+    on = _on_delta(ts, y.values)
+    d3, d2 = on(_d(p.L_delta, "v")), on(_d(p.L_delta, "y"))
     dd3 = np.diff(d3) / ts.mu_values[: len(ts) - 2]
     return GridFunction(ts, dd3 - d2[:-1], range(0, len(ts) - 2))
 
@@ -304,8 +308,8 @@ def el_differential_nabla(p: VariationalProblem, y: GridFunction) -> GridFunctio
             stacklevel=2,
         )
     ts = p.scale
-    d3 = _eval_on_nabla(ex.differentiate(p.L_nabla, "v"), ts, y.values)
-    d2 = _eval_on_nabla(ex.differentiate(p.L_nabla, "y"), ts, y.values)
+    on = _on_nabla(ts, y.values)
+    d3, d2 = on(_d(p.L_nabla, "v")), on(_d(p.L_nabla, "y"))
     nd3 = np.diff(d3) / ts.nu_values[2:]
     return GridFunction(ts, nd3 - d2[1:], range(2, len(ts)))
 
@@ -344,8 +348,8 @@ def natural_bc_residual_b(p: VariationalProblem, y: GridFunction) -> float:
     mu = ts.mu_values[:-1]
     nu = ts.nu_values[1:]
     Jd, Jn, f, g = _el_parts(ts, p.L_delta, p.L_nabla, y.values)
-    d2ld = _eval_on_delta(ex.differentiate(p.L_delta, "y"), ts, y.values)
-    d2ln = _eval_on_nabla(ex.differentiate(p.L_nabla, "y"), ts, y.values)
+    d2ld = _on_delta(ts, y.values)(_d(p.L_delta, "y"))
+    d2ln = _on_nabla(ts, y.values)(_d(p.L_nabla, "y"))
     a_full = float(np.dot(mu, d2ld))
     b_full = float(np.dot(nu, d2ln))
     return float(Jn * (f[-1] + a_full) + Jd * (g[-1] + b_full))
@@ -371,8 +375,8 @@ def natural_bc_reduced(
         raise ValueError("reduced natural boundary conditions need a pure problem")
     ts = p.scale
     if kind == "delta":
-        d2 = _eval_on_delta(ex.differentiate(p.L_delta, "y"), ts, y.values)
-        d3 = _eval_on_delta(ex.differentiate(p.L_delta, "v"), ts, y.values)
+        on = _on_delta(ts, y.values)
+        d2, d3 = on(_d(p.L_delta, "y")), on(_d(p.L_delta, "v"))
         if which == "a":
             return float(d3[0])
         if variant == "integral":
@@ -381,8 +385,8 @@ def natural_bc_reduced(
         # printed product form, identical on a finite scale
         gap = ts.points[-1] - ts.points[-2]
         return float(d3[-1] + gap * d2[-1])
-    d2 = _eval_on_nabla(ex.differentiate(p.L_nabla, "y"), ts, y.values)
-    d3 = _eval_on_nabla(ex.differentiate(p.L_nabla, "v"), ts, y.values)
+    on = _on_nabla(ts, y.values)
+    d2, d3 = on(_d(p.L_nabla, "y")), on(_d(p.L_nabla, "v"))
     if which == "b":
         return float(d3[-1])
     if variant == "product":
@@ -419,14 +423,9 @@ def iso_residual(
     ts = p.scale
     Jd, Jn, fL, gL = _el_parts(ts, p.L_delta, p.L_nabla, y.values)
     Kd, Kn, fK, gK = _el_parts(ts, c.K_delta, c.K_nabla, y.values)
+    vals = lambda0 * _residual(Jd, Jn, fL, gL) - lam * _residual(Kd, Kn, fK, gK)
     if form == "el1":
-        vals = lambda0 * _residual_form_1(ts, Jd, Jn, fL, gL) - lam * _residual_form_1(
-            ts, Kd, Kn, fK, gK
-        )
         return _report(ts, vals, range(1, len(ts)), "iso1")
-    vals = lambda0 * _residual_form_2(ts, Jd, Jn, fL, gL) - lam * _residual_form_2(
-        ts, Kd, Kn, fK, gK
-    )
     return _report(ts, vals, range(0, len(ts) - 1), "iso2")
 
 
@@ -479,15 +478,52 @@ def first_variation(p: VariationalProblem, y: GridFunction, eta: GridFunction) -
     nu = ts.nu_values[1:]
     Jd = eval_J_delta(p, y)
     Jn = eval_J_nabla(p, y)
-    d2ld = _eval_on_delta(ex.differentiate(p.L_delta, "y"), ts, y.values)
-    d3ld = _eval_on_delta(ex.differentiate(p.L_delta, "v"), ts, y.values)
-    d2ln = _eval_on_nabla(ex.differentiate(p.L_nabla, "y"), ts, y.values)
-    d3ln = _eval_on_nabla(ex.differentiate(p.L_nabla, "v"), ts, y.values)
+    on_d, on_n = _on_delta(ts, y.values), _on_nabla(ts, y.values)
+    d2ld, d3ld = on_d(_d(p.L_delta, "y")), on_d(_d(p.L_delta, "v"))
+    d2ln, d3ln = on_n(_d(p.L_nabla, "y")), on_n(_d(p.L_nabla, "v"))
     e = eta.values
     de = np.diff(e)
     delta_part = float(np.dot(mu, d2ld * e[1:]) + np.dot(d3ld, de))
     nabla_part = float(np.dot(nu, d2ln * e[:-1]) + np.dot(d3ln, de))
     return Jd * nabla_part + Jn * delta_part
+
+
+def _side(e: ex.Expression, ts: TimeScale, yvals: np.ndarray, forward: bool, second=False):
+    """Value, node gradient and, with ``second``, the tridiagonal Hessian
+    (diagonal, off-diagonal) of one weighted sum.
+
+    Sample k couples nodes k and k+1 through w_k * L(t_k, y_s, Q_k) with
+    Q_k = (y_{k+1} - y_k) / w_k; the state node s is k+1 in the forward sum
+    (w = mu) and k in the backward sum (w = nu).
+    """
+    n = len(ts)
+    on = (_on_delta if forward else _on_nabla)(ts, yvals)
+    w = ts.mu_values[:-1] if forward else ts.nu_values[1:]
+    J = float(np.dot(w, on(e)))
+    d2 = on(_d(e, "y"))
+    d3 = on(_d(e, "v"))
+    g = np.zeros(n)
+    if forward:
+        g[1:] += w * d2 + d3
+        g[:-1] -= d3
+    else:
+        g[:-1] += w * d2 - d3
+        g[1:] += d3
+    if not second:
+        return J, g
+    d22 = on(_d(e, "yy"))
+    d23 = on(_d(e, "yv"))
+    c = on(_d(e, "vv")) / w
+    diag = np.zeros(n)
+    diag[:-1] += c
+    diag[1:] += c
+    if forward:
+        diag[1:] += w * d22 + 2.0 * d23
+        off = -d23 - c
+    else:
+        diag[:-1] += w * d22 - 2.0 * d23
+        off = d23 - c
+    return J, g, diag, off
 
 
 def functional_gradient(
@@ -500,23 +536,49 @@ def functional_gradient(
     backward sum; the gradient is assembled by accumulating those chain-rule
     contributions.
     """
-    n = len(ts)
-    mu = ts.mu_values[:-1]
-    nu = ts.nu_values[1:]
-    ld_vals = _eval_on_delta(Ld, ts, yvals)
-    ln_vals = _eval_on_nabla(Ln, ts, yvals)
-    Jd = float(np.dot(mu, ld_vals))
-    Jn = float(np.dot(nu, ln_vals))
-
-    d2ld = _eval_on_delta(ex.differentiate(Ld, "y"), ts, yvals)
-    d3ld = _eval_on_delta(ex.differentiate(Ld, "v"), ts, yvals)
-    d2ln = _eval_on_nabla(ex.differentiate(Ln, "y"), ts, yvals)
-    d3ln = _eval_on_nabla(ex.differentiate(Ln, "v"), ts, yvals)
-
-    gd = np.zeros(n)
-    gd[1:] += mu * d2ld + d3ld
-    gd[:-1] -= d3ld
-    gn = np.zeros(n)
-    gn[:-1] += nu * d2ln - d3ln
-    gn[1:] += d3ln
+    Jd, gd = _side(Ld, ts, yvals, True)
+    Jn, gn = _side(Ln, ts, yvals, False)
     return Jd * Jn, Jn * gd + Jd * gn
+
+
+class ProductHessian(NamedTuple):
+    """Exact Hessian of J = J_delta * J_nabla w.r.t. every node:
+
+        H = T + grad_delta grad_nabla^T + grad_nabla grad_delta^T,
+
+    where T = J_nabla * H_delta + J_delta * H_nabla is tridiagonal, because
+    each sample couples two neighbouring nodes, with main diagonal ``diag``
+    and first off-diagonal ``off``; grad_delta and grad_nabla are the
+    gradients of the two factors.
+    """
+
+    J_delta: float
+    J_nabla: float
+    grad_delta: np.ndarray
+    grad_nabla: np.ndarray
+    diag: np.ndarray
+    off: np.ndarray
+
+    @property
+    def gradient(self) -> np.ndarray:
+        return self.J_nabla * self.grad_delta + self.J_delta * self.grad_nabla
+
+    def matvec(self, x) -> np.ndarray:
+        """H @ x without forming H."""
+        x = np.asarray(x, dtype=float)
+        out = self.diag * x
+        out[:-1] += self.off * x[1:]
+        out[1:] += self.off * x[:-1]
+        gd, gn = self.grad_delta, self.grad_nabla
+        return out + gd * float(gn @ x) + gn * float(gd @ x)
+
+
+def functional_hessian(
+    ts: TimeScale, Ld: ex.Expression, Ln: ex.Expression, yvals: np.ndarray
+) -> ProductHessian:
+    """Exact structured Hessian of the product functional w.r.t. every node,
+    assembled from the exact second partials d22, d23 and d33 of both
+    integrands (see ``ProductHessian``)."""
+    Jd, gd, hd, od = _side(Ld, ts, yvals, True, second=True)
+    Jn, gn, hn, on = _side(Ln, ts, yvals, False, second=True)
+    return ProductHessian(Jd, Jn, gd, gn, Jn * hd + Jd * hn, Jn * od + Jd * on)

@@ -290,6 +290,15 @@ class TestResidualCommand:
         assert main(["residual", "--problem", prob, "--trajectory", traj, "--form", "nbc"]) == 0
         assert capsys.readouterr().out.startswith(want + "form=nbc ")
 
+    def test_out_naming_a_regular_file_is_a_usage_error(self, tmp_path, capsys):
+        prob = write(tmp_path, "p.problem", GOOD)
+        traj = line_csv(tmp_path, [0, 1, 2], [0, 1, 2])
+        afile = write(tmp_path, "afile", "")
+        argv = ["residual", "--problem", prob, "--trajectory", traj, "--form", "el1"]
+        assert main(argv + ["--out", afile]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("bad --out: cannot use ") and err.count("\n") == 1
+
     def test_stationary_line_small_defect(self, tmp_path, capsys):
         prob = write(tmp_path, "p.problem", GOOD)
         traj = line_csv(tmp_path, [0, 1, 2], [0, 1, 2])
@@ -405,6 +414,14 @@ class TestSolveCommand:
         b_val = float(fields["J_delta"])
         want = -12 * (a_val + b_val) * (3 - 2) / (3 * (3 - 1))
         assert abs(lam - want) <= 1e-6
+
+    def test_out_naming_a_regular_file_is_a_usage_error(self, tmp_path, capsys):
+        prob = write(tmp_path, "p.problem", GOOD)
+        afile = write(tmp_path, "afile", "not a directory\n")
+        assert main(["solve", "--problem", prob, "--out", afile]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("bad --out: cannot use ") and err.count("\n") == 1
+        assert (tmp_path / "afile").read_text() == "not a directory\n"
 
     def test_solve_output_round_trips_through_eval_and_residual(self, tmp_path, capsys):
         prob = write(tmp_path, "p.problem", GOOD)

@@ -1,0 +1,215 @@
+"""The structured exact-Newton core: exact Hessians, the tridiagonal
+LDL^T plus Woodbury solve, convergence at the default tolerance, linear
+memory, and no floating-point warnings from a solve."""
+
+import tracemalloc
+import warnings
+
+import numpy as np
+import pytest
+
+from tsvar import expr as ex
+from tsvar import solver as so
+from tsvar import variational as va
+from tsvar.expr import parse
+from tsvar.solver import SolverConfig, solve
+from tsvar.timescale import from_points, q_scale, uniform
+from tsvar.variational import (
+    IsoperimetricConstraint,
+    VariationalProblem,
+    functional_gradient,
+    functional_hessian,
+)
+
+# smooth integrands defined for every real (t, y, v); {} takes a coefficient
+TEMPLATES = (
+    "{}*v^2 + y^2 + t*v*y",
+    "exp({}*v) + sin(y)*v",
+    "sqrt(1 + v^2) + {}*y^2*v^2",
+    "cos(y - t*v) + {}*v^3",
+    "ln(2 + y^2) * v^2 + {}*y",
+    "y*v / (1 + v^2) + {}*t",
+)
+
+
+def random_integrand(rng):
+    template = TEMPLATES[int(rng.integers(len(TEMPLATES)))]
+    return parse(template.format(f"{rng.uniform(0.2, 0.9):.4f}"))
+
+
+def random_smooth_problem(rng, bc_a, bc_b, constraint=None):
+    n = int(rng.integers(3, 13))
+    ts = from_points(np.cumsum(rng.uniform(0.1, 0.6, n)))
+    return VariationalProblem(
+        ts, random_integrand(rng), random_integrand(rng), bc_a, bc_b, constraint
+    )
+
+
+def dense(model):
+    diag, off, U, C = model
+    H = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    return H + U.T @ C @ U if len(U) else H
+
+
+def fd_hessian_times(grad, z, x, h=1e-5):
+    return (grad(z + h * x) - grad(z - h * x)) / (2 * h)
+
+
+class TestExactHessian:
+    def test_matvec_matches_central_differences_of_gradient(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            p = random_smooth_problem(rng, 0.0, 1.0)
+            y = rng.uniform(-1, 1, len(p.scale))
+            x = rng.standard_normal(len(p.scale))
+            H = functional_hessian(p.scale, p.L_delta, p.L_nabla, y)
+            val, grad = functional_gradient(p.scale, p.L_delta, p.L_nabla, y)
+            assert H.J_delta * H.J_nabla == val
+            np.testing.assert_array_equal(H.gradient, grad)
+
+            def g(yy):
+                return functional_gradient(p.scale, p.L_delta, p.L_nabla, yy)[1]
+
+            fd = fd_hessian_times(g, y, x)
+            assert np.max(np.abs(H.matvec(x) - fd)) <= 1e-6 * (1.0 + np.max(np.abs(fd)))
+
+    @pytest.mark.parametrize("bc_a, bc_b", [(0.5, -0.5), (None, 1.0), (0.0, None), (None, None)])
+    def test_solver_models_match_central_differences(self, bc_a, bc_b):
+        # the free-block model of J, of the augmented-Lagrangian merit
+        # J + b*r + q*r^2/2 and of the feasibility merit r^2/2, r = K - k
+        rng = np.random.default_rng(12)
+        for _ in range(12):
+            c = IsoperimetricConstraint(random_integrand(rng), random_integrand(rng), 0.3)
+            p = random_smooth_problem(rng, bc_a, bc_b, c)
+            cp = so._Compiled(p, so._base_trajectory(p))
+            z = rng.uniform(-1, 1, cp.hi - cp.lo)
+            x = rng.standard_normal(z.size)
+            for coefs in ((1.0, 0.0, 0.0), (1.0, -0.7, 3.0), (0.0, 0.0, 1.0)):
+                fun, hess = so._merit(cp, p, *coefs)
+                H = dense(hess(z))
+                fd = fd_hessian_times(lambda zz: fun(zz)[1], z, x)
+                assert np.max(np.abs(H @ x - fd)) <= 1e-6 * (1.0 + np.max(np.abs(fd)))
+
+    def test_partials_are_differentiated_once(self, monkeypatch):
+        calls = []
+        real = ex.differentiate
+        monkeypatch.setattr(ex, "differentiate", lambda e, var: calls.append(var) or real(e, var))
+        ts = uniform(0, 1, 9)
+        Ld, Ln = parse("v^2 + sin(y)^2"), parse("exp(0.5*v) + y^2")
+        y = np.linspace(0.0, 1.0, 9)
+        for _ in range(10):
+            functional_gradient(ts, Ld, Ln, y)
+        assert len(calls) == 4
+        for _ in range(10):
+            functional_hessian(ts, Ld, Ln, y)
+        assert len(calls) == 10
+
+
+class TestStructuredSolve:
+    def test_matches_dense_solve_on_random_spd_systems(self):
+        rng = np.random.default_rng(13)
+        for _ in range(60):
+            n = int(rng.integers(1, 40))
+            k = int(rng.integers(0, 6))
+            off = rng.uniform(-1, 1, n - 1)
+            pad = np.abs(np.concatenate([[0.0], off])) + np.abs(np.concatenate([off, [0.0]]))
+            diag = pad + rng.uniform(0.1, 2.0, n)
+            U = rng.standard_normal((k, n))
+            B = rng.standard_normal((k, k))
+            C = B @ B.T
+            b = rng.standard_normal(n)
+            x = so._structured_solve(diag, off, U, C, b)
+            want = np.linalg.solve(dense((diag, off, U, C)), b)
+            np.testing.assert_allclose(x, want, rtol=1e-8, atol=1e-10 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize(
+        "diag, off",
+        [([1.0, 1.0], [2.0]), ([0.0, 1.0], [0.0]), ([1.0, -1.0, 3.0], [0.0, 0.0]),
+         ([float("nan"), 1.0], [0.0])],
+    )
+    def test_non_positive_pivot_is_reported(self, diag, off):
+        assert so._ldl(diag, off) is None
+        assert so._structured_solve(np.array(diag), np.array(off), np.zeros((0, 2)),
+                                    np.zeros((0, 0)), np.ones(len(diag))) is None
+
+    def test_indefinite_model_still_gives_a_descent_direction(self):
+        g = np.array([1.0, -2.0, 0.5])
+        model = (np.array([1.0, -4.0, 2.0]), np.array([0.5, 0.5]), np.zeros((0, 3)), np.zeros((0, 0)))
+        d, gd, shift = so._direction(model, g, 0.0)
+        assert 0.0 < shift < np.inf
+        assert gd == pytest.approx(float(g @ d)) and gd < 0.0
+
+
+def family(kind, c):
+    return {
+        "quad": f"v^2 + {c:.4f}*y^2",
+        "sin": "v^2 + sin(y)^2",
+        "exp": f"exp({c:.4f}*v) + y^2",
+    }[kind]
+
+
+class TestConvergence:
+    @pytest.mark.parametrize(
+        "n, scale, delta, nabla, free",
+        [
+            (10, "uniform", "quad", "quad", False),
+            (14, "qscale", "sin", "quad", False),
+            (20, "explicit", "exp", "quad", False),
+            (39, "uniform", "sin", "sin", True),
+            (54, "qscale", "exp", "sin", True),
+            (75, "explicit", "quad", "exp", True),
+            (105, "uniform", "sin", "exp", True),
+            (150, "qscale", "exp", "exp", False),
+        ],
+    )
+    def test_direct_solve_families_reach_the_default_tolerance(self, n, scale, delta, nabla, free):
+        rng = np.random.default_rng(n)
+        span = rng.uniform(1.0, 2.0)
+        if scale == "uniform":
+            ts = uniform(0.0, span, n)
+        elif scale == "qscale":
+            ts = q_scale((1.0 + span) ** (1.0 / (n - 1)), 0, n - 1)
+        else:
+            ts = from_points(np.cumsum(np.concatenate([[0.0], rng.uniform(0.3, 1.7, n - 1)])) * span / n)
+        cd, cn = rng.uniform(0.3, 0.8, 2)
+        p = VariationalProblem(ts, parse(family(delta, cd)), parse(family(nabla, cn)),
+                               float(rng.uniform(0.5, 1.5)), None if free else float(rng.uniform(-1, 1)))
+        cfg = SolverConfig(multistarts=2)
+        rep = solve(p, cfg)
+        assert cfg.grad_tol == 1e-9
+        assert rep.converged and rep.grad_norm <= 1e-9
+        assert max(rep.el_defect_1, rep.el_defect_2) <= 1e-8 * (1.0 + abs(rep.J))
+        if free:
+            assert abs(rep.bc_residual_b) <= 1e-8
+
+    def test_large_scale_solve_has_linear_memory(self):
+        # a dense n x n matrix at this size would take 3.2 GB
+        n = 20001
+        ts = uniform(0.0, 1.0, n)
+        p = VariationalProblem(ts, parse("v^2 + y^2"), parse("v^2 + y^2"), 0.0, 1.0)
+        tracemalloc.start()
+        try:
+            rep = solve(p, SolverConfig(multistarts=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.converged
+        assert peak < 64 * 2**20
+        assert max(rep.el_defect_1, rep.el_defect_2) <= 1e-8
+
+
+class TestNoFloatingPointWarnings:
+    @pytest.mark.parametrize(
+        "ts, delta, nabla, bc_b",
+        [
+            (q_scale(1.056415347293, 0, 19), "exp(0.3305*v) + y^2", "v^2 + 1.0825*y^2", 0.511),
+            (uniform(0.0, 1.25, 40), "v^2 + 0.5*y^2", "exp(0.7*v) + y^2", None),
+        ],
+    )
+    def test_solve_emits_no_runtime_warning(self, ts, delta, nabla, bc_b):
+        # overflowing trial points are rejected steps, never warnings
+        p = VariationalProblem(ts, parse(delta), parse(nabla), 0.52, bc_b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = solve(p, SolverConfig(multistarts=2))
+        assert rep.converged

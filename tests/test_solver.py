@@ -109,6 +109,8 @@ class TestDirectSolve:
         # converge; it must terminate and say so
         rep = solve(product_problem(uniform(0, 1, 21)), CFG)
         assert not rep.converged
+        # step expansion reaches the -1e100 cut-off in a few steps
+        assert rep.J < -1e100 and rep.iterations < 50
 
     def test_constrained_problem_rejected(self):
         with pytest.raises(ValueError):
