@@ -99,8 +99,6 @@ _SECTION_KEYS = {
         "multistarts",
         "seed",
         "penalty_growth",
-        "ab_box",
-        "consistency_starts",
     },
 }
 _REQUIRED_SECTIONS = ("timescale", "lagrangian", "boundary")
@@ -196,7 +194,7 @@ def parse_problem_text(text: str) -> tuple[va.VariationalProblem, dict]:
 
     overrides: dict = {}
     if "solver" in cp:
-        ints = {"max_iter", "multistarts", "seed", "consistency_starts"}
+        ints = {"max_iter", "multistarts", "seed"}
         for key, raw in cp["solver"].items():
             try:
                 overrides[key] = int(raw) if key in ints else float(raw)
@@ -331,8 +329,7 @@ def _consistency_report(problem, cfg) -> tuple[so.SolveReport | None, list]:
     root = roots[0]
     y = root.trajectory
     _, grad = va.functional_gradient(problem.scale, problem.L_delta, problem.L_nabla, y.values)
-    free = [i for i in range(1, len(problem.scale) - 1)]
-    gn = float(np.max(np.abs(grad[free]), initial=0.0))
+    gn = float(np.max(np.abs(grad[1:-1]), initial=0.0))
     jd, jn = va.eval_J_delta(problem, y), va.eval_J_nabla(problem, y)
     report = so.SolveReport(
         trajectory=y,
@@ -375,6 +372,12 @@ def _cmd_solve(args) -> int:
         return EXIT_INFEASIBLE
     if report is None:
         print("no self-consistent extremal found (empty consistency set)")
+        near = so.consistency_scan(problem)[1]
+        if near is not None:
+            print(
+                f"closest approach: theta={_fmt(near.theta)} A={_fmt(near.A)} "
+                f"B={_fmt(near.B)} gap={_fmt(near.gap)}"
+            )
         return EXIT_NOT_CONVERGED
     outdir = _output_dir(args.out or ".")
     ca.write_csv(report.trajectory, outdir / "trajectory.csv")

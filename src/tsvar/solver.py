@@ -38,8 +38,11 @@ they are (pen*r - lam)*HK and pen*gradK gradK^T, so the low rank is at most 5.
 For problems whose stationarity equation is affine in the derivative slot
 (state-independent integrands), ``consistency_solve`` instead solves the
 stationarity equation exactly for a given pair (A, B) of functional values
-and then closes the loop A = J_nabla(y), B = J_delta(y) by damped Newton
-over a seeded box of starting points.
+and then closes the loop A = J_nabla(y), B = J_delta(y).  The trajectory
+depends only on the ratio A:B, so the loop reduces to the zeros of one
+function of the ray angle, which a fixed grid brackets and bisection and
+golden-section search refine for all brackets at once: deterministic, with
+no random starts and no finite differences.
 """
 
 from __future__ import annotations
@@ -56,10 +59,12 @@ __all__ = [
     "SolverConfig",
     "SolveReport",
     "ConsistencyRoot",
+    "ClosestApproach",
     "InfeasibleConstraintError",
     "solve",
     "solve_isoperimetric",
     "consistency_solve",
+    "consistency_scan",
     "probe_extremal_type",
     "is_affine_class",
 ]
@@ -77,8 +82,6 @@ class SolverConfig:
     multistarts: int = 8
     seed: int = 0
     penalty_growth: float = 10.0
-    ab_box: float = 10.0  # seed box half-width for the (A, B) root search
-    consistency_starts: int = 64
 
     def __post_init__(self):
         for name in (
@@ -87,8 +90,6 @@ class SolverConfig:
             "max_iter",
             "multistarts",
             "penalty_growth",
-            "ab_box",
-            "consistency_starts",
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"solver config field {name} must be positive")
@@ -120,6 +121,19 @@ class ConsistencyRoot:
     A: float
     B: float
     trajectory: GridFunction
+
+
+@dataclass(frozen=True)
+class ClosestApproach:
+    """Where the self-consistency system comes nearest to a solution: the
+    ray angle theta of (A, B) = r(sin theta, cos theta), the least-squares
+    pair (A, B) on that ray, and ``gap``, the distance from (J_nabla, J_delta)
+    of y_{A,B} to (A, B)."""
+
+    theta: float
+    A: float
+    B: float
+    gap: float
 
 
 # ---------------------------------------------------------------------------
@@ -627,36 +641,158 @@ def is_affine_class(p: va.VariationalProblem) -> bool:
     return True
 
 
-def _consistency_trajectory(p, A, B, pieces):
-    """Solve A*slopeterm + B*slopeterm(sigma) = C for y, with C pinned by the
-    right boundary value; returns None when the linear solve degenerates."""
-    pd, qd, pn_sig, qn_sig, mu = pieces
-    denom = A * qd + B * qn_sig
-    scale = abs(A) + abs(B) + 1.0
-    if np.min(np.abs(denom)) < 1e-12 * scale:
-        return None
-    cvec = A * pd + B * pn_sig
-    s1 = float(np.sum(mu / denom))
-    s2 = float(np.sum(mu * cvec / denom))
-    if abs(s1) < 1e-12:
-        return None
-    C = (p.bc_b - p.bc_a + s2) / s1
-    d = (C - cvec) / denom
-    y = np.concatenate([[p.bc_a], p.bc_a + np.cumsum(mu * d)])
-    return y
+_THETA_POINTS = 512  # nodes of the scan grid over [0, pi]
+_BLOCK_ELEMENTS = 1 << 16  # trajectory samples per block of angles
+_GOLDEN_STEPS = 40  # shrinks a grid cell pair (2*pi/511) below 1e-10
 
 
-def consistency_solve(
-    p: va.VariationalProblem, cfg: SolverConfig = SolverConfig()
-) -> list[ConsistencyRoot]:
-    """All distinct real solutions (A, B) of the self-consistency system
+def _affine_pieces(p: va.VariationalProblem):
+    """Coefficients of the stationarity equation on each interval,
+    A*(pd + qd*v) + B*(pn + qn*v) = C: the v-partial of L_delta at the left
+    point and of L_nabla at the right point, each affine in the slope v."""
+    ts = p.scale
+    zeros = np.zeros(len(ts) - 1)
+
+    def affine(L, t):
+        d3 = ex.differentiate(L, "v")
+        return tuple(
+            np.broadcast_to(ex.eval_arrays(e, t, zeros, zeros), t.shape).astype(float)
+            for e in (d3, ex.differentiate(d3, "v"))
+        )
+
+    return affine(p.L_delta, ts.points[:-1]) + affine(p.L_nabla, ts.points[1:])
+
+
+def _trajectories(p, pieces, A, B):
+    """Rows y_{A,B} and their slopes for 1-D arrays A, B: the stationarity
+    equation solved with C pinned by the right boundary value.  The mask is
+    False for rows where that linear solve degenerates."""
+    pd, qd, pn, qn = pieces
+    mu = p.scale.mu_values[:-1]
+    A, B = A[:, None], B[:, None]
+    with np.errstate(all="ignore"):
+        denom = A * qd + B * qn
+        cvec = A * pd + B * pn
+        s1 = np.sum(mu / denom, axis=1)
+        s2 = np.sum(mu * cvec / denom, axis=1)
+        C = (p.bc_b - p.bc_a + s2) / s1
+        d = (C[:, None] - cvec) / denom
+        y = np.empty((len(A), len(mu) + 1))
+        y[:, 0] = p.bc_a
+        y[:, 1:] = p.bc_a + np.cumsum(mu * d, axis=1)
+    ok = (
+        (np.min(np.abs(denom), axis=1) >= 1e-12 * (np.abs(A) + np.abs(B) + 1.0)[:, 0])
+        & (np.abs(s1) >= 1e-12)
+        & np.isfinite(y).all(axis=1)
+    )
+    return y, d, ok
+
+
+def _integrals(p, y, d):
+    """(J_nabla, J_delta) of each row of y with slopes d; NaN for a row along
+    which an integrand is undefined, without losing the other rows."""
+    ts = p.scale
+    try:
+        ld = ex.eval_arrays(p.L_delta, ts.points[:-1], y[:, 1:], d)
+        ln = ex.eval_arrays(p.L_nabla, ts.points[1:], y[:, :-1], d)
+    except ex.DomainViolation:
+        if len(y) == 1:
+            return np.full(1, np.nan), np.full(1, np.nan)
+        h = len(y) // 2
+        (n1, d1), (n2, d2) = _integrals(p, y[:h], d[:h]), _integrals(p, y[h:], d[h:])
+        return np.concatenate([n1, n2]), np.concatenate([d1, d2])
+    with np.errstate(all="ignore"):
+        jn = np.broadcast_to(ln, d.shape) @ ts.nu_values[1:]
+        jd = np.broadcast_to(ld, d.shape) @ ts.mu_values[:-1]
+    return jn, jd
+
+
+def _ray_integrals(p, pieces, A, B):
+    """(J_nabla, J_delta) of y_{A,B} for 1-D arrays A, B, taken in blocks of
+    at most _BLOCK_ELEMENTS samples; NaN where y_{A,B} degenerates or an
+    integrand is undefined along it."""
+    jn = np.full(A.shape, np.nan)
+    jd = np.full(A.shape, np.nan)
+    rows = max(1, _BLOCK_ELEMENTS // len(p.scale))
+    for i in range(0, A.size, rows):
+        y, d, ok = _trajectories(p, pieces, A[i : i + rows], B[i : i + rows])
+        k = i + np.flatnonzero(ok)
+        jn[k], jd[k] = _integrals(p, y[ok], d[ok])
+    return jn, jd
+
+
+def _on_rays(p, pieces, theta):
+    """G(theta) = sin(theta)*J_delta - cos(theta)*J_nabla along y_theta, with
+    J_nabla and J_delta."""
+    s, c = np.sin(theta), np.cos(theta)
+    jn, jd = _ray_integrals(p, pieces, s, c)
+    with np.errstate(all="ignore"):
+        return s * jd - c * jn, jn, jd
+
+
+def _golden_min(f, lo, hi):
+    """Vectorised golden-section search for a minimum of f on each [lo, hi];
+    returns the best abscissae and values."""
+    if lo.size == 0:
+        return lo, lo
+    r = (np.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - r * (hi - lo), lo + r * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(_GOLDEN_STEPS):
+        left = f1 < f2
+        lo, hi = np.where(left, lo, x1), np.where(left, x2, hi)
+        keep_x, keep_f = np.where(left, x1, x2), np.where(left, f1, f2)
+        new_x = np.where(left, hi - r * (hi - lo), lo + r * (hi - lo))
+        new_f = f(new_x)
+        x1, f1 = np.where(left, new_x, keep_x), np.where(left, new_f, keep_f)
+        x2, f2 = np.where(left, keep_x, new_x), np.where(left, keep_f, new_f)
+    left = f1 < f2
+    return np.where(left, x1, x2), np.where(left, f1, f2)
+
+
+def _bisect(G, a, b, neg_a):
+    """Vectorised bisection of a sign change of G on each [a, b] (``neg_a``
+    is G(a) <= 0) down to adjacent floating-point numbers, or to 2^-64 of
+    the first width near 0; returns the left ends."""
+    for _ in range(64):
+        mid = 0.5 * (a + b)
+        if not np.any((a < mid) & (mid < b)):
+            break
+        left = (G(mid) <= 0.0) != neg_a
+        a, b = np.where(left, a, mid), np.where(left, mid, b)
+    return a
+
+
+def consistency_scan(
+    p: va.VariationalProblem,
+) -> tuple[list[ConsistencyRoot], ClosestApproach | None]:
+    """Every real solution (A, B) of the self-consistency system
 
         A = J_nabla(y_{A,B}),   B = J_delta(y_{A,B}),
 
     where y_{A,B} solves the derivative-affine stationarity equation with the
-    problem's boundary values.  Damped Newton from ``consistency_starts``
-    seeds in the (A, B) box; roots deduplicated at distance 1e-6 and sorted.
-    An empty list means no self-consistent extremal exists.
+    problem's boundary values, and the closest approach to a solution.
+
+    y_{A,B} depends only on the ratio A:B, so with (A, B) =
+    r(sin theta, cos theta), theta in [0, pi), a solution is a zero of
+    G(theta) = sin(theta)*J_delta(y_theta) - cos(theta)*J_nabla(y_theta),
+    and then (A, B) = (J_nabla, J_delta).  |G(theta)| is the distance from
+    (J_nabla, J_delta) to the ray at theta, reached at
+    r = sin(theta)*J_nabla + cos(theta)*J_delta.
+
+    G is sampled on a fixed grid of angles, a block at a time.  Every sign
+    change is bisected to adjacent floating-point numbers, and every local
+    minimum of |G| is refined by golden section: a minimum through which G
+    changes sign holds two close roots, both then bisected, and one that
+    touches zero is a tangent root.  A refined point is a root only when the
+    system residual at the pair (A, B) on its ray is at most
+    1e-10*(1 + max(|A|, |B|)) and, for a bisected bracket, |G| there is below
+    |G| at the bracket's ends.  The second test rejects a sign change through
+    a pole, where y_theta degenerates: (A, B) grows without bound there, and
+    the first tolerance grows with it, faster than |G|.  Roots are
+    deduplicated at distance 1e-6 and sorted by (A, B).  The closest approach
+    is the refined point with the smallest |G| (None if G is undefined at
+    every refined point).  No random numbers and no finite differences.
     """
     if p.constraint is not None:
         raise ValueError("consistency_solve handles unconstrained problems only")
@@ -667,89 +803,75 @@ def consistency_solve(
             "problem is not in the affine class "
             "(state-independent integrands, derivative-affine slopes)"
         )
-    ts = p.scale
-    mu = ts.mu_values[:-1]
-    t_left = ts.points[:-1]
-    t_sig = ts.points[1:]
-    zeros = np.zeros_like(t_left)
-    d3d = ex.differentiate(p.L_delta, "v")
-    d3n = ex.differentiate(p.L_nabla, "v")
-    pd = np.broadcast_to(ex.eval_arrays(d3d, t_left, zeros, zeros), t_left.shape).astype(float)
-    qd = np.broadcast_to(
-        ex.eval_arrays(ex.differentiate(d3d, "v"), t_left, zeros, zeros), t_left.shape
-    ).astype(float)
-    pn_sig = np.broadcast_to(ex.eval_arrays(d3n, t_sig, zeros, zeros), t_sig.shape).astype(float)
-    qn_sig = np.broadcast_to(
-        ex.eval_arrays(ex.differentiate(d3n, "v"), t_sig, zeros, zeros), t_sig.shape
-    ).astype(float)
-    pieces = (pd, qd, pn_sig, qn_sig, mu)
+    pieces = _affine_pieces(p)
 
-    def system(x):
-        y = _consistency_trajectory(p, x[0], x[1], pieces)
-        if y is None:
-            return None
-        try:
-            dvals = np.diff(y) / mu
-            jd = float(np.dot(mu, np.broadcast_to(
-                ex.eval_arrays(p.L_delta, t_left, y[1:], dvals), t_left.shape)))
-            jn = float(np.dot(ts.nu_values[1:], np.broadcast_to(
-                ex.eval_arrays(p.L_nabla, t_sig, y[:-1], dvals), t_sig.shape)))
-        except ex.DomainViolation:
-            return None
-        return np.array([jn - x[0], jd - x[1]]), y
+    def G(theta):
+        return _on_rays(p, pieces, theta)[0]
 
-    def newton(x0):
-        x = np.asarray(x0, float)
-        for _ in range(100):
-            out = system(x)
-            if out is None:
-                return None
-            Fx, _ = out
-            nrm = float(np.max(np.abs(Fx)))
-            if nrm <= 1e-10 * (1.0 + float(np.max(np.abs(x)))):
-                return x
-            jac = np.zeros((2, 2))
-            for j in range(2):
-                h = 1e-7 * (1.0 + abs(x[j]))
-                xp = x.copy()
-                xp[j] += h
-                outp = system(xp)
-                if outp is None:
-                    return None
-                jac[:, j] = (outp[0] - Fx) / h
-            try:
-                step = np.linalg.solve(jac, -Fx)
-            except np.linalg.LinAlgError:
-                return None
-            norm0 = float(np.linalg.norm(Fx))
-            lamb, moved = 1.0, False
-            while lamb >= 1e-12:
-                cand = x + lamb * step
-                outc = system(cand)
-                if outc is not None and float(np.linalg.norm(outc[0])) < norm0:
-                    x, moved = cand, True
-                    break
-                lamb *= 0.5
-            if not moved:
-                return None
-        return None
+    # the grid runs from -h so that the angle 0 has a neighbour on each side;
+    # G(theta + pi) = -G(theta), so the pair (-h, 0) repeats (pi - h, pi)
+    h = np.pi / (_THETA_POINTS - 1)
+    theta = h * np.arange(-1, _THETA_POINTS)
+    g = G(theta)
+    fin = np.isfinite(g)
+    neg = g <= 0.0
+    change = fin[:-1] & fin[1:] & (neg[:-1] != neg[1:])
+    k = np.arange(1, _THETA_POINTS)
+    mag = np.abs(g)
+    k = k[
+        fin[k - 1] & fin[k] & fin[k + 1] & ~change[k - 1] & ~change[k]
+        & (mag[k] <= mag[k - 1]) & (mag[k] <= mag[k + 1])
+    ]
+    sign = np.where(neg[k], -1.0, 1.0)
+    t_min, f_min = _golden_min(lambda t: sign * G(t), theta[k] - h, theta[k] + h)
+    split = f_min < 0.0
+    j = np.flatnonzero(change[1:]) + 1
+    a = np.concatenate([theta[j], theta[k[split]] - h, t_min[split]])
+    b = np.concatenate([theta[j + 1], t_min[split], theta[k[split]] + h])
+    neg_a = np.concatenate([neg[j], neg[k[split]], ~neg[k[split]]])
+    # |G| at the ends of each bracket: bisection of a pole ends above it
+    ends = np.concatenate([
+        np.maximum(mag[j], mag[j + 1]),
+        np.maximum(mag[k[split] - 1], -f_min[split]),
+        np.maximum(mag[k[split] + 1], -f_min[split]),
+        np.full(np.count_nonzero(~split), np.inf),
+    ])
+    cand = np.concatenate([_bisect(G, a, b, neg_a), t_min[~split]])
+    g, jn, jd = _on_rays(p, pieces, cand)
+    keep = np.isfinite(g)
+    if not keep.any():
+        return [], None
+    cand, g, jn, jd, ends = cand[keep], g[keep], jn[keep], jd[keep], ends[keep]
+    r = np.sin(cand) * jn + np.cos(cand) * jd
+    A, B = r * np.sin(cand), r * np.cos(cand)
+    i = int(np.argmin(np.abs(g)))
+    closest = ClosestApproach(
+        float(np.mod(cand[i], np.pi)), float(A[i]), float(B[i]), float(abs(g[i]))
+    )
 
-    rng = np.random.default_rng(cfg.seed)
-    seeds = rng.uniform(-cfg.ab_box, cfg.ab_box, size=(cfg.consistency_starts, 2))
-    roots: list[np.ndarray] = []
-    for x0 in seeds:
-        r = newton(x0)
-        if r is None:
-            continue
-        if any(np.linalg.norm(r - q) <= 1e-6 for q in roots):
-            continue
-        roots.append(r)
-    roots.sort(key=lambda r: (r[0], r[1]))
-    out = []
-    for r in roots:
-        _, y = system(r)
-        out.append(ConsistencyRoot(float(r[0]), float(r[1]), GridFunction(ts, y)))
-    return out
+    jn, jd = _ray_integrals(p, pieces, A, B)
+    resid = np.maximum(np.abs(jn - A), np.abs(jd - B))
+    ok = (resid <= 1e-10 * (1.0 + np.maximum(np.abs(A), np.abs(B)))) & (np.abs(g) < ends)
+    roots: list[int] = []
+    for i in np.flatnonzero(ok):
+        if all(np.hypot(A[i] - A[q], B[i] - B[q]) > 1e-6 for q in roots):
+            roots.append(i)
+    roots.sort(key=lambda i: (A[i], B[i]))
+    y = _trajectories(p, pieces, A[roots], B[roots])[0]
+    return [
+        ConsistencyRoot(float(A[i]), float(B[i]), GridFunction(p.scale, row))
+        for i, row in zip(roots, y)
+    ], closest
+
+
+def consistency_solve(
+    p: va.VariationalProblem, cfg: SolverConfig = SolverConfig()
+) -> list[ConsistencyRoot]:
+    """All distinct real solutions (A, B) of the self-consistency system,
+    sorted by (A, B); an empty list means no self-consistent extremal exists.
+    The solutions are found by the deterministic scan of ``consistency_scan``,
+    so ``cfg`` has no effect on them."""
+    return consistency_scan(p)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -394,6 +394,28 @@ class TestSolveCommand:
         assert rc == EXIT_NOT_CONVERGED
         assert "empty consistency set" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("n", [11, 1001])
+    def test_empty_set_reports_closest_approach(self, tmp_path, capsys, n):
+        # the refined least-squares point of the uniform-grid product problem
+        # approaches (4/3, 1/3) at first order, as in acceptance criterion 3
+        text = (
+            f"[timescale]\ntimescale = uniform 0 1 {n}\n\n"
+            "[lagrangian]\ndelta = t*v\nnabla = v^2\n\n"
+            "[boundary]\na = fixed:0\nb = fixed:1\n"
+        )
+        prob = write(tmp_path, "p.problem", text)
+        rc = main(["solve", "--problem", prob, "--out", str(tmp_path / "out")])
+        assert rc == EXIT_NOT_CONVERGED
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "no self-consistent extremal found (empty consistency set)"
+        assert lines[1].startswith("closest approach: theta=")
+        fields = dict(cell.split("=") for cell in lines[1].split()[2:])
+        assert set(fields) == {"theta", "A", "B", "gap"}
+        A, B, gap = float(fields["A"]), float(fields["B"]), float(fields["gap"])
+        assert abs(A - 4 / 3) + abs(B - 1 / 3) <= 5 / n
+        assert 0 < gap <= 3 / n
+        assert not (tmp_path / "out").exists()
+
     def test_infeasible_constraint_exit_code(self, tmp_path, capsys):
         text = GOOD + "\n[constraint]\ndelta = v\nnabla = 0.5\nk = 9\n"
         prob = write(tmp_path, "p.problem", text)
@@ -509,6 +531,13 @@ class TestSeedPlumbing:
         monkeypatch.setenv("TSVAR_SEED", "not-a-number")
         prob = write(tmp_path, "p.problem", GOOD)
         assert main(["solve", "--problem", prob, "--out", str(tmp_path)]) == EXIT_PARSE
+
+    @pytest.mark.parametrize("key", ["ab_box", "consistency_starts"])
+    def test_removed_consistency_search_keys_are_unknown(self, tmp_path, capsys, key):
+        # the exact consistency scan has no seed box and no start count
+        prob = write(tmp_path, "p.problem", GOOD + f"\n[solver]\n{key} = 10\n")
+        assert main(["solve", "--problem", prob, "--out", str(tmp_path / "out")]) == EXIT_PARSE
+        assert f"unknown key {key!r} in section [solver]" in capsys.readouterr().err
 
     def test_invalid_solver_override_is_parse_error(self, tmp_path):
         text = GOOD + "\n[solver]\ngrad_tol = -1\n"

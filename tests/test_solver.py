@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from helpers import random_gridfn, random_quadratic_problem
+from tsvar import solver as so
 from tsvar.calculus import GridFunction, from_callable
 from tsvar.expr import parse
 from tsvar.solver import (
     InfeasibleConstraintError,
     SolverConfig,
+    consistency_scan,
     consistency_solve,
     is_affine_class,
     probe_extremal_type,
@@ -17,6 +19,8 @@ from tsvar.timescale import from_points, q_scale, uniform
 from tsvar.variational import (
     IsoperimetricConstraint,
     VariationalProblem,
+    eval_J_delta,
+    eval_J_nabla,
     functional_gradient,
 )
 
@@ -29,6 +33,12 @@ def quad_double(ts, alpha, beta):
 
 def product_problem(ts):
     return VariationalProblem(ts, parse("t*v"), parse("v^2"), 0.0, 1.0)
+
+
+def assert_roots_solve_system(p, roots):
+    for r in roots:
+        jn, jd = eval_J_nabla(p, r.trajectory), eval_J_delta(p, r.trajectory)
+        assert max(abs(jn - r.A), abs(jd - r.B)) <= 1e-10 * (1.0 + max(abs(r.A), abs(r.B)))
 
 
 def iso_problem(M):
@@ -177,6 +187,78 @@ class TestConsistencySolve:
         a = consistency_solve(p, SolverConfig(seed=3))
         b = consistency_solve(p, SolverConfig(seed=3))
         assert len(a) == len(b) == 0
+
+    def test_pole_at_b_zero_is_not_reported(self):
+        # G changes sign between the grid angles on either side of B = 0,
+        # where y_{A,B} degenerates.  Bisected to that pole, (A, B) is about
+        # (1.6e22, 1.6e10) and within the relative residual bound; it is
+        # rejected because |G| grew under bisection
+        p = product_problem(from_points([0, 0.5, 1]))
+        h = np.pi / (so._THETA_POINTS - 1)
+        g, _, _ = so._on_rays(p, so._affine_pieces(p), np.pi / 2 + np.array([-h / 2, h / 2]))
+        assert g[0] < -10.0 and g[1] > 10.0
+        roots, near = consistency_scan(p)
+        assert roots == []
+        assert near.gap == pytest.approx(0.17879, abs=1e-5)
+        assert abs(near.theta - np.pi / 2) > 0.1
+
+    @pytest.mark.parametrize(
+        "points, Ld, Ln, b, want",
+        [
+            # references from the seeded Newton search this scan replaced
+            ([0, 0.2, 1, 1.3], "v^2 + t*v", "v^2 - 2*v", 1.0, (-1.031304, 1.50627)),
+            (np.linspace(0, 1, 6), "v^2 + 3*t*v", "(1+t)*v^2 - v", 2.0, (4.196377, 6.223671)),
+        ],
+    )
+    def test_single_root_is_found_exactly_and_seed_free(self, points, Ld, Ln, b, want):
+        p = VariationalProblem(from_points(points), parse(Ld), parse(Ln), 0.0, b)
+        roots = consistency_solve(p, SolverConfig(seed=0))
+        assert len(roots) == 1
+        assert roots[0].A == pytest.approx(want[0], abs=1e-6)
+        assert roots[0].B == pytest.approx(want[1], abs=1e-5)
+        assert_roots_solve_system(p, roots)
+        for seed in (3, 77):
+            other = consistency_solve(p, SolverConfig(seed=seed))
+            assert [(r.A, r.B) for r in other] == [(r.A, r.B) for r in roots]
+            np.testing.assert_array_equal(other[0].trajectory.values, roots[0].trajectory.values)
+
+    @pytest.mark.parametrize("shift", [0.0, 1e-6, 1e-9, -1e-6])
+    def test_tangent_and_close_roots(self, shift):
+        # t*v + c / v^2 on {0, 1/2, 1}: with u = A/(8B) the system reads
+        # 3u^2 - (2 + 8c)u + 1 = 0, A = 1 + u^2, B = (1 - u)/4 + c, with a
+        # double root u = 1/sqrt(3) at c* = (sqrt(3) - 1)/4.  Just above c*
+        # both roots lie inside one grid cell, where G keeps its sign at the
+        # grid angles; just below, there is no root but a near miss.
+        c = (np.sqrt(3.0) - 1.0) / 4.0 + shift
+        p = VariationalProblem(
+            from_points([0, 0.5, 1]), parse(f"t*v + {float(c)!r}"), parse("v^2"), 0.0, 1.0
+        )
+        roots, near = consistency_scan(p)
+        assert_roots_solve_system(p, roots)
+        if shift == 0.0:  # rounding leaves a double root or a pair within 1e-8
+            assert len(roots) == 1
+            assert abs(roots[0].A - 4 / 3) + abs(roots[0].B - np.sqrt(3) / 6) <= 1e-7
+        elif shift > 0.0:
+            disc = np.sqrt((2 + 8 * c) ** 2 - 12)
+            u = np.array([(2 + 8 * c - disc) / 6, (2 + 8 * c + disc) / 6])
+            want = sorted(zip(1 + u * u, (1 - u) / 4 + c))
+            assert len(roots) == 2
+            np.testing.assert_allclose([(r.A, r.B) for r in roots], want, atol=1e-10)
+        else:
+            assert roots == []
+            assert near.gap < 1e-5
+            assert abs(near.A - 4 / 3) + abs(near.B - np.sqrt(3) / 6) <= 1e-5
+
+    def test_undefined_integrand_drops_only_its_row(self):
+        # a DomainViolation in one row of a block leaves the other rows
+        ts = from_points([0, 1, 2])
+        p = VariationalProblem(ts, parse("ln(v)"), parse("v^2"), 0.0, 2.0)
+        d = np.array([[1.0, 2.0], [-1.0, 1.0], [3.0, 0.5], [2.0, -2.0]])
+        y = np.concatenate([np.zeros((4, 1)), np.cumsum(d, axis=1)], axis=1)
+        jn, jd = so._integrals(p, y, d)
+        np.testing.assert_array_equal(np.isnan(jd), [False, True, False, True])
+        np.testing.assert_allclose(jd[[0, 2]], [np.log(2.0), np.log(1.5)], rtol=1e-15)
+        np.testing.assert_allclose(jn[[0, 2]], [5.0, 9.25], rtol=1e-15)
 
     def test_non_affine_rejected(self):
         ts = uniform(0, 1, 11)
