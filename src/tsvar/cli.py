@@ -98,7 +98,6 @@ _SECTION_KEYS = {
         "max_iter",
         "multistarts",
         "seed",
-        "penalty_growth",
     },
 }
 _REQUIRED_SECTIONS = ("timescale", "lagrangian", "boundary")
@@ -322,10 +321,14 @@ def _report_lines(report: so.SolveReport) -> list[str]:
     return lines
 
 
-def _consistency_report(problem, cfg) -> tuple[so.SolveReport | None, list]:
-    roots = so.consistency_solve(problem, cfg)
+def _consistency_report(
+    problem,
+) -> tuple[so.SolveReport | None, so.ClosestApproach | None]:
+    """The report of the first self-consistent extremal, or None on an empty
+    consistency set, with the closest approach of the one scan."""
+    roots, near = so.consistency_scan(problem)
     if not roots:
-        return None, roots
+        return None, near
     root = roots[0]
     y = root.trajectory
     _, grad = va.functional_gradient(problem.scale, problem.L_delta, problem.L_nabla, y.values)
@@ -345,34 +348,42 @@ def _consistency_report(problem, cfg) -> tuple[so.SolveReport | None, list]:
         message=f"self-consistent extremal (A={_fmt(root.A)} B={_fmt(root.B)}"
         + (f"; {len(roots)} roots total)" if len(roots) > 1 else ")"),
     )
-    return report, roots
+    return report, near
 
 
-def _solve_dispatch(problem, cfg) -> tuple[so.SolveReport | None, str]:
-    """Shared solve pipeline: isoperimetric, self-consistency, or direct."""
+def _solve_problem(
+    problem, cfg
+) -> tuple[so.SolveReport | None, str, so.ClosestApproach | None]:
+    """Shared solve pipeline: isoperimetric, self-consistency, or direct.
+    Returns the report (None on an empty consistency set), the method and,
+    for the self-consistency method, the closest approach to a root."""
     if problem.constraint is not None:
-        return so.solve_isoperimetric(problem, cfg), "isoperimetric"
+        return so.solve_isoperimetric(problem, cfg), "isoperimetric", None
     if (
         problem.bc_a is not None
         and problem.bc_b is not None
         and so.is_affine_class(problem)
     ):
-        report, _ = _consistency_report(problem, cfg)
-        return report, "consistency"
-    return so.solve(problem, cfg), "direct"
+        report, near = _consistency_report(problem)
+        return report, "consistency", near
+    return so.solve(problem, cfg), "direct", None
+
+
+def _solve_dispatch(problem, cfg) -> tuple[so.SolveReport | None, str]:
+    """``_solve_problem`` without the closest approach."""
+    return _solve_problem(problem, cfg)[:2]
 
 
 def _cmd_solve(args) -> int:
     problem, overrides = parse_problem_file(args.problem)
     cfg = _config_for(overrides, args.seed)
     try:
-        report, method = _solve_dispatch(problem, cfg)
+        report, method, near = _solve_problem(problem, cfg)
     except so.InfeasibleConstraintError as err:
         print(f"infeasible: {err}")
         return EXIT_INFEASIBLE
     if report is None:
         print("no self-consistent extremal found (empty consistency set)")
-        near = so.consistency_scan(problem)[1]
         if near is not None:
             print(
                 f"closest approach: theta={_fmt(near.theta)} A={_fmt(near.A)} "

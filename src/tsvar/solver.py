@@ -24,16 +24,19 @@ One globalisation keeps every step a descent step:
 
 Trial points whose value or gradient is undefined (``DomainViolation``) or
 not finite are rejected steps.  Because the product of two integral
-functionals is nonconvex, every solve multistarts from seeded random
+functionals is nonconvex, every solve multistarts from seeded smooth random
 perturbations of the straight-line interpolant between the boundary values;
 a report's ``iterations`` counts the Newton steps of the reported start.
 
-Isoperimetric problems are handled by an augmented Lagrangian around the
-same Newton core, with multiplier updates lam <- lam - penalty*(K - k) and
-a fallback to the abnormal multiplier pair (0, 1) when the candidate is an
-extremal of the constraint functional itself.  Each merit function adds its
-own terms to the same structure: for J - lam*r + pen*r^2/2 with r = K - k
-they are (pen*r - lam)*HK and pen*gradK gradK^T, so the low rank is at most 5.
+Isoperimetric problems are solved by Newton's method on the KKT system
+gradJ - lam*gradK = 0, K = k, on the same core.  The Hessian of the
+Lagrangian J - lam*K is the same tridiagonal-plus-low-rank form (rank 4),
+and the KKT matrix borders it with one row, gradK, so a step is one
+factorization plus a small Schur complement.  Trial points are moved back
+onto K = k, where the merit is J, so steps head for constrained minima.
+Where gradK vanishes the point is an extremal of the constraint functional
+itself, and the abnormal multiplier pair (0, 1) is reported.  The same core
+minimizes (K - k)^2/2 to reach the constraint from a start far from it.
 
 For problems whose stationarity equation is affine in the derivative slot
 (state-independent integrands), ``consistency_solve`` instead solves the
@@ -48,6 +51,7 @@ no random starts and no finite differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,7 +85,6 @@ class SolverConfig:
     max_iter: int = 10000
     multistarts: int = 8
     seed: int = 0
-    penalty_growth: float = 10.0
 
     def __post_init__(self):
         for name in (
@@ -89,7 +92,6 @@ class SolverConfig:
             "constraint_tol",
             "max_iter",
             "multistarts",
-            "penalty_growth",
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"solver config field {name} must be positive")
@@ -174,20 +176,35 @@ def _ldl_solve(fac, b):
 def _structured_solve(diag, off, U, C, b):
     """Solve (T + U^T C U) x = b, T the tridiagonal matrix (diag, off), U a
     k x n array of rows and C a k x k array, by LDL^T of T and the Woodbury
-    identity.  Returns None when T has a non-positive pivot or the k x k
-    capacitance system is singular."""
+    identity; b is one right-hand side or an array of them, one per row,
+    which share the factorization.  Returns None when T has a non-positive
+    pivot or the k x k capacitance system is singular."""
     fac = _ldl(diag.tolist(), off.tolist())
     if fac is None:
         return None
-    x = np.array(_ldl_solve(fac, b.tolist()))
-    if len(U) == 0:
-        return x
-    Z = np.array([_ldl_solve(fac, u) for u in U.tolist()])
-    try:
-        w = np.linalg.solve(np.eye(len(U)) + C @ (U @ Z.T), C @ (U @ x))
-    except np.linalg.LinAlgError:
+    x = np.array([_ldl_solve(fac, row) for row in np.atleast_2d(b).tolist()])
+    if len(U):
+        Z = np.array([_ldl_solve(fac, u) for u in U.tolist()])
+        try:
+            w = np.linalg.solve(np.eye(len(U)) + C @ (U @ Z.T), C @ (U @ x.T))
+        except np.linalg.LinAlgError:
+            return None
+        x = x - w.T @ Z
+    return x.reshape(np.shape(b))
+
+
+def _bordered_solve(diag, off, U, C, border, b):
+    """The x of the KKT system H x + g mu = b, g.x = -r, with border = (g, r)
+    and H as in ``_structured_solve``: two solves that share one
+    factorization, x1 = H^{-1} b and x2 = H^{-1} g, and the scalar Schur
+    complement s = g.x2 give mu = (g.x1 + r)/s and x = x1 - mu*x2.  None when
+    ``_structured_solve`` fails or s vanishes (as it does with g)."""
+    g, r = border
+    x = _structured_solve(diag, off, U, C, np.array([b, g]))
+    s = float(g @ x[1]) if x is not None else 0.0
+    if not abs(s) > 0.0:
         return None
-    return x - Z.T @ w
+    return x[0] - ((float(g @ x[0]) + r) / s) * x[1]
 
 
 def _model(terms, rank_one=()):
@@ -214,19 +231,24 @@ def _model(terms, rank_one=()):
 
 _SHIFT_TRIES = 16
 _MAX_EXPANSION = 2.0**50
+_PROJECTION_STEPS = 8
 
 
-def _direction(model, g, shift_prev):
-    """Newton direction d = -(H + tau I)^{-1} g on the structured Hessian
-    model, with the Levenberg shift tau on its tridiagonal part.
+def _direction(model, g, shift_prev, border=None, f=0.0):
+    """Newton direction on the structured Hessian model H of a merit with
+    gradient g and value f: d = -(H + tau I)^{-1} g or, with ``border`` =
+    (gradK, r), the step of the KKT system [[H + tau I, gradK], [gradK^T, 0]]
+    bordered by the constraint row (``_bordered_solve``).
 
-    The shift is kept relative to the size of the model.  It starts from 0,
-    or from a tenth of the previous iteration's relative shift, and rises
-    tenfold while a pivot is not positive or g.d is not negative.  Returns
-    (d, g.d, relative shift); a shift of inf marks the fallback
-    d = -g / max|g|, taken when the model is missing or no shift gives a
-    descent direction.
+    The Levenberg shift tau on the tridiagonal part is kept relative to the
+    size of the model.  It starts from 0, or from a tenth of the previous
+    iteration's relative shift, and rises tenfold while a pivot is not
+    positive or g.d is not below 0 (with a border, below its rounding size
+    1e-12*(1 + |f|), and then counted as 0).  Returns (d, g.d, relative
+    shift); a shift of inf marks the fallback d = -g / max|g|, taken when
+    the model is missing or no shift gives a descent direction.
     """
+    tol = 0.0 if border is None else 1e-12 * (1.0 + abs(f))
     if model is not None:
         diag, off, U, C = model
         scale = float(max(np.max(np.abs(diag)), np.max(np.abs(off), initial=0.0)))
@@ -235,52 +257,72 @@ def _direction(model, g, shift_prev):
         if np.isfinite(scale) and scale > 0.0:
             shift = shift_prev / 10.0 if 1e-11 <= shift_prev < np.inf else 0.0
             for _ in range(_SHIFT_TRIES):
-                d = _structured_solve(diag + shift * scale, off, U, C, -g)
+                shifted = diag + shift * scale, off, U, C
+                if border is None:
+                    d = _structured_solve(*shifted, -g)
+                else:
+                    d = _bordered_solve(*shifted, border, -g)
                 gd = float(g @ d) if d is not None else np.nan
-                if np.isfinite(gd) and gd < 0.0:
-                    return d, gd, shift
+                if gd < tol:
+                    return d, min(gd, 0.0), shift
                 shift = 10.0 * shift if shift else 1e-12
     gmax = float(np.max(np.abs(g)))
     d = -g / gmax
     return d, -gmax * float(d @ d), np.inf
 
 
-def _newton(fun, hess, z0, accept_tol, max_iter):
-    """Minimize fun from z0 by exact-Newton steps on the structured Hessian.
+class _At(NamedTuple):
+    """An evaluated iterate of a merit: its value f; err, the stationarity
+    error scaled so that err <= 1 is converged; the point w, which a merit
+    may have moved onto its constraint; the gradient g whose Jacobian the
+    merit's model is; the samples the model reuses; and the KKT border
+    (gradK, r) of ``_direction``, or None."""
 
-    ``fun(z)`` returns (value, gradient), or (inf, None) where the objective
-    is undefined or not finite; ``hess(z)`` returns the ``_model`` form of
-    the Hessian at an accepted iterate, or None.  Steps are globalised by
-    Armijo backtracking from alpha = 1, and a full step that may be too
-    short is expanded.  Returns (z, f, g, iterations, converged); drives the
-    gradient well below ``accept_tol`` when possible and reports convergence
-    against it.
+    f: float
+    err: float
+    w: np.ndarray | None
+    g: np.ndarray | None
+    data: tuple
+    border: tuple | None = None
+
+
+_UNDEFINED = _At(np.inf, np.inf, None, None, ())
+
+
+def _newton(fun, model, w0, max_iter):
+    """Minimize a merit from w0 by structured Newton steps.
+
+    ``fun(w)`` returns the ``_At`` of w, or ``_UNDEFINED`` where the merit is
+    undefined or not finite, and ``model(at)`` the ``_model`` form of its
+    Hessian there, for ``_direction``.  Steps are globalised by Armijo
+    backtracking from alpha = 1, and a full step that may be too short is
+    expanded.  Iterates until err <= 1e-3
+    when possible, so the error ends well inside the tolerance; returns
+    (w, at, iterations).
     """
-    z = np.asarray(z0, dtype=float)
+    w = np.asarray(w0, dtype=float)
     with np.errstate(all="ignore"):
-        f, g = fun(z)
+        at = fun(w)
         it = 0
-        if not np.isfinite(f):
-            return z, f, g, it, False
-        target = accept_tol * 1e-3
-        if z.size == 0:
-            return z, f, g, it, True
+        if not np.isfinite(at.f):
+            return w, at, it
+        w = at.w
         shift = 0.0
-        while it < max_iter and np.max(np.abs(g)) > target:
-            if f < -1e100:  # objective unbounded below along this start
+        while it < max_iter and at.err > 1e-3:
+            if at.f < -1e100:  # objective unbounded below along this start
                 break
-            d, gd, shift = _direction(hess(z), g, shift)
+            f = at.f
+            d, gd, shift = _direction(model(at), at.g, shift, at.border, f)
             # Once the predicted decrease is below what f resolves in double
-            # precision, a smaller max|g| also accepts the step: comparing
+            # precision, a smaller error also accepts the step: comparing
             # values alone would stall at about |g| ~ 1e-8.
             flat = -gd <= 1e-12 * (1.0 + abs(f))
-            gmax = np.max(np.abs(g))
             alpha, accepted = 1.0, False
             while alpha >= 1e-20:
-                zn = z + alpha * d
-                fn, gn = fun(zn)
-                if fn <= f + 1e-4 * alpha * gd or (
-                    flat and np.isfinite(fn) and np.max(np.abs(gn)) < gmax
+                wn = w + alpha * d
+                an = fun(wn)
+                if an.f <= f + 1e-4 * alpha * gd or (
+                    flat and np.isfinite(an.f) and an.err < at.err
                 ):
                     accepted = True
                     break
@@ -291,21 +333,21 @@ def _newton(fun, hess, z0, accept_tol, max_iter):
             # fell by over 1.2 times the -gd/2 that the quadratic model
             # predicts (as in the exp(c*v) regime, where it moves v by 1/c),
             # keep doubling it while the value keeps falling.
-            if alpha == 1.0 and (shift > 0.0 or f - fn > -0.6 * gd):
-                while fn >= -1e100 and alpha < _MAX_EXPANSION:
-                    zt = z + 2.0 * alpha * d
-                    ft, gt = fun(zt)
-                    if not ft < fn:
+            if alpha == 1.0 and (shift > 0.0 or f - an.f > -0.6 * gd):
+                while an.f >= -1e100 and alpha < _MAX_EXPANSION:
+                    wt = w + 2.0 * alpha * d
+                    at_t = fun(wt)
+                    if not at_t.f < an.f:
                         break
-                    alpha, zn, fn, gn = 2.0 * alpha, zt, ft, gt
-            stalled = fn >= f - 1e-16 * (1.0 + abs(f)) and float(
-                np.max(np.abs(zn - z))
-            ) <= 1e-14 * (1.0 + float(np.max(np.abs(z))))
-            z, f, g = zn, fn, gn
+                    alpha, an = 2.0 * alpha, at_t
+            stalled = an.f >= f - 1e-16 * (1.0 + abs(f)) and float(
+                np.max(np.abs(an.w - w))
+            ) <= 1e-14 * (1.0 + float(np.max(np.abs(w))))
+            w, at = an.w, an
             it += 1
             if stalled:
                 break
-    return z, f, g, it, bool(np.max(np.abs(g)) <= accept_tol)
+    return w, at, it
 
 
 def _finite(val, grad):
@@ -325,7 +367,8 @@ class _Compiled:
     form one contiguous block [lo, hi), and a work trajectory that carries
     the fixed values.  Every trial point is evaluated through
     ``va.functional_gradient`` and every Newton model through
-    ``va.functional_hessian``, with partials differentiated once."""
+    ``va.functional_hessian``, which reuses that evaluation's samples, with
+    partials differentiated once."""
 
     def __init__(self, p: va.VariationalProblem, base: np.ndarray):
         n = len(p.scale)
@@ -344,21 +387,24 @@ class _Compiled:
         return self.y
 
     def value_grad(self, z, Ld, Ln):
-        """Value and free-block gradient of the product functional of
-        (Ld, Ln) at z; (inf, None) where it is undefined or not finite."""
+        """Value, free-block gradient and ``va.ProductGradient`` of the
+        product functional of (Ld, Ln) at z; (inf, None, None) where it is
+        undefined or not finite."""
         try:
             with np.errstate(all="ignore"):
-                val, grad = va.functional_gradient(self.scale, Ld, Ln, self._at(z))
+                first = va.functional_gradient(self.scale, Ld, Ln, self._at(z), factors=True)
+                val, grad = _finite(first.value, first.gradient[self.lo : self.hi])
         except ex.DomainViolation:
-            return np.inf, None
-        return _finite(val, grad[self.lo : self.hi])
+            return np.inf, None, None
+        return val, grad, first
 
-    def hessian(self, z, Ld, Ln):
-        """``va.ProductHessian`` of (Ld, Ln) restricted to the free block, or
-        None where it is undefined or not finite."""
+    def hessian(self, z, Ld, Ln, first):
+        """``va.ProductHessian`` of (Ld, Ln) at z restricted to the free
+        block, reusing ``first``, the ``va.ProductGradient`` of the
+        evaluation at z; None where it is undefined or not finite."""
         try:
             with np.errstate(all="ignore"):
-                H = va.functional_hessian(self.scale, Ld, Ln, self._at(z))
+                H = va.functional_hessian(self.scale, Ld, Ln, self._at(z), first)
         except ex.DomainViolation:
             return None
         lo, hi = self.lo, self.hi
@@ -369,46 +415,80 @@ class _Compiled:
         return H
 
 
-def _merit(cp: _Compiled, p: va.VariationalProblem, a=1.0, b=0.0, q=0.0):
-    """(fun, hess) for ``_newton``: the merit a*J + b*r + q*r^2/2 on the free
-    block, with r = K - k.
-
-    Its gradient is a*gradJ + (b + q*r)*gradK and its Hessian
-    a*HJ + (b + q*r)*HK + q*gradK gradK^T.  ``solve`` minimizes J alone, the
-    augmented Lagrangian takes b = -lambda and q = penalty, and the abnormal
-    branch restores feasibility with r^2/2 alone.
-    """
-    Ld, Ln = p.L_delta, p.L_nabla
-    c = p.constraint if (b or q) else None
+def _merit(cp: _Compiled, p: va.VariationalProblem, grad_tol: float, feasibility=False):
+    """(fun, model) for ``_newton``: J on the free block, or with
+    ``feasibility`` r^2/2, r = K - k, whose gradient is r*gradK and whose
+    Hessian is r*HK + gradK gradK^T.  err scales the largest gradient entry
+    by grad_tol.  ``solve`` minimizes J, and ``solve_isoperimetric`` reaches
+    the constraint with r^2/2 from a start that it cannot project onto it."""
+    c = p.constraint
+    pair = (c.K_delta, c.K_nabla) if feasibility else (p.L_delta, p.L_nabla)
 
     def fun(z):
-        val, grad = 0.0, 0.0
-        if a:
-            jval, jgrad = cp.value_grad(z, Ld, Ln)
-            if jgrad is None:
-                return np.inf, None
-            val, grad = a * jval, a * jgrad
-        if c is not None:
-            kval, kgrad = cp.value_grad(z, c.K_delta, c.K_nabla)
+        val, grad, first = cp.value_grad(z, *pair)
+        if grad is not None and feasibility:
+            r = val - c.k
+            val, grad = _finite(0.5 * r * r, r * grad)
+        if grad is None:
+            return _UNDEFINED
+        return _At(val, float(np.max(np.abs(grad))) / grad_tol, z, grad, first)
+
+    def model(at):
+        H = cp.hessian(at.w, *pair, at.data)
+        if H is None or not feasibility:
+            return _model([(1.0, H)])
+        return _model([(H.J_delta * H.J_nabla - c.k, H)], [(1.0, H.gradient)])
+
+    return fun, model
+
+
+def _kkt(cp: _Compiled, p: va.VariationalProblem, cfg: SolverConfig):
+    """(fun, model) for ``_newton`` on the KKT system gradJ - lam*gradK = 0,
+    r = K - k = 0, along the constraint.
+
+    ``fun`` moves the free block z onto K = k by Gauss-Newton steps
+    z <- z - r*gradK/|gradK|^2 (rejecting z where they fail) and takes the
+    least-squares multiplier lam = gradJ.gradK/|gradK|^2 there.  The merit is
+    the Lagrangian J - lam*r: J on the constraint, and not lowered by the
+    residual |r| <= min(constraint_tol, 1e-10) the projection leaves.  err
+    scales max|gradJ - lam*gradK| by grad_tol and |r| by that bound.  The
+    model is the Hessian of the Lagrangian, HJ - lam*HK, bordered by gradK
+    in ``_direction``.  Where gradK vanishes, z is an extremal of K, lam = 0
+    and the border is dropped.
+    """
+    c = p.constraint
+    Ld, Ln, Kd, Kn = p.L_delta, p.L_nabla, c.K_delta, c.K_nabla
+    feas_target = min(cfg.constraint_tol, 1e-10)
+
+    def fun(z):
+        for i in range(_PROJECTION_STEPS + 1):
+            kval, kgrad, kfirst = cp.value_grad(z, Kd, Kn)
             if kgrad is None:
-                return np.inf, None
+                return _UNDEFINED
             r = kval - c.k
-            val, grad = val + b * r + 0.5 * q * r * r, grad + (b + q * r) * kgrad
-        return _finite(val, grad)
+            # gradK negligible on the free block against all nodes: an
+            # extremal of K, which no projection can move off
+            vanished = np.max(np.abs(kgrad)) <= 1e-6 * (1.0 + np.max(np.abs(kfirst.gradient)))
+            if abs(r) <= feas_target or vanished or i == _PROJECTION_STEPS:
+                break
+            z = z - (r / float(kgrad @ kgrad)) * kgrad
+        if not (abs(r) <= feas_target or vanished):
+            return _UNDEFINED
+        jval, jgrad, jfirst = cp.value_grad(z, Ld, Ln)
+        if jgrad is None:
+            return _UNDEFINED
+        lam = 0.0 if vanished else float(jgrad @ kgrad) / float(kgrad @ kgrad)
+        gl = jgrad - lam * kgrad
+        err = max(float(np.max(np.abs(gl))) / cfg.grad_tol, abs(r) / feas_target)
+        return _At(jval - lam * r, err, z, gl, (lam, r, jfirst, kfirst),
+                   None if vanished else (kgrad, r))
 
-    def hess(z):
-        terms = [(a, cp.hessian(z, Ld, Ln))] if a else []
-        rank_one = []
-        if c is not None:
-            HK = cp.hessian(z, c.K_delta, c.K_nabla)
-            if HK is None:
-                return None
-            r = HK.J_delta * HK.J_nabla - c.k
-            terms.append((b + q * r, HK))
-            rank_one.append((q, HK.gradient))
-        return _model(terms, rank_one)
+    def model(at):
+        lam, _, jfirst, kfirst = at.data
+        return _model([(1.0, cp.hessian(at.w, Ld, Ln, jfirst)),
+                       (-lam, cp.hessian(at.w, Kd, Kn, kfirst))])
 
-    return fun, hess
+    return fun, model
 
 
 def _base_trajectory(p: va.VariationalProblem) -> np.ndarray:
@@ -429,16 +509,29 @@ def _perturb_amplitude(p: va.VariationalProblem) -> float:
     return 0.5 * (abs(alpha) + abs(beta) + 1.0)
 
 
+_START_MODES = 3
+
+
 def _starts(p: va.VariationalProblem, cfg: SolverConfig):
     """The compiled problem and its multistarts: the straight-line
-    interpolant, then seeded random perturbations of it."""
+    interpolant, then seeded perturbations of it, amp * sum over k = 1..3 of
+    u_k/k^2 * sin(freq_k*s + phase) with u_k uniform on [-1, 1] and
+    s = (t - a)/(b - a); freq_k <= k*pi and the phase make each mode vanish
+    at the fixed endpoints.  Their slopes are at most
+    pi*(1 + 1/2 + 1/3)*amp/(b - a) on any mesh."""
     rng = np.random.default_rng(cfg.seed)
     cp = _Compiled(p, _base_trajectory(p))
     z = cp.y[cp.lo : cp.hi]
-    amp = _perturb_amplitude(p)
+    pts = p.scale.points
+    s = (pts[cp.lo : cp.hi] - pts[0]) / (pts[-1] - pts[0])
+    k = np.arange(1, _START_MODES + 1)[:, None]
+    a_fixed, b_fixed = p.bc_a is not None, p.bc_b is not None
+    freq = (k - 1 + 0.5 * (a_fixed + b_fixed)) * np.pi
+    modes = np.sin(freq * s + (0.0 if a_fixed else np.pi / 2))
+    modes = _perturb_amplitude(p) * modes / k**2
     out = [z.copy()]
     for _ in range(cfg.multistarts - 1):
-        out.append(z + amp * rng.standard_normal(z.size))
+        out.append(z + rng.uniform(-1.0, 1.0, _START_MODES) @ modes)
     return cp, out
 
 
@@ -449,26 +542,35 @@ def _finish_report(
     iterations: int,
     index: int,
     grad_norm: float,
+    lambda0: float | None = None,
+    lam: float | None = None,
     **extra,
 ) -> SolveReport:
+    """The report of a solve that ended at y.  For a constrained solve the
+    defects are those of the multiplier residual at (lambda0, lam)."""
     Jd = va.eval_J_delta(p, y)
     Jn = va.eval_J_nabla(p, y)
-    report = SolveReport(
+    if lambda0 is None:
+        defects = va.el_residual_1(p, y).defect, va.el_residual_2(p, y).defect
+    else:
+        defects = tuple(va.iso_residual(p, y, lambda0, lam, f).defect for f in ("el1", "el2"))
+    return SolveReport(
         trajectory=y,
         J_delta=Jd,
         J_nabla=Jn,
         J=Jd * Jn,
-        el_defect_1=va.el_residual_1(p, y).defect,
-        el_defect_2=va.el_residual_2(p, y).defect,
+        el_defect_1=defects[0],
+        el_defect_2=defects[1],
         converged=converged,
         iterations=iterations,
         multistart_index=index,
         grad_norm=grad_norm,
+        lambda0=lambda0,
+        lam=lam,
         bc_residual_a=None if p.bc_a is not None else va.natural_bc_residual_a(p, y),
         bc_residual_b=None if p.bc_b is not None else va.natural_bc_residual_b(p, y),
         **extra,
     )
-    return report
 
 
 def solve(p: va.VariationalProblem, cfg: SolverConfig = SolverConfig()) -> SolveReport:
@@ -480,12 +582,13 @@ def solve(p: va.VariationalProblem, cfg: SolverConfig = SolverConfig()) -> Solve
     if p.constraint is not None:
         raise ValueError("problem is constrained; use solve_isoperimetric")
     cp, starts = _starts(p, cfg)
-    fun, hess = _merit(cp, p)
+    fun, model = _merit(cp, p, cfg.grad_tol)
     candidates = []
     for s, z0 in enumerate(starts):
-        z, f, g, it, ok = _newton(fun, hess, z0, cfg.grad_tol, cfg.max_iter)
-        if np.isfinite(f):
-            candidates.append((s, z, f, float(np.max(np.abs(g), initial=0.0)), it, ok))
+        z, at, it = _newton(fun, model, z0, cfg.max_iter)
+        if np.isfinite(at.f):
+            gn = float(np.max(np.abs(at.g), initial=0.0))
+            candidates.append((s, z, at.f, gn, it, at.err <= 1.0))
     if not candidates:
         raise ex.DomainViolation("objective undefined at every multistart")
 
@@ -515,55 +618,43 @@ def solve(p: va.VariationalProblem, cfg: SolverConfig = SolverConfig()) -> Solve
 def solve_isoperimetric(
     p: va.VariationalProblem, cfg: SolverConfig = SolverConfig()
 ) -> SolveReport:
-    """Augmented-Lagrangian solve of extremize J subject to K(y) = k.
+    """Extremize J subject to K(y) = k by Newton's method on the KKT system
+    along the constraint (see ``_kkt``), from every multistart.  A start that
+    cannot be moved onto K = k directly first minimizes (K - k)^2/2 with the
+    same Newton core.
 
-    The normal branch (lambda0 = 1) is attempted first; if the candidate
-    turns out to be an extremal of K itself, the abnormal pair (0, 1) is
-    reported instead.  For constrained reports el_defect_1/2 hold the
-    defects of the multiplier residual at the reported (lambda0, lambda).
+    A start converges when max|gradJ - lambda*gradK| <= grad_tol and
+    |K - k| <= min(constraint_tol, 1e-10).  The converged start with the
+    lowest J is reported; when none converges, the start with the best
+    feasibility is, and InfeasibleConstraintError is raised if its |K - k|
+    exceeds max(1e-3*(1 + |k|), 10*constraint_tol).  Where the border gradK
+    vanishes on the free block at the reported point (max|gradK| there at
+    most 1e-6*(1 + max|gradK| over all nodes)), the point is an extremal of
+    K and admits only the abnormal pair (lambda0, lambda) = (0, 1); InfeasibleConstraintError is
+    raised if |K - k| exceeds constraint_tol there.  For constrained reports
+    el_defect_1/2 hold the defects of the multiplier residual at the
+    reported (lambda0, lambda).
     """
     c = va._require_constraint(p)
     cp, starts = _starts(p, cfg)
-    Ld, Ln, Kd, Kn = p.L_delta, p.L_nabla, c.K_delta, c.K_nabla
-    feas_target = min(cfg.constraint_tol, 1e-10)
-
-    def alm(z0):
-        lam, pen = 0.0, 10.0
-        z = np.asarray(z0, float)
-        total_it = 0
-        feas_prev = np.inf
-        stagnant = 0
-        for _ in range(60):
-            merit, merit_hess = _merit(cp, p, 1.0, -lam, pen)
-            z, _, _, it, _ = _newton(merit, merit_hess, z, cfg.grad_tol, cfg.max_iter)
-            total_it += it
-            jval, jgrad = cp.value_grad(z, Ld, Ln)
-            kval, kgrad = cp.value_grad(z, Kd, Kn)
-            if jgrad is None or kgrad is None:
-                return None
-            r = kval - c.k
-            lam = lam - pen * r
-            lag_gn = float(np.max(np.abs(jgrad - lam * kgrad), initial=0.0))
-            if abs(r) <= feas_target and lag_gn <= cfg.grad_tol:
-                return dict(z=z, lam=lam, J=jval, feas=abs(r), lag_gn=lag_gn,
-                            it=total_it, converged=True)
-            stagnant = stagnant + 1 if abs(r) >= 0.9 * feas_prev and it == 0 else 0
-            if stagnant >= 3:
-                break
-            # penalty growth stops once feasible: beyond that it only
-            # ill-conditions the tangential subproblem
-            if pen < 1e8 and abs(r) > feas_target:
-                pen *= cfg.penalty_growth
-            feas_prev = abs(r)
-        return dict(z=z, lam=lam, J=jval, feas=abs(r), lag_gn=lag_gn,
-                    it=total_it, converged=False)
-
+    fun, model = _kkt(cp, p, cfg)
+    feas_fun, feas_model = _merit(cp, p, cfg.grad_tol, feasibility=True)
     results = []
     for s, z0 in enumerate(starts):
-        res = alm(z0)
-        if res is not None:
-            res["index"] = s
-            results.append(res)
+        z, at, it = _newton(fun, model, z0, cfg.max_iter)
+        if not np.isfinite(at.f):
+            z, feas_at, it = _newton(feas_fun, feas_model, z0, cfg.max_iter)
+            z, at, kkt_it = _newton(fun, model, z, cfg.max_iter)
+            it += kkt_it
+            if not np.isfinite(at.f) and np.isfinite(feas_at.f):
+                # the constraint is out of reach from this start
+                results.append(dict(index=s, feas=np.sqrt(2.0 * feas_at.f), lag_gn=np.inf,
+                                    converged=False, unmet=True))
+        if np.isfinite(at.f):
+            lam, r, jfirst, _ = at.data
+            results.append(dict(index=s, z=z, lam=lam, J=jfirst.value, feas=abs(r),
+                                lag_gn=float(np.max(np.abs(at.g))), it=it,
+                                converged=at.err <= 1.0, unmet=False, abnormal=at.border is None))
     if not results:
         raise ex.DomainViolation("objective undefined at every multistart")
     converged = [r for r in results if r["converged"]]
@@ -571,55 +662,27 @@ def solve_isoperimetric(
         best = min(converged, key=lambda r: (r["J"], r["index"]))
     else:
         best = min(results, key=lambda r: (r["feas"], r["lag_gn"], r["index"]))
-        if best["feas"] > max(1e-3 * (1.0 + abs(c.k)), 10 * cfg.constraint_tol):
+        if best["unmet"] or best["feas"] > max(1e-3 * (1.0 + abs(c.k)), 10 * cfg.constraint_tol):
             raise InfeasibleConstraintError(
                 f"constraint K(y) = {c.k!r} unmet across multistarts "
                 f"(best |K - k| = {best['feas']:.3e})"
             )
 
-    traj = cp.trajectory(best["z"])
-    kprob = va._as_constraint_problem(p)
-    kres1, kres2 = va.el_residual_1(kprob, traj), va.el_residual_2(kprob, traj)
-    abnormal_tol = 1e-6 * (1.0 + abs(kres1.mean) + abs(kres2.mean))
-    abnormal = max(kres1.defect, kres2.defect) <= abnormal_tol
-
-    if abnormal:
-        if best["feas"] > cfg.constraint_tol:
-            # restore feasibility along the abnormal branch: minimize r^2/2
-            feas_merit, feas_hess = _merit(cp, p, 0.0, 0.0, 1.0)
-            z, _, _, it, _ = _newton(feas_merit, feas_hess, best["z"], cfg.grad_tol, cfg.max_iter)
-            feas = abs(cp.value_grad(z, Kd, Kn)[0] - c.k)
-            best = dict(best, z=z, it=best["it"] + it, feas=feas)
-            traj = cp.trajectory(best["z"])
-        lambda0, lam = 0.0, 1.0
-        conv = best["feas"] <= cfg.constraint_tol
+    feas = best["feas"]
+    if best["abnormal"]:
+        if not feas <= cfg.constraint_tol:
+            raise InfeasibleConstraintError(
+                f"constraint K(y) = {c.k!r} unmet at an extremal of K (|K - k| = {feas:.3e})"
+            )
+        lambda0, lam, conv = 0.0, 1.0, True
         message = "abnormal extremal (candidate is an extremal of K)"
     else:
-        lambda0, lam = 1.0, best["lam"]
-        conv = best["converged"]
+        lambda0, lam, conv = 1.0, best["lam"], best["converged"]
         message = "normal extremal" if conv else "did not converge; best iterate"
-
-    iso1 = va.iso_residual(p, traj, lambda0, lam, "el1")
-    iso2 = va.iso_residual(p, traj, lambda0, lam, "el2")
-    Jd, Jn = va.eval_J_delta(p, traj), va.eval_J_nabla(p, traj)
-    return SolveReport(
-        trajectory=traj,
-        J_delta=Jd,
-        J_nabla=Jn,
-        J=Jd * Jn,
-        el_defect_1=iso1.defect,
-        el_defect_2=iso2.defect,
-        converged=conv,
-        iterations=best["it"],
-        multistart_index=best["index"],
-        grad_norm=best["lag_gn"],
-        lambda0=lambda0,
-        lam=lam,
-        constraint_error=best["feas"],
-        bc_residual_a=None if p.bc_a is not None else va.natural_bc_residual_a(p, traj),
-        bc_residual_b=None if p.bc_b is not None else va.natural_bc_residual_b(p, traj),
-        extension=(p.bc_a is None or p.bc_b is None),
-        message=message,
+    return _finish_report(
+        p, cp.trajectory(best["z"]), conv, best["it"], best["index"], best["lag_gn"],
+        lambda0=lambda0, lam=lam, constraint_error=feas,
+        extension=(p.bc_a is None or p.bc_b is None), message=message,
     )
 
 
@@ -907,8 +970,8 @@ def probe_extremal_type(
         if nrm == 0.0:
             continue
         d /= nrm
-        fp, _ = cp.value_grad(z0 + h * d, p.L_delta, p.L_nabla)
-        fm, _ = cp.value_grad(z0 - h * d, p.L_delta, p.L_nabla)
+        fp = cp.value_grad(z0 + h * d, p.L_delta, p.L_nabla)[0]
+        fm = cp.value_grad(z0 - h * d, p.L_delta, p.L_nabla)[0]
         if not (np.isfinite(fp) and np.isfinite(fm)):
             continue
         d2 = (fp - 2.0 * Jval + fm) / (h * h)

@@ -54,6 +54,7 @@ __all__ = [
     "first_variation",
     "functional_gradient",
     "functional_hessian",
+    "ProductGradient",
     "ProductHessian",
 ]
 
@@ -488,9 +489,9 @@ def first_variation(p: VariationalProblem, y: GridFunction, eta: GridFunction) -
     return Jd * nabla_part + Jn * delta_part
 
 
-def _side(e: ex.Expression, ts: TimeScale, yvals: np.ndarray, forward: bool, second=False):
-    """Value, node gradient and, with ``second``, the tridiagonal Hessian
-    (diagonal, off-diagonal) of one weighted sum.
+def _side(e: ex.Expression, ts: TimeScale, yvals: np.ndarray, forward: bool):
+    """Value and node gradient of one weighted sum, from the samples of L,
+    d2 L and d3 L.
 
     Sample k couples nodes k and k+1 through w_k * L(t_k, y_s, Q_k) with
     Q_k = (y_{k+1} - y_k) / w_k; the state node s is k+1 in the forward sum
@@ -509,12 +510,18 @@ def _side(e: ex.Expression, ts: TimeScale, yvals: np.ndarray, forward: bool, sec
     else:
         g[:-1] += w * d2 - d3
         g[1:] += d3
-    if not second:
-        return J, g
+    return J, g
+
+
+def _side_hessian(e: ex.Expression, ts: TimeScale, yvals: np.ndarray, forward: bool):
+    """Tridiagonal Hessian (diagonal, off-diagonal) of the same weighted sum
+    as ``_side``, from the samples of the second partials d22, d23 and d33."""
+    on = (_on_delta if forward else _on_nabla)(ts, yvals)
+    w = ts.mu_values[:-1] if forward else ts.nu_values[1:]
     d22 = on(_d(e, "yy"))
     d23 = on(_d(e, "yv"))
     c = on(_d(e, "vv")) / w
-    diag = np.zeros(n)
+    diag = np.zeros(len(ts))
     diag[:-1] += c
     diag[1:] += c
     if forward:
@@ -523,22 +530,44 @@ def _side(e: ex.Expression, ts: TimeScale, yvals: np.ndarray, forward: bool, sec
     else:
         diag[:-1] += w * d22 - 2.0 * d23
         off = d23 - c
-    return J, g, diag, off
+    return diag, off
+
+
+class ProductGradient(NamedTuple):
+    """The factors of J = J_delta * J_nabla and their node gradients."""
+
+    J_delta: float
+    J_nabla: float
+    grad_delta: np.ndarray
+    grad_nabla: np.ndarray
+
+    @property
+    def value(self) -> float:
+        return self.J_delta * self.J_nabla
+
+    @property
+    def gradient(self) -> np.ndarray:
+        return self.J_nabla * self.grad_delta + self.J_delta * self.grad_nabla
+
+
+def _first(ts: TimeScale, Ld: ex.Expression, Ln: ex.Expression, yvals: np.ndarray):
+    (Jd, gd), (Jn, gn) = _side(Ld, ts, yvals, True), _side(Ln, ts, yvals, False)
+    return ProductGradient(Jd, Jn, gd, gn)
 
 
 def functional_gradient(
-    ts: TimeScale, Ld: ex.Expression, Ln: ex.Expression, yvals: np.ndarray
-) -> tuple[float, np.ndarray]:
+    ts: TimeScale, Ld: ex.Expression, Ln: ex.Expression, yvals: np.ndarray, factors=False
+):
     """Value and exact gradient of the product functional w.r.t. every node.
 
     Each node value enters the forward sum through at most two samples (as a
     shifted value and through two difference quotients) and likewise the
     backward sum; the gradient is assembled by accumulating those chain-rule
-    contributions.
+    contributions.  With ``factors`` the ``ProductGradient`` is returned
+    instead, which ``functional_hessian`` can reuse at the same nodes.
     """
-    Jd, gd = _side(Ld, ts, yvals, True)
-    Jn, gn = _side(Ln, ts, yvals, False)
-    return Jd * Jn, Jn * gd + Jd * gn
+    first = _first(ts, Ld, Ln, yvals)
+    return first if factors else (first.value, first.gradient)
 
 
 class ProductHessian(NamedTuple):
@@ -574,11 +603,20 @@ class ProductHessian(NamedTuple):
 
 
 def functional_hessian(
-    ts: TimeScale, Ld: ex.Expression, Ln: ex.Expression, yvals: np.ndarray
+    ts: TimeScale,
+    Ld: ex.Expression,
+    Ln: ex.Expression,
+    yvals: np.ndarray,
+    first: ProductGradient | None = None,
 ) -> ProductHessian:
     """Exact structured Hessian of the product functional w.r.t. every node,
     assembled from the exact second partials d22, d23 and d33 of both
-    integrands (see ``ProductHessian``)."""
-    Jd, gd, hd, od = _side(Ld, ts, yvals, True, second=True)
-    Jn, gn, hn, on = _side(Ln, ts, yvals, False, second=True)
-    return ProductHessian(Jd, Jn, gd, gn, Jn * hd + Jd * hn, Jn * od + Jd * on)
+    integrands (see ``ProductHessian``).  ``first``, the ``ProductGradient``
+    of an evaluation at the same nodes, saves sampling the integrands and
+    their first partials again."""
+    if first is None:
+        first = _first(ts, Ld, Ln, yvals)
+    Jd, Jn = first.J_delta, first.J_nabla
+    hd, od = _side_hessian(Ld, ts, yvals, True)
+    hn, on = _side_hessian(Ln, ts, yvals, False)
+    return ProductHessian(*first, Jn * hd + Jd * hn, Jn * od + Jd * on)

@@ -416,6 +416,21 @@ class TestSolveCommand:
         assert 0 < gap <= 3 / n
         assert not (tmp_path / "out").exists()
 
+    def test_empty_set_is_scanned_once(self, tmp_path, capsys, monkeypatch):
+        # the closest-approach line comes from the scan that found no root
+        calls = []
+        real = cli.so.consistency_scan
+        monkeypatch.setattr(cli.so, "consistency_scan", lambda p: calls.append(p) or real(p))
+        text = (
+            "[timescale]\ntimescale = uniform 0 1 11\n\n"
+            "[lagrangian]\ndelta = t*v\nnabla = v^2\n\n"
+            "[boundary]\na = fixed:0\nb = fixed:1\n"
+        )
+        prob = write(tmp_path, "p.problem", text)
+        assert main(["solve", "--problem", prob, "--out", str(tmp_path / "out")]) == EXIT_NOT_CONVERGED
+        assert len(calls) == 1
+        assert capsys.readouterr().out.splitlines()[1].startswith("closest approach: theta=")
+
     def test_infeasible_constraint_exit_code(self, tmp_path, capsys):
         text = GOOD + "\n[constraint]\ndelta = v\nnabla = 0.5\nk = 9\n"
         prob = write(tmp_path, "p.problem", text)
@@ -538,6 +553,12 @@ class TestSeedPlumbing:
         prob = write(tmp_path, "p.problem", GOOD + f"\n[solver]\n{key} = 10\n")
         assert main(["solve", "--problem", prob, "--out", str(tmp_path / "out")]) == EXIT_PARSE
         assert f"unknown key {key!r} in section [solver]" in capsys.readouterr().err
+
+    def test_removed_penalty_growth_key_is_unknown(self, tmp_path, capsys):
+        # Newton on the KKT system has no penalty schedule
+        prob = write(tmp_path, "p.problem", GOOD + "\n[solver]\npenalty_growth = 10\n")
+        assert main(["solve", "--problem", prob, "--out", str(tmp_path / "out")]) == EXIT_PARSE
+        assert "unknown key 'penalty_growth' in section [solver]" in capsys.readouterr().err
 
     def test_invalid_solver_override_is_parse_error(self, tmp_path):
         text = GOOD + "\n[solver]\ngrad_tol = -1\n"

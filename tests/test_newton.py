@@ -75,20 +75,71 @@ class TestExactHessian:
 
     @pytest.mark.parametrize("bc_a, bc_b", [(0.5, -0.5), (None, 1.0), (0.0, None), (None, None)])
     def test_solver_models_match_central_differences(self, bc_a, bc_b):
-        # the free-block model of J, of the augmented-Lagrangian merit
-        # J + b*r + q*r^2/2 and of the feasibility merit r^2/2, r = K - k
+        # the free-block model of J, of the feasibility merit r^2/2 with
+        # r = K - k, and of the KKT merit: the Hessian of the Lagrangian
+        # J - lam*K at the point moved onto K = k, with lam held fixed
         rng = np.random.default_rng(12)
+        cfg = SolverConfig()
+        lagrangians = 0
         for _ in range(12):
             c = IsoperimetricConstraint(random_integrand(rng), random_integrand(rng), 0.3)
             p = random_smooth_problem(rng, bc_a, bc_b, c)
             cp = so._Compiled(p, so._base_trajectory(p))
             z = rng.uniform(-1, 1, cp.hi - cp.lo)
             x = rng.standard_normal(z.size)
-            for coefs in ((1.0, 0.0, 0.0), (1.0, -0.7, 3.0), (0.0, 0.0, 1.0)):
-                fun, hess = so._merit(cp, p, *coefs)
-                H = dense(hess(z))
-                fd = fd_hessian_times(lambda zz: fun(zz)[1], z, x)
+            merits = [(z, *so._merit(cp, p, cfg.grad_tol)),
+                      (z, *so._merit(cp, p, cfg.grad_tol, feasibility=True))]
+            kkt_fun, kkt_model = so._kkt(cp, p, cfg)
+            kkt = kkt_fun(z)
+            if np.isfinite(kkt.f):
+                lam = kkt.data[0]
+
+                def lagrangian(zz, lam=lam):
+                    gj, gk = (cp.value_grad(zz, *pair)[1] for pair in
+                              ((p.L_delta, p.L_nabla), (c.K_delta, c.K_nabla)))
+                    return so._At(0.0, 0.0, zz, gj - lam * gk, ())
+
+                merits.append((kkt.w, lagrangian, lambda _, kkt=kkt: kkt_model(kkt)))
+                lagrangians += 1
+            for zc, fun, model in merits:
+                H = dense(model(fun(zc)))
+                fd = fd_hessian_times(lambda zz: fun(zz).g, zc, x)
                 assert np.max(np.abs(H @ x - fd)) <= 1e-6 * (1.0 + np.max(np.abs(fd)))
+        assert lagrangians >= 6
+
+    def test_model_reuses_the_evaluation_bit_for_bit(self):
+        # the Hessian built on an evaluation's first-order samples equals a
+        # fresh one, and samples only the three second partials per side
+        rng = np.random.default_rng(14)
+        for _ in range(30):
+            p = random_smooth_problem(rng, 0.0, None)
+            y = rng.uniform(-1, 1, len(p.scale))
+            first = functional_gradient(p.scale, p.L_delta, p.L_nabla, y, factors=True)
+            assert first.value == functional_gradient(p.scale, p.L_delta, p.L_nabla, y)[0]
+            fresh = functional_hessian(p.scale, p.L_delta, p.L_nabla, y)
+            reused = functional_hessian(p.scale, p.L_delta, p.L_nabla, y, first)
+            for a, b in zip(fresh, reused):
+                np.testing.assert_array_equal(a, b)
+
+    def test_newton_step_samples_once(self, monkeypatch):
+        p = VariationalProblem(uniform(0, 1, 9), parse("v^2 + sin(y)^2"),
+                               parse("exp(0.5*v) + y^2"), 0.0, 1.0)
+        cp = so._Compiled(p, so._base_trajectory(p))
+        fun, model = so._merit(cp, p, 1e-9)
+        at = fun(np.linspace(0.2, 0.8, 7))
+        calls = []
+        real = va._sampler
+
+        def sampler(t, yy, vv):
+            ev = real(t, yy, vv)
+            return lambda e: calls.append(e) or ev(e)
+
+        monkeypatch.setattr(va, "_sampler", sampler)
+        model(at)
+        assert len(calls) == 6  # d22, d23 and d33 of each integrand
+        calls.clear()
+        functional_hessian(p.scale, p.L_delta, p.L_nabla, cp.y)
+        assert len(calls) == 12
 
     def test_partials_are_differentiated_once(self, monkeypatch):
         calls = []
@@ -139,6 +190,44 @@ class TestStructuredSolve:
         assert 0.0 < shift < np.inf
         assert gd == pytest.approx(float(g @ d)) and gd < 0.0
 
+
+    def test_bordered_solve_matches_dense_kkt_solve(self):
+        # H = T + U^T C U with C the Lagrangian's coupling of rank 4.  Every
+        # other system has one more row that subtracts 20 g g^T / |g|^2, so H
+        # is indefinite but positive definite on the null space of g^T; in
+        # the others the coupling is stronger and H can be indefinite there
+        rng = np.random.default_rng(15)
+        for i in range(60):
+            n = int(rng.integers(3, 30))
+            diag = rng.uniform(2.5, 4.0, n)
+            off = rng.uniform(-0.5, 0.5, n - 1)
+            lam = rng.uniform(-2, 2)
+            C = np.kron(np.diag([1.0, -lam]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+            U = (0.1 if i % 2 == 0 else 0.5) * rng.standard_normal((4, n))
+            g = rng.standard_normal(n)
+            if i % 2 == 0:
+                U = np.vstack([U, g])
+                C = np.block([[C, np.zeros((4, 1))], [np.zeros((1, 4)), -20.0 / (g @ g)]])
+            b, c = rng.standard_normal(n), rng.standard_normal()
+            H = dense((diag, off, U, C))
+            if i % 2 == 0:
+                Q, _ = np.linalg.qr(np.column_stack([g, np.eye(n)]))
+                reduced = np.linalg.eigvalsh(Q[:, 1:n].T @ H @ Q[:, 1:n])
+                assert np.min(np.linalg.eigvalsh(H)) < 0.0 < np.min(reduced)
+            K = np.block([[H, g[:, None]], [g[None, :], np.zeros((1, 1))]])
+            want = np.linalg.solve(K, np.append(b, -c))[:n]
+            x = so._bordered_solve(diag, off, U, C, (g, c), b)
+            np.testing.assert_allclose(x, want, rtol=1e-7, atol=1e-9 * np.max(np.abs(want)))
+
+    def test_bordered_solve_reports_a_singular_system(self):
+        # a vanishing border, a zero pivot in T, and a singular H
+        none = np.zeros((0, 3)), np.zeros((0, 0))
+        b = np.ones(3)
+        assert so._bordered_solve(np.ones(3), np.zeros(2), *none, (np.zeros(3), 1.0), b) is None
+        assert so._bordered_solve(np.array([0.0, 1.0, 1.0]), np.zeros(2), *none,
+                                  (np.ones(3), 1.0), b) is None
+        assert so._bordered_solve(np.ones(3), np.zeros(2), np.eye(3)[:1], np.array([[-1.0]]),
+                                  (np.eye(3)[1], 1.0), b) is None
 
 def family(kind, c):
     return {

@@ -281,7 +281,7 @@ class TestIsoperimetricSolve:
         assert abs(rep.lam) <= 1e-6
         assert rep.constraint_error <= 1e-8
 
-    @pytest.mark.parametrize("M", [3, 4])
+    @pytest.mark.parametrize("M", [2, 3, 4, 5, 6])
     def test_closed_form_recovered(self, M):
         rep = solve_isoperimetric(iso_problem(M), CFG)
         t = np.arange(M + 1, dtype=float)
@@ -310,6 +310,16 @@ class TestIsoperimetricSolve:
         with pytest.raises(InfeasibleConstraintError):
             solve_isoperimetric(p, CFG)
 
+    def test_same_extremal_from_any_seed(self):
+        # the seed changes the random starts, not the reported extremal
+        reps = [solve_isoperimetric(iso_problem(4), SolverConfig(seed=s)) for s in (0, 3, 77)]
+        for rep in reps:
+            assert rep.converged and rep.lambda0 == 1.0
+            np.testing.assert_allclose(rep.trajectory.values, reps[0].trajectory.values,
+                                       rtol=0, atol=1e-12)
+            assert rep.J == pytest.approx(reps[0].J, rel=1e-14)
+            assert rep.lam == pytest.approx(reps[0].lam, rel=1e-12)
+
     def test_deterministic_under_seed(self):
         p = iso_problem(3)
         r1 = solve_isoperimetric(p, SolverConfig(seed=5))
@@ -328,6 +338,23 @@ class TestIsoperimetricSolve:
         ts = uniform(0, 2, 3)
         with pytest.raises(ValueError):
             solve_isoperimetric(quad_double(ts, 0.0, 2.0), CFG)
+
+
+class TestStarts:
+    @pytest.mark.parametrize("bc_a, bc_b", [(0.0, 1.0), (2.0, None), (None, -3.0), (None, None)])
+    def test_perturbations_keep_slopes_bounded_on_fine_grids(self, bc_a, bc_b):
+        # a per-node perturbation would give slopes of about amp/mu = 150*amp
+        ts = uniform(0, 1, 151)
+        p = VariationalProblem(ts, parse("exp(0.7*v)"), parse("v^2"), bc_a, bc_b)
+        amp = so._perturb_amplitude(p)
+        cp, starts = so._starts(p, SolverConfig(seed=4, multistarts=16))
+        _, again = so._starts(p, SolverConfig(seed=4, multistarts=16))
+        np.testing.assert_array_equal(starts[0], cp.y[cp.lo : cp.hi])
+        for z, z2 in zip(starts, again):
+            np.testing.assert_array_equal(z, z2)
+            y = cp.trajectory(z).values
+            assert np.max(np.abs(np.diff(y) / np.diff(ts.points))) <= 10 * amp / (ts.b - ts.a)
+        assert len({float(z[0]) for z in starts}) == 16
 
 
 class TestProbe:
