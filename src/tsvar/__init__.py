@@ -32,6 +32,7 @@ from .solver import (
     consistency_solve,
     probe_extremal_type,
     solve,
+    solve_auto,
     solve_isoperimetric,
 )
 from .timescale import (

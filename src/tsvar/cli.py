@@ -10,6 +10,8 @@ Problem files are INI-style documents with sections [timescale], [lagrangian],
 [boundary] and optional [constraint] and [solver]; unknown sections or keys
 are rejected.  The default random seed comes from the TSVAR_SEED environment
 variable and can be overridden per file ([solver] seed = ...) or with --seed.
+``solve`` and ``verify`` leave the choice of method and the report to
+``solver.solve_auto``; this module parses, prints and writes files.
 
 Exit codes: 0 success/converged, 1 verification failure, 2 no extremal or
 no convergence, 3 infeasible constraint, 64 parse error or an --out path
@@ -294,6 +296,15 @@ def _cmd_residual(args) -> int:
     return EXIT_OK
 
 
+def _optional_fields(report: so.SolveReport):
+    """(key, value) of each optional report field that is set, in order."""
+    return [(key, val) for key, val in (
+        ("lambda0", report.lambda0), ("lambda", report.lam),
+        ("constraint_error", report.constraint_error),
+        ("bc_residual_a", report.bc_residual_a), ("bc_residual_b", report.bc_residual_b),
+    ) if val is not None]
+
+
 def _report_lines(report: so.SolveReport) -> list[str]:
     lines = [
         f"converged={'true' if report.converged else 'false'}",
@@ -307,78 +318,17 @@ def _report_lines(report: so.SolveReport) -> list[str]:
         f"iterations={report.iterations}",
         f"multistart_index={report.multistart_index}",
     ]
-    if report.lambda0 is not None:
-        lines.append(f"lambda0={_fmt(report.lambda0)}")
-    if report.lam is not None:
-        lines.append(f"lambda={_fmt(report.lam)}")
-    if report.constraint_error is not None:
-        lines.append(f"constraint_error={_fmt(report.constraint_error)}")
-    if report.bc_residual_a is not None:
-        lines.append(f"bc_residual_a={_fmt(report.bc_residual_a)}")
-    if report.bc_residual_b is not None:
-        lines.append(f"bc_residual_b={_fmt(report.bc_residual_b)}")
+    for key, val in _optional_fields(report):
+        lines.append(f"{key}={_fmt(val)}")
     lines.append(f"extension={'true' if report.extension else 'false'}")
     return lines
-
-
-def _consistency_report(
-    problem,
-) -> tuple[so.SolveReport | None, so.ClosestApproach | None]:
-    """The report of the first self-consistent extremal, or None on an empty
-    consistency set, with the closest approach of the one scan."""
-    roots, near = so.consistency_scan(problem)
-    if not roots:
-        return None, near
-    root = roots[0]
-    y = root.trajectory
-    _, grad = va.functional_gradient(problem.scale, problem.L_delta, problem.L_nabla, y.values)
-    gn = float(np.max(np.abs(grad[1:-1]), initial=0.0))
-    jd, jn = va.eval_J_delta(problem, y), va.eval_J_nabla(problem, y)
-    report = so.SolveReport(
-        trajectory=y,
-        J_delta=jd,
-        J_nabla=jn,
-        J=jd * jn,
-        el_defect_1=va.el_residual_1(problem, y).defect,
-        el_defect_2=va.el_residual_2(problem, y).defect,
-        converged=True,
-        iterations=0,
-        multistart_index=0,
-        grad_norm=gn,
-        message=f"self-consistent extremal (A={_fmt(root.A)} B={_fmt(root.B)}"
-        + (f"; {len(roots)} roots total)" if len(roots) > 1 else ")"),
-    )
-    return report, near
-
-
-def _solve_problem(
-    problem, cfg
-) -> tuple[so.SolveReport | None, str, so.ClosestApproach | None]:
-    """Shared solve pipeline: isoperimetric, self-consistency, or direct.
-    Returns the report (None on an empty consistency set), the method and,
-    for the self-consistency method, the closest approach to a root."""
-    if problem.constraint is not None:
-        return so.solve_isoperimetric(problem, cfg), "isoperimetric", None
-    if (
-        problem.bc_a is not None
-        and problem.bc_b is not None
-        and so.is_affine_class(problem)
-    ):
-        report, near = _consistency_report(problem)
-        return report, "consistency", near
-    return so.solve(problem, cfg), "direct", None
-
-
-def _solve_dispatch(problem, cfg) -> tuple[so.SolveReport | None, str]:
-    """``_solve_problem`` without the closest approach."""
-    return _solve_problem(problem, cfg)[:2]
 
 
 def _cmd_solve(args) -> int:
     problem, overrides = parse_problem_file(args.problem)
     cfg = _config_for(overrides, args.seed)
     try:
-        report, method, near = _solve_problem(problem, cfg)
+        report, method, near = so.solve_auto(problem, cfg)
     except so.InfeasibleConstraintError as err:
         print(f"infeasible: {err}")
         return EXIT_INFEASIBLE
@@ -422,7 +372,7 @@ def _case_context(case: dict, cfg: so.SolverConfig) -> dict:
     ctx: dict = {}
     mode = case["mode"]
     if mode == "solve":
-        report, method = _solve_dispatch(problem, cfg)
+        report = so.solve_auto(problem, cfg)[0]
         if report is None:
             ctx["n_roots"] = 0.0
             return ctx
@@ -435,16 +385,8 @@ def _case_context(case: dict, cfg: so.SolverConfig) -> dict:
             el_defect_2=report.el_defect_2,
             converged=1.0 if report.converged else 0.0,
         )
-        if report.lam is not None:
-            ctx["lambda"] = report.lam
-        if report.lambda0 is not None:
-            ctx["lambda0"] = report.lambda0
-        if report.constraint_error is not None:
-            ctx["constraint_error"] = report.constraint_error
-        if report.bc_residual_b is not None:
-            ctx["bc_residual_b"] = abs(report.bc_residual_b)
-        if report.bc_residual_a is not None:
-            ctx["bc_residual_a"] = abs(report.bc_residual_a)
+        for key, val in _optional_fields(report):
+            ctx[key] = abs(val) if key.startswith("bc_") else val
         if problem.constraint is not None:
             ctx["abnormal"] = (
                 1.0
@@ -460,13 +402,8 @@ def _case_context(case: dict, cfg: so.SolverConfig) -> dict:
         with resources.as_file(_bundled_path(case["trajectory"])) as path:
             y = ca.read_csv(path, problem.scale)
         jd, jn = va.eval_J_delta(problem, y), va.eval_J_nabla(problem, y)
-        ctx.update(
-            J_delta=jd,
-            J_nabla=jn,
-            J=jd * jn,
-            el_defect_1=va.el_residual_1(problem, y).defect,
-            el_defect_2=va.el_residual_2(problem, y).defect,
-        )
+        defect = va.el_residual_1(problem, y).defect  # both residual forms share it
+        ctx.update(J_delta=jd, J_nabla=jn, J=jd * jn, el_defect_1=defect, el_defect_2=defect)
     else:
         raise ValueError(f"unknown verify mode {mode!r}")
     return ctx

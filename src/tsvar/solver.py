@@ -46,6 +46,13 @@ depends only on the ratio A:B, so the loop reduces to the zeros of one
 function of the ray angle, which a fixed grid brackets and bisection and
 golden-section search refine for all brackets at once: deterministic, with
 no random starts and no finite differences.
+
+``solve_auto`` selects the method by the problem's shape (constrained,
+derivative-affine with both endpoints fixed, or otherwise direct), and every
+method's ``SolveReport`` comes from one builder, ``_report``, which samples
+each integrand pair once at the final trajectory and reduces J_delta,
+J_nabla, both residual defects and the natural boundary residuals from
+that one pass.
 """
 
 from __future__ import annotations
@@ -67,6 +74,7 @@ __all__ = [
     "InfeasibleConstraintError",
     "solve",
     "solve_isoperimetric",
+    "solve_auto",
     "consistency_solve",
     "consistency_scan",
     "probe_extremal_type",
@@ -232,6 +240,7 @@ def _model(terms, rank_one=()):
 _SHIFT_TRIES = 16
 _MAX_EXPANSION = 2.0**50
 _PROJECTION_STEPS = 8
+_EPS = float(np.finfo(float).eps)
 
 
 def _direction(model, g, shift_prev, border=None, f=0.0):
@@ -442,6 +451,13 @@ def _merit(cp: _Compiled, p: va.VariationalProblem, grad_tol: float, feasibility
     return fun, model
 
 
+def _rounding(first: va.ProductGradient, y: np.ndarray) -> float:
+    """Rounding size of a product functional at the nodes y: what it changes
+    by when every node moves by its own rounding, 16 * eps * sum |dK/dy_i|
+    |y_i|.  Below it, |K - k| is noise that no projection step resolves."""
+    return 16.0 * _EPS * float(np.abs(first.gradient) @ np.abs(y))
+
+
 def _kkt(cp: _Compiled, p: va.VariationalProblem, cfg: SolverConfig):
     """(fun, model) for ``_newton`` on the KKT system gradJ - lam*gradK = 0,
     r = K - k = 0, along the constraint.
@@ -450,15 +466,16 @@ def _kkt(cp: _Compiled, p: va.VariationalProblem, cfg: SolverConfig):
     z <- z - r*gradK/|gradK|^2 (rejecting z where they fail) and takes the
     least-squares multiplier lam = gradJ.gradK/|gradK|^2 there.  The merit is
     the Lagrangian J - lam*r: J on the constraint, and not lowered by the
-    residual |r| <= min(constraint_tol, 1e-10) the projection leaves.  err
-    scales max|gradJ - lam*gradK| by grad_tol and |r| by that bound.  The
+    residual the projection leaves, |r| <= min(constraint_tol, 1e-10) or,
+    where K is coarser than that, its rounding size at z (``_rounding``).
+    err scales max|gradJ - lam*gradK| by grad_tol and |r| by that bound.  The
     model is the Hessian of the Lagrangian, HJ - lam*HK, bordered by gradK
     in ``_direction``.  Where gradK vanishes, z is an extremal of K, lam = 0
     and the border is dropped.
     """
     c = p.constraint
     Ld, Ln, Kd, Kn = p.L_delta, p.L_nabla, c.K_delta, c.K_nabla
-    feas_target = min(cfg.constraint_tol, 1e-10)
+    feas_tol = min(cfg.constraint_tol, 1e-10)
 
     def fun(z):
         for i in range(_PROJECTION_STEPS + 1):
@@ -466,6 +483,7 @@ def _kkt(cp: _Compiled, p: va.VariationalProblem, cfg: SolverConfig):
             if kgrad is None:
                 return _UNDEFINED
             r = kval - c.k
+            feas_target = max(feas_tol, _rounding(kfirst, cp.y))
             # gradK negligible on the free block against all nodes: an
             # extremal of K, which no projection can move off
             vanished = np.max(np.abs(kgrad)) <= 1e-6 * (1.0 + np.max(np.abs(kfirst.gradient)))
@@ -480,11 +498,11 @@ def _kkt(cp: _Compiled, p: va.VariationalProblem, cfg: SolverConfig):
         lam = 0.0 if vanished else float(jgrad @ kgrad) / float(kgrad @ kgrad)
         gl = jgrad - lam * kgrad
         err = max(float(np.max(np.abs(gl))) / cfg.grad_tol, abs(r) / feas_target)
-        return _At(jval - lam * r, err, z, gl, (lam, r, jfirst, kfirst),
+        return _At(jval - lam * r, err, z, gl, (lam, r, feas_target, jfirst, kfirst),
                    None if vanished else (kgrad, r))
 
     def model(at):
-        lam, _, jfirst, kfirst = at.data
+        lam, _, _, jfirst, kfirst = at.data
         return _model([(1.0, cp.hessian(at.w, Ld, Ln, jfirst)),
                        (-lam, cp.hessian(at.w, Kd, Kn, kfirst))])
 
@@ -535,41 +553,31 @@ def _starts(p: va.VariationalProblem, cfg: SolverConfig):
     return cp, out
 
 
-def _finish_report(
-    p: va.VariationalProblem,
-    y: GridFunction,
-    converged: bool,
-    iterations: int,
-    index: int,
-    grad_norm: float,
-    lambda0: float | None = None,
-    lam: float | None = None,
-    **extra,
-) -> SolveReport:
-    """The report of a solve that ended at y.  For a constrained solve the
-    defects are those of the multiplier residual at (lambda0, lam)."""
-    Jd = va.eval_J_delta(p, y)
-    Jn = va.eval_J_nabla(p, y)
-    if lambda0 is None:
-        defects = va.el_residual_1(p, y).defect, va.el_residual_2(p, y).defect
-    else:
-        defects = tuple(va.iso_residual(p, y, lambda0, lam, f).defect for f in ("el1", "el2"))
+def _report(p: va.VariationalProblem, y: GridFunction, grad_norm: float | None = None,
+            lambda0: float | None = None, lam: float | None = None, **fields) -> SolveReport:
+    """The report of a solve that ended at y, from one sampling pass of each
+    integrand pair: the L pair, and the K pair for a constrained report,
+    whose defects are those of the multiplier residual at (lambda0, lam).
+    Both residual forms are one array on two domains, so el_defect_1 and
+    el_defect_2 are one defect.  Without ``grad_norm`` (a self-consistent
+    extremal, both endpoints fixed) it is the largest interior gradient entry
+    of the same pass.  ``extension`` marks a constrained problem with a free
+    endpoint; ``fields`` are the solve's own (converged, iterations, ...)."""
+    ts = p.scale
+    L = va._el_parts(ts, p.L_delta, p.L_nabla, y.values)
+    vals = L.residual
+    if lambda0 is not None:
+        c = p.constraint
+        vals = lambda0 * vals - lam * va._el_parts(ts, c.K_delta, c.K_nabla, y.values).residual
+    defect = va._stats(vals)[1]
+    if grad_norm is None:
+        grad_norm = float(np.max(np.abs(L.gradient[1:-1]), initial=0.0))
     return SolveReport(
-        trajectory=y,
-        J_delta=Jd,
-        J_nabla=Jn,
-        J=Jd * Jn,
-        el_defect_1=defects[0],
-        el_defect_2=defects[1],
-        converged=converged,
-        iterations=iterations,
-        multistart_index=index,
-        grad_norm=grad_norm,
-        lambda0=lambda0,
-        lam=lam,
-        bc_residual_a=None if p.bc_a is not None else va.natural_bc_residual_a(p, y),
-        bc_residual_b=None if p.bc_b is not None else va.natural_bc_residual_b(p, y),
-        **extra,
+        trajectory=y, J_delta=L.Jd, J_nabla=L.Jn, J=L.Jd * L.Jn, el_defect_1=defect,
+        el_defect_2=defect, grad_norm=grad_norm, lambda0=lambda0, lam=lam,
+        bc_residual_a=None if p.bc_a is not None else L.nbc_a,
+        bc_residual_b=None if p.bc_b is not None else L.nbc_b,
+        extension=p.constraint is not None and (p.bc_a is None or p.bc_b is None), **fields,
     )
 
 
@@ -608,7 +616,7 @@ def solve(p: va.VariationalProblem, cfg: SolverConfig = SolverConfig()) -> Solve
         message += (
             f"; weak-norm spread across {len(converged)} converged starts: {spread:.3g}"
         )
-    return _finish_report(p, traj, ok, it, s, gn, message=message)
+    return _report(p, traj, gn, converged=ok, iterations=it, multistart_index=s, message=message)
 
 
 # ---------------------------------------------------------------------------
@@ -624,14 +632,18 @@ def solve_isoperimetric(
     same Newton core.
 
     A start converges when max|gradJ - lambda*gradK| <= grad_tol and
-    |K - k| <= min(constraint_tol, 1e-10).  The converged start with the
-    lowest J is reported; when none converges, the start with the best
-    feasibility is, and InfeasibleConstraintError is raised if its |K - k|
-    exceeds max(1e-3*(1 + |k|), 10*constraint_tol).  Where the border gradK
-    vanishes on the free block at the reported point (max|gradK| there at
-    most 1e-6*(1 + max|gradK| over all nodes)), the point is an extremal of
-    K and admits only the abnormal pair (lambda0, lambda) = (0, 1); InfeasibleConstraintError is
-    raised if |K - k| exceeds constraint_tol there.  For constrained reports
+    |K - k| <= min(constraint_tol, 1e-10), or the rounding size of K there
+    if larger.  The converged start with the lowest J is reported; when none
+    converges, the start with the best feasibility is, and
+    InfeasibleConstraintError is raised if its |K - k| exceeds
+    max(1e-3*(1 + |k|), 10*constraint_tol) and that rounding size.  So where
+    J is unbounded below along K = k, the projection keeps up as |y| grows,
+    and a start ends, not converged, once J falls below -1e100.  Where the
+    border gradK vanishes on the free block at the reported point (max|gradK|
+    there at most 1e-6*(1 + max|gradK| over all nodes)), the point is an
+    extremal of K and admits only the abnormal pair (lambda0, lambda) =
+    (0, 1); InfeasibleConstraintError is raised if |K - k| exceeds
+    constraint_tol there.  For constrained reports
     el_defect_1/2 hold the defects of the multiplier residual at the
     reported (lambda0, lambda).
     """
@@ -648,11 +660,11 @@ def solve_isoperimetric(
             it += kkt_it
             if not np.isfinite(at.f) and np.isfinite(feas_at.f):
                 # the constraint is out of reach from this start
-                results.append(dict(index=s, feas=np.sqrt(2.0 * feas_at.f), lag_gn=np.inf,
-                                    converged=False, unmet=True))
+                results.append(dict(index=s, feas=np.sqrt(2.0 * feas_at.f), target=0.0,
+                                    lag_gn=np.inf, converged=False, unmet=True))
         if np.isfinite(at.f):
-            lam, r, jfirst, _ = at.data
-            results.append(dict(index=s, z=z, lam=lam, J=jfirst.value, feas=abs(r),
+            lam, r, target, jfirst, _ = at.data
+            results.append(dict(index=s, z=z, lam=lam, J=jfirst.value, feas=abs(r), target=target,
                                 lag_gn=float(np.max(np.abs(at.g))), it=it,
                                 converged=at.err <= 1.0, unmet=False, abnormal=at.border is None))
     if not results:
@@ -662,7 +674,8 @@ def solve_isoperimetric(
         best = min(converged, key=lambda r: (r["J"], r["index"]))
     else:
         best = min(results, key=lambda r: (r["feas"], r["lag_gn"], r["index"]))
-        if best["unmet"] or best["feas"] > max(1e-3 * (1.0 + abs(c.k)), 10 * cfg.constraint_tol):
+        bound = max(1e-3 * (1.0 + abs(c.k)), 10 * cfg.constraint_tol, best["target"])
+        if best["unmet"] or best["feas"] > bound:
             raise InfeasibleConstraintError(
                 f"constraint K(y) = {c.k!r} unmet across multistarts "
                 f"(best |K - k| = {best['feas']:.3e})"
@@ -679,11 +692,32 @@ def solve_isoperimetric(
     else:
         lambda0, lam, conv = 1.0, best["lam"], best["converged"]
         message = "normal extremal" if conv else "did not converge; best iterate"
-    return _finish_report(
-        p, cp.trajectory(best["z"]), conv, best["it"], best["index"], best["lag_gn"],
-        lambda0=lambda0, lam=lam, constraint_error=feas,
-        extension=(p.bc_a is None or p.bc_b is None), message=message,
-    )
+    return _report(p, cp.trajectory(best["z"]), best["lag_gn"], lambda0, lam, converged=conv,
+                   iterations=best["it"], multistart_index=best["index"],
+                   constraint_error=feas, message=message)
+
+
+def solve_auto(
+    p: va.VariationalProblem, cfg: SolverConfig = SolverConfig()
+) -> tuple[SolveReport | None, str, ClosestApproach | None]:
+    """Solve p by the method its shape selects: ``solve_isoperimetric`` when
+    it has a constraint, the self-consistency scan when it is in the affine
+    class with both endpoints fixed, and ``solve`` otherwise.  Returns the
+    report (None on an empty consistency set, whose first root is reported
+    otherwise), the method ('isoperimetric', 'consistency' or 'direct') and,
+    for the self-consistency method, the closest approach to a root."""
+    if p.constraint is not None:
+        return solve_isoperimetric(p, cfg), "isoperimetric", None
+    if p.bc_a is None or p.bc_b is None or not is_affine_class(p):
+        return solve(p, cfg), "direct", None
+    roots, near = consistency_scan(p)
+    if not roots:
+        return None, "consistency", near
+    root, total = roots[0], f"; {len(roots)} roots total" if len(roots) > 1 else ""
+    message = f"self-consistent extremal (A={root.A:.12g} B={root.B:.12g}{total})"
+    report = _report(p, root.trajectory, converged=True, iterations=0, multistart_index=0,
+                     message=message)
+    return report, "consistency", near
 
 
 # ---------------------------------------------------------------------------
@@ -950,14 +984,10 @@ def probe_extremal_type(
     'saddle-indication', 'inconclusive'.  The probe is heuristic: a 0.9
     majority of positive (negative) curvatures indicates a minimum (maximum).
     """
-    r1 = va.el_residual_1(p, y)
-    r2 = va.el_residual_2(p, y)
+    defect = va.el_residual_1(p, y).defect  # both residual forms share it
     Jval = va.eval_J(p, y)
-    stat_tol = 10.0 * cfg.grad_tol * (1.0 + abs(Jval))
-    if max(r1.defect, r2.defect) > stat_tol:
-        raise ValueError(
-            f"trajectory is not stationary (defect {max(r1.defect, r2.defect):.3e})"
-        )
+    if defect > 10.0 * cfg.grad_tol * (1.0 + abs(Jval)):
+        raise ValueError(f"trajectory is not stationary (defect {defect:.3e})")
     cp = _Compiled(p, y.values)
     z0 = cp.y[cp.lo : cp.hi].copy()
     rng = np.random.default_rng(cfg.seed)

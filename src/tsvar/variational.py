@@ -203,24 +203,63 @@ def eval_K(p: VariationalProblem, y: GridFunction) -> float:
 # Euler-Lagrange residuals
 
 
-def _el_parts(ts: TimeScale, Ld, Ln, yvals):
-    """Common ingredients of both residual forms for one integrand pair.
+def _sample(e: ex.Expression, ts: TimeScale, yvals: np.ndarray, forward: bool):
+    """One sampling pass of the weighted sum of ``e``: its value and the
+    samples of d2 e and d3 e, at the forward samples (weights mu) or at the
+    backward ones (weights nu)."""
+    on = (_on_delta if forward else _on_nabla)(ts, yvals)
+    w = ts.mu_values[:-1] if forward else ts.nu_values[1:]
+    return float(np.dot(w, on(e))), on(_d(e, "y")), on(_d(e, "v"))
 
-    Returns (Jd, Jn, f, g) with
+
+class _Parts(NamedTuple):
+    """One sampling pass of an integrand pair at a trajectory (``_el_parts``)
+    and every first-order quantity that reduces from it."""
+
+    ts: TimeScale
+    Jd: float
+    Jn: float
+    f: np.ndarray
+    g: np.ndarray
+    delta: tuple  # (Jd, d2 Ld, d3 Ld) from ``_sample``
+    nabla: tuple  # (Jn, d2 Ln, d3 Ln)
+
+    @property
+    def residual(self) -> np.ndarray:
+        # Jn * f(rho(t)) + Jd * g(t) over the scale minus its minimum point, and
+        # equally Jd * g(sigma(t)) + Jn * f(t) over the scale minus its maximum:
+        # both forms are this one array, only their domains differ
+        return self.Jn * self.f + self.Jd * self.g
+
+    @property
+    def nbc_a(self) -> float:
+        # f(a) = d3 Ld(a) because the running integral vanishes at a;
+        # g(sigma(a)) is the first entry of the g array.
+        return float(self.Jn * self.f[0] + self.Jd * self.g[0])
+
+    @property
+    def nbc_b(self) -> float:
+        a_full = float(np.dot(self.ts.mu_values[:-1], self.delta[1]))
+        b_full = float(np.dot(self.ts.nu_values[1:], self.nabla[1]))
+        return float(self.Jn * (self.f[-1] + a_full) + self.Jd * (self.g[-1] + b_full))
+
+    @property
+    def gradient(self) -> np.ndarray:
+        """Node gradient of J, as ``functional_gradient`` assembles it."""
+        return _product(self.ts, self.delta, self.nabla).gradient
+
+
+def _el_parts(ts: TimeScale, Ld, Ln, yvals) -> _Parts:
+    """One sampling pass of an integrand pair (``_sample`` of each side) and
+    the arrays that both residual forms are built from,
       f(t) = d3 Ld (t) - integral_a^t d2 Ld   on the scale minus its maximum,
       g(t) = d3 Ln (t) - integral_a^t d2 Ln   on the scale minus its minimum,
     all assembled from exact symbolic partials and exact prefix sums.
     """
     mu = ts.mu_values[:-1]
     nu = ts.nu_values[1:]
-    on_d, on_n = _on_delta(ts, yvals), _on_nabla(ts, yvals)
-    Jd = float(np.dot(mu, on_d(Ld)))
-    Jn = float(np.dot(nu, on_n(Ln)))
-
-    d2ld = on_d(_d(Ld, "y"))
-    d3ld = on_d(_d(Ld, "v"))
-    d2ln = on_n(_d(Ln, "y"))
-    d3ln = on_n(_d(Ln, "v"))
+    delta, nabla = _sample(Ld, ts, yvals, True), _sample(Ln, ts, yvals, False)
+    (Jd, d2ld, d3ld), (Jn, d2ln, d3ln) = delta, nabla
 
     # A(t_j) = sum_{i<j} mu_i d2ld_i, indexed over 0..N-2 (the f domain)
     acum = np.concatenate([[0.0], np.cumsum(mu * d2ld)])  # length N
@@ -229,20 +268,23 @@ def _el_parts(ts: TimeScale, Ld, Ln, yvals):
 
     f = d3ld - acum[:-1]
     g = d3ln - bcum
-    return Jd, Jn, f, g
+    return _Parts(ts, Jd, Jn, f, g, delta, nabla)
 
 
-def _residual(Jd, Jn, f, g) -> np.ndarray:
-    # Jn * f(rho(t)) + Jd * g(t) over the scale minus its minimum point, and
-    # equally Jd * g(sigma(t)) + Jn * f(t) over the scale minus its maximum:
-    # both forms are this one array, only their domains differ
-    return Jn * f + Jd * g
+def _stats(vals: np.ndarray) -> tuple[float, float]:
+    """Mean and defect (largest absolute deviation from the mean)."""
+    mean = float(np.mean(vals))
+    return mean, float(np.max(np.abs(vals - mean)))
 
 
 def _report(ts: TimeScale, vals: np.ndarray, domain: range, form: str) -> ResidualReport:
-    mean = float(np.mean(vals))
-    defect = float(np.max(np.abs(vals - mean)))
+    mean, defect = _stats(vals)
     return ResidualReport(GridFunction(ts, vals, domain), defect, mean, form)
+
+
+def _el_residual(p: VariationalProblem, y: GridFunction) -> np.ndarray:
+    _check_trajectory(p, y)
+    return _el_parts(p.scale, p.L_delta, p.L_nabla, y.values).residual
 
 
 def el_residual_1(p: VariationalProblem, y: GridFunction) -> ResidualReport:
@@ -251,10 +293,7 @@ def el_residual_1(p: VariationalProblem, y: GridFunction) -> ResidualReport:
         Jn * (d3 Ld(rho(t)) - int_a^rho(t) d2 Ld)
       + Jd * (d3 Ln(t)      - int_a^t      d2 Ln)
     """
-    _check_trajectory(p, y)
-    ts = p.scale
-    Jd, Jn, f, g = _el_parts(ts, p.L_delta, p.L_nabla, y.values)
-    return _report(ts, _residual(Jd, Jn, f, g), range(1, len(ts)), "el1")
+    return _report(p.scale, _el_residual(p, y), range(1, len(p.scale)), "el1")
 
 
 def el_residual_2(p: VariationalProblem, y: GridFunction) -> ResidualReport:
@@ -263,10 +302,7 @@ def el_residual_2(p: VariationalProblem, y: GridFunction) -> ResidualReport:
         Jd * (d3 Ln(sigma(t)) - int_a^sigma(t) d2 Ln)
       + Jn * (d3 Ld(t)        - int_a^t        d2 Ld)
     """
-    _check_trajectory(p, y)
-    ts = p.scale
-    Jd, Jn, f, g = _el_parts(ts, p.L_delta, p.L_nabla, y.values)
-    return _report(ts, _residual(Jd, Jn, f, g), range(0, len(ts) - 1), "el2")
+    return _report(p.scale, _el_residual(p, y), range(0, len(p.scale) - 1), "el2")
 
 
 def _pure_kind(p: VariationalProblem) -> str:
@@ -327,11 +363,7 @@ def natural_bc_residual_a(p: VariationalProblem, y: GridFunction) -> float:
     _check_trajectory(p, y)
     if p.bc_a is not None:
         raise ValueError("endpoint a is not free")
-    ts = p.scale
-    Jd, Jn, f, g = _el_parts(ts, p.L_delta, p.L_nabla, y.values)
-    # f(a) = d3 Ld(a) because the running integral vanishes at a;
-    # g(sigma(a)) is the first entry of the g array.
-    return float(Jn * f[0] + Jd * g[0])
+    return _el_parts(p.scale, p.L_delta, p.L_nabla, y.values).nbc_a
 
 
 def natural_bc_residual_b(p: VariationalProblem, y: GridFunction) -> float:
@@ -345,15 +377,7 @@ def natural_bc_residual_b(p: VariationalProblem, y: GridFunction) -> float:
     _check_trajectory(p, y)
     if p.bc_b is not None:
         raise ValueError("endpoint b is not free")
-    ts = p.scale
-    mu = ts.mu_values[:-1]
-    nu = ts.nu_values[1:]
-    Jd, Jn, f, g = _el_parts(ts, p.L_delta, p.L_nabla, y.values)
-    d2ld = _on_delta(ts, y.values)(_d(p.L_delta, "y"))
-    d2ln = _on_nabla(ts, y.values)(_d(p.L_nabla, "y"))
-    a_full = float(np.dot(mu, d2ld))
-    b_full = float(np.dot(nu, d2ln))
-    return float(Jn * (f[-1] + a_full) + Jd * (g[-1] + b_full))
+    return _el_parts(p.scale, p.L_delta, p.L_nabla, y.values).nbc_b
 
 
 def natural_bc_reduced(
@@ -422,9 +446,9 @@ def iso_residual(
     if form not in ("el1", "el2"):
         raise ValueError("form must be 'el1' or 'el2'")
     ts = p.scale
-    Jd, Jn, fL, gL = _el_parts(ts, p.L_delta, p.L_nabla, y.values)
-    Kd, Kn, fK, gK = _el_parts(ts, c.K_delta, c.K_nabla, y.values)
-    vals = lambda0 * _residual(Jd, Jn, fL, gL) - lam * _residual(Kd, Kn, fK, gK)
+    L = _el_parts(ts, p.L_delta, p.L_nabla, y.values)
+    K = _el_parts(ts, c.K_delta, c.K_nabla, y.values)
+    vals = lambda0 * L.residual - lam * K.residual
     if form == "el1":
         return _report(ts, vals, range(1, len(ts)), "iso1")
     return _report(ts, vals, range(0, len(ts) - 1), "iso2")
@@ -432,9 +456,9 @@ def iso_residual(
 
 def is_K_extremal(p: VariationalProblem, y: GridFunction, tol: float) -> bool:
     """True when both residual forms of the constraint functional are constant
-    to within ``tol`` (such trajectories admit only abnormal multipliers)."""
-    kp = _as_constraint_problem(p)
-    return el_residual_1(kp, y).defect <= tol and el_residual_2(kp, y).defect <= tol
+    to within ``tol`` (such trajectories admit only abnormal multipliers).
+    The two forms are one array on two domains, so they share one defect."""
+    return _stats(_el_residual(_as_constraint_problem(p), y))[1] <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -477,11 +501,8 @@ def first_variation(p: VariationalProblem, y: GridFunction, eta: GridFunction) -
     ts = p.scale
     mu = ts.mu_values[:-1]
     nu = ts.nu_values[1:]
-    Jd = eval_J_delta(p, y)
-    Jn = eval_J_nabla(p, y)
-    on_d, on_n = _on_delta(ts, y.values), _on_nabla(ts, y.values)
-    d2ld, d3ld = on_d(_d(p.L_delta, "y")), on_d(_d(p.L_delta, "v"))
-    d2ln, d3ln = on_n(_d(p.L_nabla, "y")), on_n(_d(p.L_nabla, "v"))
+    Jd, d2ld, d3ld = _sample(p.L_delta, ts, y.values, True)
+    Jn, d2ln, d3ln = _sample(p.L_nabla, ts, y.values, False)
     e = eta.values
     de = np.diff(e)
     delta_part = float(np.dot(mu, d2ld * e[1:]) + np.dot(d3ld, de))
@@ -489,33 +510,28 @@ def first_variation(p: VariationalProblem, y: GridFunction, eta: GridFunction) -
     return Jd * nabla_part + Jn * delta_part
 
 
-def _side(e: ex.Expression, ts: TimeScale, yvals: np.ndarray, forward: bool):
-    """Value and node gradient of one weighted sum, from the samples of L,
-    d2 L and d3 L.
+def _grad(ts: TimeScale, side: tuple, forward: bool) -> np.ndarray:
+    """Node gradient of one weighted sum from its ``_sample``.
 
     Sample k couples nodes k and k+1 through w_k * L(t_k, y_s, Q_k) with
     Q_k = (y_{k+1} - y_k) / w_k; the state node s is k+1 in the forward sum
     (w = mu) and k in the backward sum (w = nu).
     """
-    n = len(ts)
-    on = (_on_delta if forward else _on_nabla)(ts, yvals)
+    _, d2, d3 = side
     w = ts.mu_values[:-1] if forward else ts.nu_values[1:]
-    J = float(np.dot(w, on(e)))
-    d2 = on(_d(e, "y"))
-    d3 = on(_d(e, "v"))
-    g = np.zeros(n)
+    g = np.zeros(len(ts))
     if forward:
         g[1:] += w * d2 + d3
         g[:-1] -= d3
     else:
         g[:-1] += w * d2 - d3
         g[1:] += d3
-    return J, g
+    return g
 
 
 def _side_hessian(e: ex.Expression, ts: TimeScale, yvals: np.ndarray, forward: bool):
     """Tridiagonal Hessian (diagonal, off-diagonal) of the same weighted sum
-    as ``_side``, from the samples of the second partials d22, d23 and d33."""
+    as ``_grad``, from the samples of the second partials d22, d23 and d33."""
     on = (_on_delta if forward else _on_nabla)(ts, yvals)
     w = ts.mu_values[:-1] if forward else ts.nu_values[1:]
     d22 = on(_d(e, "yy"))
@@ -550,9 +566,12 @@ class ProductGradient(NamedTuple):
         return self.J_nabla * self.grad_delta + self.J_delta * self.grad_nabla
 
 
+def _product(ts: TimeScale, delta: tuple, nabla: tuple) -> ProductGradient:
+    return ProductGradient(delta[0], nabla[0], _grad(ts, delta, True), _grad(ts, nabla, False))
+
+
 def _first(ts: TimeScale, Ld: ex.Expression, Ln: ex.Expression, yvals: np.ndarray):
-    (Jd, gd), (Jn, gn) = _side(Ld, ts, yvals, True), _side(Ln, ts, yvals, False)
-    return ProductGradient(Jd, Jn, gd, gn)
+    return _product(ts, _sample(Ld, ts, yvals, True), _sample(Ln, ts, yvals, False))
 
 
 def functional_gradient(

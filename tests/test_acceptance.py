@@ -17,12 +17,13 @@ import numpy as np
 from helpers import random_gridfn, random_quadratic_problem
 from tsvar import expr as ex
 from tsvar.calculus import GridFunction
-from tsvar.cli import _solve_dispatch, load_bundled_manifest, parse_problem_text, _bundled_path
+from tsvar.cli import load_bundled_manifest, parse_problem_text, _bundled_path
 from tsvar.expr import parse
 from tsvar.solver import (
     SolverConfig,
     consistency_solve,
     solve,
+    solve_auto,
     solve_isoperimetric,
 )
 from tsvar.timescale import from_points, q_scale, uniform
@@ -439,7 +440,7 @@ def test_acceptance_09_converged_solves_have_constant_residuals():
         problem, _ = parse_problem_text(
             _bundled_path(case["problem"]).read_text(encoding="utf-8")
         )
-        report, _ = _solve_dispatch(problem, CFG)
+        report = solve_auto(problem, CFG)[0]
         if report is None or not report.converged:
             details.append(f"{case['id']}: no converged extremal")
             continue

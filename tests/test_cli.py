@@ -470,6 +470,41 @@ class TestSolveCommand:
         assert main(["residual", "--problem", prob, "--trajectory", traj, "--form", "el1"]) == 0
 
 
+_REPORT_HEAD = [
+    "converged", "message", "J_delta", "J_nabla", "J", "el_defect_1", "el_defect_2",
+    "grad_norm", "iterations", "multistart_index",
+]
+
+
+class TestReportContract:
+    """report.txt keys and their order, per method."""
+
+    FREE_B = GOOD.replace("b = fixed:2", "b = free").replace("nabla = v^2", "nabla = v^2 + y^2")
+    DIRECT = GOOD.replace("nabla = v^2", "nabla = v^2 + y^2")
+    ISO_FREE = GOOD_FULL.replace("b = fixed:3", "b = free")
+
+    @pytest.mark.parametrize("name, text, method, tail", [
+        ("direct", DIRECT, "direct", ["extension"]),
+        ("direct_free", FREE_B, "direct", ["bc_residual_b", "extension"]),
+        ("iso", GOOD_FULL, "isoperimetric", ["lambda0", "lambda", "constraint_error", "extension"]),
+        ("iso_free", ISO_FREE, "isoperimetric",
+         ["lambda0", "lambda", "constraint_error", "bc_residual_b", "extension"]),
+        ("consistency", GOOD, "consistency", ["extension"]),
+    ])
+    def test_keys_in_order(self, tmp_path, capsys, name, text, method, tail):
+        prob = write(tmp_path, "p.problem", text)
+        assert main(["solve", "--problem", prob, "--out", str(tmp_path / "out")]) == 0
+        assert f"({method})" in capsys.readouterr().out
+        lines = (tmp_path / "out" / "report.txt").read_text().splitlines()
+        fields = dict(line.split("=", 1) for line in lines)
+        assert [line.split("=", 1)[0] for line in lines] == _REPORT_HEAD + tail
+        assert fields["el_defect_1"] == fields["el_defect_2"]
+        assert fields["extension"] == ("true" if name == "iso_free" else "false")
+        if method == "consistency":
+            assert (fields["iterations"], fields["multistart_index"]) == ("0", "0")
+            assert fields["message"].startswith("self-consistent extremal (A=")
+
+
 class TestVerifyCommand:
     def test_full_suite_passes(self, capsys):
         assert main(["verify"]) == 0

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from helpers import random_gridfn, random_quadratic_problem
+from tsvar import expr as ex
 from tsvar import solver as so
+from tsvar import variational as va
 from tsvar.calculus import GridFunction, from_callable
 from tsvar.expr import parse
 from tsvar.solver import (
@@ -13,6 +15,7 @@ from tsvar.solver import (
     is_affine_class,
     probe_extremal_type,
     solve,
+    solve_auto,
     solve_isoperimetric,
 )
 from tsvar.timescale import from_points, q_scale, uniform
@@ -339,6 +342,24 @@ class TestIsoperimetricSolve:
         with pytest.raises(ValueError):
             solve_isoperimetric(quad_double(ts, 0.0, 2.0), CFG)
 
+    def test_unbounded_along_constraint_ends_quickly(self, monkeypatch):
+        # J is unbounded below along K = k.  As |y| grows, K can no longer be
+        # resolved to 1e-10 (its telescoping sums of v cancel), so a fixed
+        # projection target rejected trial points at random and every start
+        # crawled for hundreds of steps (over 100,000 evaluations in all).
+        ts = uniform(0, 1, 8)
+        c = IsoperimetricConstraint(parse("sin(y) + 0.564*v"), parse("1 + 0.357*v^2"),
+                                    1.0750533211782773)
+        p = VariationalProblem(ts, parse("sqrt(1+v^2) + 0.825*y^2*v^2"),
+                               parse("cos(y - t*v) + 0.827*v^3"), 0.0, -0.1830535891600027, c)
+        calls = []
+        real = va.functional_gradient
+        monkeypatch.setattr(va, "functional_gradient",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        rep = solve_isoperimetric(p, SolverConfig())
+        assert len(calls) <= 10000 and rep.iterations <= 20
+        assert not rep.converged and rep.J < -1e100
+
 
 class TestStarts:
     @pytest.mark.parametrize("bc_a, bc_b", [(0.0, 1.0), (2.0, None), (None, -3.0), (None, None)])
@@ -401,3 +422,78 @@ class TestStationarityInvariant:
             bound = 10 * CFG.grad_tol * (1.0 + abs(rep.J))
             assert rep.el_defect_1 <= bound and rep.el_defect_2 <= bound
             checked += 1
+
+
+class TestReport:
+    """The report builder samples each integrand pair once."""
+
+    FIELDS = dict(converged=True, iterations=0, multistart_index=0)
+
+    @staticmethod
+    def count_evaluations(monkeypatch, fn):
+        """fn() and its number of outermost ``ex.eval_arrays`` calls (the
+        evaluator recurses through the module attribute)."""
+        calls, depth = [], [0]
+        real = ex.eval_arrays
+
+        def counted(e, t, y, v):
+            if not depth[0]:
+                calls.append(e)
+            depth[0] += 1
+            try:
+                return real(e, t, y, v)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(ex, "eval_arrays", counted)
+        out = fn()
+        monkeypatch.setattr(ex, "eval_arrays", real)
+        return out, len(calls)
+
+    @pytest.mark.parametrize("bc_a, bc_b", [(0.0, 1.0), (None, 1.0), (0.0, None), (None, None)])
+    def test_direct_report_samples_once(self, monkeypatch, bc_a, bc_b):
+        ts = uniform(0, 1, 6)
+        p = VariationalProblem(ts, parse("v^2 + sin(y)^2"), parse("exp(0.5*v) + y^2"), bc_a, bc_b)
+        y = GridFunction(ts, np.linspace(0.1, 0.9, 6))
+        rep, n = self.count_evaluations(monkeypatch, lambda: so._report(p, y, 1.0, **self.FIELDS))
+        assert n == 6  # L, d2 L and d3 L of each integrand
+        assert rep.el_defect_1 == rep.el_defect_2 == va.el_residual_2(p, y).defect
+        assert rep.J == va.eval_J(p, y)
+        assert rep.bc_residual_a == (None if bc_a is not None else va.natural_bc_residual_a(p, y))
+        assert rep.bc_residual_b == (None if bc_b is not None else va.natural_bc_residual_b(p, y))
+        assert not rep.extension
+
+    def test_consistency_report_samples_once(self, monkeypatch):
+        p = quad_double(uniform(0, 1, 6), 0.0, 1.0)
+        y = GridFunction(p.scale, np.array([0.0, 0.3, 0.35, 0.6, 0.8, 1.0]))
+        rep, n = self.count_evaluations(monkeypatch, lambda: so._report(p, y, **self.FIELDS))
+        assert n == 6
+        grad = functional_gradient(p.scale, p.L_delta, p.L_nabla, y.values)[1]
+        assert rep.grad_norm == float(np.max(np.abs(grad[1:-1])))
+
+    @pytest.mark.parametrize("bc_b", [1.0, None])
+    def test_constrained_report_samples_each_pair_once(self, monkeypatch, bc_b):
+        ts = uniform(0, 1, 6)
+        c = IsoperimetricConstraint(parse("t*v + y^2"), parse("1 + v^2"), 1.0)
+        p = VariationalProblem(ts, parse("v^2 + sin(y)^2"), parse("exp(0.5*v) + y^2"), 0.0, bc_b, c)
+        y = GridFunction(ts, np.linspace(0.0, 1.0, 6) ** 2)
+        rep, n = self.count_evaluations(
+            monkeypatch, lambda: so._report(p, y, 1.0, 1.0, -0.7, **self.FIELDS)
+        )
+        assert n == 12
+        assert rep.el_defect_1 == rep.el_defect_2 == va.iso_residual(p, y, 1.0, -0.7, "el1").defect
+        assert rep.extension == (bc_b is None)
+
+    def test_solve_auto_selects_the_method(self):
+        ts = uniform(0, 2, 3)
+        rep, method, near = solve_auto(quad_double(ts, 0.0, 2.0), CFG)
+        assert method == "consistency" and near is not None
+        assert (rep.iterations, rep.multistart_index) == (0, 0)
+        np.testing.assert_allclose(rep.trajectory.values, [0.0, 1.0, 2.0], atol=1e-12)
+        for bc_a, bc_b in ((0.0, None), (None, 2.0)):
+            assert solve_auto(quad_double(ts, bc_a, bc_b), CFG)[1:] == ("direct", None)
+        c = IsoperimetricConstraint(parse("v"), parse("0.5"), 2.0)
+        p = VariationalProblem(ts, parse("v^2"), parse("v^2"), 0.0, 2.0, c)
+        assert solve_auto(p, CFG)[1:] == ("isoperimetric", None)
+        rep, method, near = solve_auto(product_problem(from_points([0, 0.5, 1])), CFG)
+        assert (rep, method) == (None, "consistency") and near.gap > 0

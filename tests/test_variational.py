@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -174,9 +176,12 @@ class TestEulerLagrangeResiduals:
         for _ in range(20):
             p = random_quadratic_problem(rng)
             y = random_gridfn(rng, p.scale)
-            r1 = el_residual_1(p, y).residual.values
-            r2 = el_residual_2(p, y).residual.values
-            np.testing.assert_array_equal(r1, r2)
+            rep1, rep2 = el_residual_1(p, y), el_residual_2(p, y)
+            np.testing.assert_array_equal(rep1.residual.values, rep2.residual.values)
+            assert rep1.defect == rep2.defect
+            # the natural boundary residual at a is the array's first entry
+            pa = replace(p, bc_a=None)
+            assert natural_bc_residual_a(pa, y) == el_residual_1(pa, y).residual.values[0]
 
     def test_defects_agree_between_forms(self):
         rng = np.random.default_rng(4)
