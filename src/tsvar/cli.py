@@ -94,13 +94,7 @@ _SECTION_KEYS = {
     "lagrangian": {"delta", "nabla"},
     "boundary": {"a", "b"},
     "constraint": {"delta", "nabla", "k"},
-    "solver": {
-        "grad_tol",
-        "constraint_tol",
-        "max_iter",
-        "multistarts",
-        "seed",
-    },
+    "solver": {"grad_tol", "multistarts", "seed"},
 }
 _REQUIRED_SECTIONS = ("timescale", "lagrangian", "boundary")
 
@@ -195,7 +189,7 @@ def parse_problem_text(text: str) -> tuple[va.VariationalProblem, dict]:
 
     overrides: dict = {}
     if "solver" in cp:
-        ints = {"max_iter", "multistarts", "seed"}
+        ints = {"multistarts", "seed"}
         for key, raw in cp["solver"].items():
             try:
                 overrides[key] = int(raw) if key in ints else float(raw)

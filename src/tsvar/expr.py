@@ -58,13 +58,18 @@ class ExprSyntaxError(ValueError):
 
 
 class DomainViolation(ArithmeticError):
-    """Raised when evaluation hits a point outside an operation's domain."""
+    """Raised when evaluation hits a point outside an operation's domain.
 
-    def __init__(self, message: str, offset: int | None = None):
+    ``offset`` is the source offset of the failing node and ``index`` the
+    flat index of the first non-finite element of that node's value, or
+    None when the value is a scalar."""
+
+    def __init__(self, message: str, offset: int | None = None, index: int | None = None):
         where = "" if offset is None else f" (node at offset {offset})"
         super().__init__(message + where)
         self.reason = message
         self.offset = offset
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -255,7 +260,8 @@ def eval_arrays(e: Expression, t, y, v):
 
     Raises DomainViolation if any element hits a domain fault (division by
     zero, log of a non-positive number, square root of a negative number,
-    fractional power of a negative base, overflow).
+    fractional power of a negative base, overflow), naming the first node,
+    in evaluation order, with a non-finite element and that element's index.
     """
     if isinstance(e, Const):
         return e.value
@@ -299,8 +305,10 @@ def eval_arrays(e: Expression, t, y, v):
 
 
 def _check_finite(out, node, opname):
-    if not np.isfinite(out).all():
-        raise DomainViolation(f"domain violation in {opname!r}", node.span)
+    finite = np.isfinite(out)
+    if not finite.all():
+        index = None if finite.ndim == 0 else int(np.argmin(finite.ravel()))
+        raise DomainViolation(f"domain violation in {opname!r}", node.span, index)
 
 
 def evaluate(e: Expression, b: Binding) -> float:

@@ -89,18 +89,11 @@ class InfeasibleConstraintError(RuntimeError):
 @dataclass(frozen=True)
 class SolverConfig:
     grad_tol: float = 1e-9
-    constraint_tol: float = 1e-8
-    max_iter: int = 10000
     multistarts: int = 8
     seed: int = 0
 
     def __post_init__(self):
-        for name in (
-            "grad_tol",
-            "constraint_tol",
-            "max_iter",
-            "multistarts",
-        ):
+        for name in ("grad_tol", "multistarts"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"solver config field {name} must be positive")
 
@@ -239,7 +232,11 @@ def _model(terms, rank_one=()):
 
 _SHIFT_TRIES = 16
 _MAX_EXPANSION = 2.0**50
+_MAX_STEPS = 10000  # Newton steps per run of the core
+_UNBOUNDED = -1e100  # a merit below this is unbounded below along the start
 _PROJECTION_STEPS = 8
+_FEAS_TOL = 1e-10  # projection target |K - k|, unless K rounds coarser
+_ABNORMAL_TOL = 1e-8  # |K - k| accepted at an extremal of K
 _EPS = float(np.finfo(float).eps)
 
 
@@ -298,16 +295,16 @@ class _At(NamedTuple):
 _UNDEFINED = _At(np.inf, np.inf, None, None, ())
 
 
-def _newton(fun, model, w0, max_iter):
+def _newton(fun, model, w0):
     """Minimize a merit from w0 by structured Newton steps.
 
     ``fun(w)`` returns the ``_At`` of w, or ``_UNDEFINED`` where the merit is
     undefined or not finite, and ``model(at)`` the ``_model`` form of its
     Hessian there, for ``_direction``.  Steps are globalised by Armijo
     backtracking from alpha = 1, and a full step that may be too short is
-    expanded.  Iterates until err <= 1e-3
-    when possible, so the error ends well inside the tolerance; returns
-    (w, at, iterations).
+    expanded.  Iterates until err <= 1e-3 when possible, so the error ends
+    well inside the tolerance, for at most _MAX_STEPS steps, and stops once
+    the value falls below _UNBOUNDED; returns (w, at, iterations).
     """
     w = np.asarray(w0, dtype=float)
     with np.errstate(all="ignore"):
@@ -317,8 +314,8 @@ def _newton(fun, model, w0, max_iter):
             return w, at, it
         w = at.w
         shift = 0.0
-        while it < max_iter and at.err > 1e-3:
-            if at.f < -1e100:  # objective unbounded below along this start
+        while it < _MAX_STEPS and at.err > 1e-3:
+            if at.f < _UNBOUNDED:
                 break
             f = at.f
             d, gd, shift = _direction(model(at), at.g, shift, at.border, f)
@@ -343,7 +340,7 @@ def _newton(fun, model, w0, max_iter):
             # predicts (as in the exp(c*v) regime, where it moves v by 1/c),
             # keep doubling it while the value keeps falling.
             if alpha == 1.0 and (shift > 0.0 or f - an.f > -0.6 * gd):
-                while an.f >= -1e100 and alpha < _MAX_EXPANSION:
+                while an.f >= _UNBOUNDED and alpha < _MAX_EXPANSION:
                     wt = w + 2.0 * alpha * d
                     at_t = fun(wt)
                     if not at_t.f < an.f:
@@ -458,7 +455,7 @@ def _rounding(first: va.ProductGradient, y: np.ndarray) -> float:
     return 16.0 * _EPS * float(np.abs(first.gradient) @ np.abs(y))
 
 
-def _kkt(cp: _Compiled, p: va.VariationalProblem, cfg: SolverConfig):
+def _kkt(cp: _Compiled, p: va.VariationalProblem, grad_tol: float):
     """(fun, model) for ``_newton`` on the KKT system gradJ - lam*gradK = 0,
     r = K - k = 0, along the constraint.
 
@@ -466,16 +463,15 @@ def _kkt(cp: _Compiled, p: va.VariationalProblem, cfg: SolverConfig):
     z <- z - r*gradK/|gradK|^2 (rejecting z where they fail) and takes the
     least-squares multiplier lam = gradJ.gradK/|gradK|^2 there.  The merit is
     the Lagrangian J - lam*r: J on the constraint, and not lowered by the
-    residual the projection leaves, |r| <= min(constraint_tol, 1e-10) or,
-    where K is coarser than that, its rounding size at z (``_rounding``).
-    err scales max|gradJ - lam*gradK| by grad_tol and |r| by that bound.  The
+    residual the projection leaves, its target |r| <= 1e-10 (_FEAS_TOL) or,
+    where K is coarser than that, the rounding size of K at z (``_rounding``).
+    err scales max|gradJ - lam*gradK| by grad_tol and |r| by that target.  The
     model is the Hessian of the Lagrangian, HJ - lam*HK, bordered by gradK
     in ``_direction``.  Where gradK vanishes, z is an extremal of K, lam = 0
     and the border is dropped.
     """
     c = p.constraint
     Ld, Ln, Kd, Kn = p.L_delta, p.L_nabla, c.K_delta, c.K_nabla
-    feas_tol = min(cfg.constraint_tol, 1e-10)
 
     def fun(z):
         for i in range(_PROJECTION_STEPS + 1):
@@ -483,7 +479,7 @@ def _kkt(cp: _Compiled, p: va.VariationalProblem, cfg: SolverConfig):
             if kgrad is None:
                 return _UNDEFINED
             r = kval - c.k
-            feas_target = max(feas_tol, _rounding(kfirst, cp.y))
+            feas_target = max(_FEAS_TOL, _rounding(kfirst, cp.y))
             # gradK negligible on the free block against all nodes: an
             # extremal of K, which no projection can move off
             vanished = np.max(np.abs(kgrad)) <= 1e-6 * (1.0 + np.max(np.abs(kfirst.gradient)))
@@ -497,7 +493,7 @@ def _kkt(cp: _Compiled, p: va.VariationalProblem, cfg: SolverConfig):
             return _UNDEFINED
         lam = 0.0 if vanished else float(jgrad @ kgrad) / float(kgrad @ kgrad)
         gl = jgrad - lam * kgrad
-        err = max(float(np.max(np.abs(gl))) / cfg.grad_tol, abs(r) / feas_target)
+        err = max(float(np.max(np.abs(gl))) / grad_tol, abs(r) / feas_target)
         return _At(jval - lam * r, err, z, gl, (lam, r, feas_target, jfirst, kfirst),
                    None if vanished else (kgrad, r))
 
@@ -581,11 +577,18 @@ def _report(p: va.VariationalProblem, y: GridFunction, grad_norm: float | None =
     )
 
 
+def _stopped(f: float, along: str = "") -> str:
+    """Message of a start that did not converge and whose merit ended at f."""
+    outcome = f"objective unbounded below{along}" if f < _UNBOUNDED else "did not converge"
+    return outcome + "; best iterate"
+
+
 def solve(p: va.VariationalProblem, cfg: SolverConfig = SolverConfig()) -> SolveReport:
     """Find a stationary point of the unconstrained discretized functional.
 
     Returns the converged multistart with the smallest objective value; when
-    no start converges, the best iterate is reported with converged=False.
+    no start converges, the start with the smallest gradient is reported with
+    converged=False, as unbounded below if it ended below -1e100.
     """
     if p.constraint is not None:
         raise ValueError("problem is constrained; use solve_isoperimetric")
@@ -593,7 +596,7 @@ def solve(p: va.VariationalProblem, cfg: SolverConfig = SolverConfig()) -> Solve
     fun, model = _merit(cp, p, cfg.grad_tol)
     candidates = []
     for s, z0 in enumerate(starts):
-        z, at, it = _newton(fun, model, z0, cfg.max_iter)
+        z, at, it = _newton(fun, model, z0)
         if np.isfinite(at.f):
             gn = float(np.max(np.abs(at.g), initial=0.0))
             candidates.append((s, z, at.f, gn, it, at.err <= 1.0))
@@ -607,7 +610,7 @@ def solve(p: va.VariationalProblem, cfg: SolverConfig = SolverConfig()) -> Solve
     else:
         s, z, f, gn, it, ok = min(candidates, key=lambda c: (c[3], c[0]))
     traj = cp.trajectory(z)
-    message = "stationary point found" if ok else "did not converge; best iterate"
+    message = "stationary point found" if ok else _stopped(f)
     if len(converged) > 1:
         # multimodality diagnostic: how far apart the converged starts landed
         spread = max(
@@ -631,32 +634,29 @@ def solve_isoperimetric(
     cannot be moved onto K = k directly first minimizes (K - k)^2/2 with the
     same Newton core.
 
-    A start converges when max|gradJ - lambda*gradK| <= grad_tol and
-    |K - k| <= min(constraint_tol, 1e-10), or the rounding size of K there
-    if larger.  The converged start with the lowest J is reported; when none
-    converges, the start with the best feasibility is, and
-    InfeasibleConstraintError is raised if its |K - k| exceeds
-    max(1e-3*(1 + |k|), 10*constraint_tol) and that rounding size.  So where
-    J is unbounded below along K = k, the projection keeps up as |y| grows,
-    and a start ends, not converged, once J falls below -1e100.  Where the
-    border gradK vanishes on the free block at the reported point (max|gradK|
-    there at most 1e-6*(1 + max|gradK| over all nodes)), the point is an
-    extremal of K and admits only the abnormal pair (lambda0, lambda) =
-    (0, 1); InfeasibleConstraintError is raised if |K - k| exceeds
-    constraint_tol there.  For constrained reports
-    el_defect_1/2 hold the defects of the multiplier residual at the
-    reported (lambda0, lambda).
+    A start converges when max|gradJ - lambda*gradK| <= grad_tol and |K - k|
+    is within its projection target (``_kkt``), and the converged start with
+    the lowest J is reported.  Otherwise a start within its target is on the
+    constraint, and the one with the smallest Lagrangian gradient is
+    reported, as unbounded below if it ended below -1e100; with none on it,
+    the start nearest to K = k is, and InfeasibleConstraintError is raised if
+    its |K - k| exceeds max(1e-3*(1 + |k|), its target).  Where gradK
+    vanishes on the free block at the reported point, it is an extremal of K
+    and admits only the abnormal pair (lambda0, lambda) = (0, 1), and
+    InfeasibleConstraintError is raised if |K - k| exceeds 1e-8 there.
+    Constrained reports hold the defects of the multiplier residual at the
+    reported (lambda0, lambda) in el_defect_1/2.
     """
     c = va._require_constraint(p)
     cp, starts = _starts(p, cfg)
-    fun, model = _kkt(cp, p, cfg)
+    fun, model = _kkt(cp, p, cfg.grad_tol)
     feas_fun, feas_model = _merit(cp, p, cfg.grad_tol, feasibility=True)
     results = []
     for s, z0 in enumerate(starts):
-        z, at, it = _newton(fun, model, z0, cfg.max_iter)
+        z, at, it = _newton(fun, model, z0)
         if not np.isfinite(at.f):
-            z, feas_at, it = _newton(feas_fun, feas_model, z0, cfg.max_iter)
-            z, at, kkt_it = _newton(fun, model, z, cfg.max_iter)
+            z, feas_at, it = _newton(feas_fun, feas_model, z0)
+            z, at, kkt_it = _newton(fun, model, z)
             it += kkt_it
             if not np.isfinite(at.f) and np.isfinite(feas_at.f):
                 # the constraint is out of reach from this start
@@ -664,18 +664,20 @@ def solve_isoperimetric(
                                     lag_gn=np.inf, converged=False, unmet=True))
         if np.isfinite(at.f):
             lam, r, target, jfirst, _ = at.data
-            results.append(dict(index=s, z=z, lam=lam, J=jfirst.value, feas=abs(r), target=target,
-                                lag_gn=float(np.max(np.abs(at.g))), it=it,
+            results.append(dict(index=s, z=z, lam=lam, J=jfirst.value, f=at.f, feas=abs(r),
+                                target=target, lag_gn=float(np.max(np.abs(at.g))), it=it,
                                 converged=at.err <= 1.0, unmet=False, abnormal=at.border is None))
     if not results:
         raise ex.DomainViolation("objective undefined at every multistart")
     converged = [r for r in results if r["converged"]]
+    on = [r for r in results if not r["unmet"] and r["feas"] <= r["target"]]
     if converged:
         best = min(converged, key=lambda r: (r["J"], r["index"]))
+    elif on:
+        best = min(on, key=lambda r: (r["lag_gn"], r["index"]))
     else:
         best = min(results, key=lambda r: (r["feas"], r["lag_gn"], r["index"]))
-        bound = max(1e-3 * (1.0 + abs(c.k)), 10 * cfg.constraint_tol, best["target"])
-        if best["unmet"] or best["feas"] > bound:
+        if best["unmet"] or best["feas"] > max(1e-3 * (1.0 + abs(c.k)), best["target"]):
             raise InfeasibleConstraintError(
                 f"constraint K(y) = {c.k!r} unmet across multistarts "
                 f"(best |K - k| = {best['feas']:.3e})"
@@ -683,7 +685,7 @@ def solve_isoperimetric(
 
     feas = best["feas"]
     if best["abnormal"]:
-        if not feas <= cfg.constraint_tol:
+        if not feas <= _ABNORMAL_TOL:
             raise InfeasibleConstraintError(
                 f"constraint K(y) = {c.k!r} unmet at an extremal of K (|K - k| = {feas:.3e})"
             )
@@ -691,7 +693,7 @@ def solve_isoperimetric(
         message = "abnormal extremal (candidate is an extremal of K)"
     else:
         lambda0, lam, conv = 1.0, best["lam"], best["converged"]
-        message = "normal extremal" if conv else "did not converge; best iterate"
+        message = "normal extremal" if conv else _stopped(best["f"], " along K = k")
     return _report(p, cp.trajectory(best["z"]), best["lag_gn"], lambda0, lam, converged=conv,
                    iterations=best["it"], multistart_index=best["index"],
                    constraint_error=feas, message=message)
@@ -727,15 +729,11 @@ def solve_auto(
 def is_affine_class(p: va.VariationalProblem) -> bool:
     """True when both integrands are state-independent with derivative-affine
     slope, so the stationarity equation is linear in the difference quotient."""
-    for L in (p.L_delta, p.L_nabla):
-        if not ex.is_zero(ex.differentiate(L, "y")):
-            return False
-        d3 = ex.differentiate(L, "v")
-        if ex.depends_on(d3, "y"):
-            return False
-        if ex.depends_on(ex.differentiate(d3, "v"), "v"):
-            return False
-    return True
+    return all(
+        ex.is_zero(va._d(L, "y")) and not ex.depends_on(va._d(L, "v"), "y")
+        and not ex.depends_on(va._d(L, "vv"), "v")
+        for L in (p.L_delta, p.L_nabla)
+    )
 
 
 _THETA_POINTS = 512  # nodes of the scan grid over [0, pi]
@@ -746,16 +744,16 @@ _GOLDEN_STEPS = 40  # shrinks a grid cell pair (2*pi/511) below 1e-10
 def _affine_pieces(p: va.VariationalProblem):
     """Coefficients of the stationarity equation on each interval,
     A*(pd + qd*v) + B*(pn + qn*v) = C: the v-partial of L_delta at the left
-    point and of L_nabla at the right point, each affine in the slope v."""
+    point and of L_nabla at the right point, each affine in the slope v.
+    Each integrand is sampled at v = 0 too, so one undefined at a point of
+    the scale raises ``DomainViolation`` there."""
     ts = p.scale
     zeros = np.zeros(len(ts) - 1)
 
     def affine(L, t):
-        d3 = ex.differentiate(L, "v")
-        return tuple(
-            np.broadcast_to(ex.eval_arrays(e, t, zeros, zeros), t.shape).astype(float)
-            for e in (d3, ex.differentiate(d3, "v"))
-        )
+        ev = va._sampler(t, zeros, zeros)
+        ev(L)
+        return ev(va._d(L, "v")), ev(va._d(L, "vv"))
 
     return affine(p.L_delta, ts.points[:-1]) + affine(p.L_nabla, ts.points[1:])
 

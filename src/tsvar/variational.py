@@ -122,26 +122,21 @@ def _on_nabla(ts: TimeScale, yvals: np.ndarray):
 
 
 def _sampler(t, yy, vv):
+    """Evaluator of integrands at the samples (t, yy, vv), three arrays of
+    one shape; a ``DomainViolation`` names the t of the first non-finite
+    element of the failing node (the first sample for a scalar node)."""
+
     def ev(e: ex.Expression) -> np.ndarray:
         try:
             out = ex.eval_arrays(e, t, yy, vv)
         except ex.DomainViolation as err:
-            raise _locate(e, t, yy, vv, err) from None
+            ti = float(np.ravel(t)[err.index or 0])
+            raise ex.DomainViolation(f"{err.reason} at t={ti!r}", err.offset, err.index) from None
         if np.ndim(out) == 0:
             return np.full(t.shape, float(out))
         return np.array(out, dtype=float)
 
     return ev
-
-
-def _locate(e, t, yy, vv, err):
-    # slow path, only on error: find the first node where evaluation fails
-    for ti, yi, vi in zip(np.atleast_1d(t), np.atleast_1d(yy), np.atleast_1d(vv)):
-        try:
-            ex.eval_arrays(e, ti, yi, vi)
-        except ex.DomainViolation:
-            return ex.DomainViolation(f"{err.reason} at t={float(ti)!r}", err.offset)
-    return err
 
 
 def _d(e: ex.Expression, slots: str) -> ex.Expression:

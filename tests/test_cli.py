@@ -243,6 +243,18 @@ class TestDomainViolations:
             err = capsys.readouterr().err
             assert err == "domain violation in 'ln' at t=0.0 (node at offset 0)\n"
 
+    def test_consistency_solve_with_undefined_integrand_exits_with_domain_code(
+        self, tmp_path, capsys
+    ):
+        # both endpoints fixed and state-independent integrands select the
+        # consistency scan, which samples ln(t) at t = 0 like a direct solve
+        text = GOOD.replace("uniform 0 2 3", "uniform 0 1 5").replace(
+            "delta = v^2", "delta = ln(t) + v^2")
+        prob = write(tmp_path, "p.problem", text)
+        rc = main(["solve", "--problem", prob, "--out", str(tmp_path / "o")])
+        assert rc == EXIT_DOMAIN
+        assert capsys.readouterr().err == "domain violation in 'ln' at t=0.0 (node at offset 0)\n"
+
     def test_solve_with_undefined_objective_exits_with_domain_code(self, tmp_path, capsys):
         text = GOOD.replace("delta = v^2", "delta = sqrt(-1 - y^2) + v^2")
         prob = write(tmp_path, "p.problem", text)
@@ -594,6 +606,17 @@ class TestSeedPlumbing:
         prob = write(tmp_path, "p.problem", GOOD + "\n[solver]\npenalty_growth = 10\n")
         assert main(["solve", "--problem", prob, "--out", str(tmp_path / "out")]) == EXIT_PARSE
         assert "unknown key 'penalty_growth' in section [solver]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["max_iter", "constraint_tol"])
+    def test_removed_tolerance_keys_are_unknown(self, tmp_path, capsys, key):
+        # the Newton step cap and the constraint targets are fixed constants
+        prob = write(tmp_path, "p.problem", GOOD_FULL + f"{key} = 10\n")
+        assert main(["solve", "--problem", prob, "--out", str(tmp_path / "out")]) == EXIT_PARSE
+        assert f"unknown key {key!r} in section [solver]" in capsys.readouterr().err
+
+    def test_solver_keys_are_the_config_fields(self):
+        fields = set(SolverConfig.__dataclass_fields__)
+        assert fields == cli._SECTION_KEYS["solver"] == {"grad_tol", "multistarts", "seed"}
 
     def test_invalid_solver_override_is_parse_error(self, tmp_path):
         text = GOOD + "\n[solver]\ngrad_tol = -1\n"

@@ -89,7 +89,7 @@ class TestExactHessian:
             x = rng.standard_normal(z.size)
             merits = [(z, *so._merit(cp, p, cfg.grad_tol)),
                       (z, *so._merit(cp, p, cfg.grad_tol, feasibility=True))]
-            kkt_fun, kkt_model = so._kkt(cp, p, cfg)
+            kkt_fun, kkt_model = so._kkt(cp, p, cfg.grad_tol)
             kkt = kkt_fun(z)
             if np.isfinite(kkt.f):
                 lam = kkt.data[0]

@@ -124,6 +124,7 @@ class TestDirectSolve:
         assert not rep.converged
         # step expansion reaches the -1e100 cut-off in a few steps
         assert rep.J < -1e100 and rep.iterations < 50
+        assert rep.message == "objective unbounded below; best iterate"
 
     def test_constrained_problem_rejected(self):
         with pytest.raises(ValueError):
@@ -359,6 +360,30 @@ class TestIsoperimetricSolve:
         rep = solve_isoperimetric(p, SolverConfig())
         assert len(calls) <= 10000 and rep.iterations <= 20
         assert not rep.converged and rep.J < -1e100
+        assert rep.message == "objective unbounded below along K = k; best iterate"
+
+    def test_unconverged_starts_on_the_constraint_rank_by_gradient(self, monkeypatch):
+        # two starts that end unconverged, each within its own projection
+        # target: |K - k| below it is rounding noise, so the smaller
+        # Lagrangian gradient decides, not the smaller |K - k|
+        p = iso_problem(3)
+        ends = [(1e-11, 1e-3), (5e-11, 1e-6)]  # (|K - k|, max|gradJ - lam*gradK|)
+
+        def newton(fun, model, z0, *_):
+            s = len(seen)
+            seen.append(s)
+            r, gn = ends[s]
+            first = so._Compiled(p, so._base_trajectory(p)).value_grad(z0, p.L_delta, p.L_nabla)[2]
+            g = np.full(z0.size, gn)
+            at = so._At(first.value, 1e3, z0, g, (-26.0, r, 1e-10, first, None), (g, r))
+            return z0, at, 7
+
+        seen = []
+        monkeypatch.setattr(so, "_newton", newton)
+        rep = solve_isoperimetric(p, SolverConfig(multistarts=2))
+        assert not rep.converged and rep.multistart_index == 1
+        assert rep.constraint_error == 5e-11 and rep.grad_norm == 1e-6
+        assert rep.message == "did not converge; best iterate"
 
 
 class TestStarts:

@@ -92,6 +92,32 @@ class TestFunctionalValues:
             eval_J_delta(p, y)
         assert str(err.value) == "domain violation in '/' at t=-1.0 (node at offset 15)"
 
+    def test_domain_violation_is_located_without_evaluating_again(self, monkeypatch):
+        # the failing node names its first non-finite element, so the whole
+        # trajectory is evaluated once, not once more per sample
+        ts = uniform(0, 1, 1001)
+        p = VariationalProblem(ts, parse("ln(y) + v^2"), V2, 0.0, 0.0)
+        y = GridFunction(ts, np.r_[np.ones(1000), -1.0])
+        calls, depth = [], [0]
+        real = ex.eval_arrays
+
+        def counted(e, t, yy, vv):
+            if not depth[0]:
+                calls.append(e)
+            depth[0] += 1
+            try:
+                return real(e, t, yy, vv)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(ex, "eval_arrays", counted)
+        with pytest.raises(DomainViolation) as err:
+            eval_J_delta(p, y)
+        assert len(calls) == 1
+        # the last forward sample holds y(sigma(t)) = -1 at t = 0.999
+        assert str(err.value) == f"domain violation in 'ln' at t={float(ts.points[-2])!r} (node at offset 0)"
+        assert err.value.index == 999
+
     def test_trajectory_scale_must_match(self):
         p = quad_problem(from_points([0, 1, 2]), 0.0, 2.0)
         other = identity_on(from_points([0, 1, 3]))
