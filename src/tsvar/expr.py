@@ -7,14 +7,15 @@ derivatives with respect to any of the three variables are exact:
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
-    factor := base ('^' number)?
+    factor := base ('^' '-'? number)?
     base   := number | 't' | 'y' | 'v' | func '(' expr ')' | '(' expr ')' | '-' base
     func   := sin | cos | exp | ln | sqrt
 
 Whitespace is insignificant; numbers are plain decimal literals; exponents
-must be numeric constants.  Precedence is the usual one (pow binds tighter
-than unary minus, which binds tighter than '*'/'/', which bind tighter than
-'+'/'-'); binary operators associate to the left.
+must be numeric constants and may be negative (``y^-0.5``, which ``to_text``
+writes for the derivative of ``y^0.5``).  Precedence is the usual one (pow
+binds tighter than unary minus, which binds tighter than '*'/'/', which bind
+tighter than '+'/'-'); binary operators associate to the left.
 """
 
 from __future__ import annotations
@@ -217,11 +218,15 @@ class _Parser:
         kind, value, offset = self.peek()
         if kind == "op" and value == "^":
             self.advance()
+            sign = 1.0
+            if self.peek()[:2] == ("op", "-"):
+                self.advance()
+                sign = -1.0
             kind, value, num_offset = self.peek()
             if kind != "number":
                 raise ExprSyntaxError("exponent must be a numeric constant", num_offset)
             self.advance()
-            node = Pow(node, float(value), span=offset)
+            node = Pow(node, sign * float(value), span=offset)
         return node
 
     def base(self) -> Expression:

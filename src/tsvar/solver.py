@@ -632,7 +632,8 @@ def solve_isoperimetric(
     """Extremize J subject to K(y) = k by Newton's method on the KKT system
     along the constraint (see ``_kkt``), from every multistart.  A start that
     cannot be moved onto K = k directly first minimizes (K - k)^2/2 with the
-    same Newton core.
+    same Newton core, and counts as unmet if that ends with |K - k| above
+    1e-3*(1 + |k|).
 
     A start converges when max|gradJ - lambda*gradK| <= grad_tol and |K - k|
     is within its projection target (``_kkt``), and the converged start with
@@ -648,6 +649,7 @@ def solve_isoperimetric(
     reported (lambda0, lambda) in el_defect_1/2.
     """
     c = va._require_constraint(p)
+    reach = 1e-3 * (1.0 + abs(c.k))  # |K - k| beyond which no start meets K = k
     cp, starts = _starts(p, cfg)
     fun, model = _kkt(cp, p, cfg.grad_tol)
     feas_fun, feas_model = _merit(cp, p, cfg.grad_tol, feasibility=True)
@@ -656,11 +658,15 @@ def solve_isoperimetric(
         z, at, it = _newton(fun, model, z0)
         if not np.isfinite(at.f):
             z, feas_at, it = _newton(feas_fun, feas_model, z0)
-            z, at, kkt_it = _newton(fun, model, z)
-            it += kkt_it
-            if not np.isfinite(at.f) and np.isfinite(feas_at.f):
-                # the constraint is out of reach from this start
-                results.append(dict(index=s, feas=np.sqrt(2.0 * feas_at.f), target=0.0,
+            feas = np.sqrt(2.0 * feas_at.f)
+            # A feasibility phase that ends beyond reach stopped at, or near, a
+            # nonzero minimum of (K - k)^2/2, where gradK vanishes: KKT Newton
+            # from there can only crawl, so the start is recorded as unmet.
+            if feas <= reach:
+                z, at, kkt_it = _newton(fun, model, z)
+                it += kkt_it
+            if not np.isfinite(at.f) and np.isfinite(feas):
+                results.append(dict(index=s, feas=feas, target=0.0,
                                     lag_gn=np.inf, converged=False, unmet=True))
         if np.isfinite(at.f):
             lam, r, target, jfirst, _ = at.data
@@ -677,7 +683,7 @@ def solve_isoperimetric(
         best = min(on, key=lambda r: (r["lag_gn"], r["index"]))
     else:
         best = min(results, key=lambda r: (r["feas"], r["lag_gn"], r["index"]))
-        if best["unmet"] or best["feas"] > max(1e-3 * (1.0 + abs(c.k)), best["target"]):
+        if best["unmet"] or best["feas"] > max(reach, best["target"]):
             raise InfeasibleConstraintError(
                 f"constraint K(y) = {c.k!r} unmet across multistarts "
                 f"(best |K - k| = {best['feas']:.3e})"

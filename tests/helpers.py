@@ -56,3 +56,19 @@ def random_quadratic_problem(rng, coercive=False, nmax=12) -> VariationalProblem
         float(rng.uniform(-1, 1)),
         float(rng.uniform(-1, 1)),
     )
+
+
+# smooth integrands defined for every real (t, y, v); {} takes a coefficient
+SMOOTH_TEMPLATES = (
+    "{}*v^2 + y^2 + t*v*y",
+    "exp({}*v) + sin(y)*v",
+    "sqrt(1 + v^2) + {}*y^2*v^2",
+    "cos(y - t*v) + {}*v^3",
+    "ln(2 + y^2) * v^2 + {}*y",
+    "y*v / (1 + v^2) + {}*t",
+)
+
+
+def random_integrand(rng) -> ex.Expression:
+    template = SMOOTH_TEMPLATES[int(rng.integers(len(SMOOTH_TEMPLATES)))]
+    return ex.parse(template.format(f"{rng.uniform(0.2, 0.9):.4f}"))

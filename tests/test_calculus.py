@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import random_gridfn, random_scale
+from tsvar import calculus as ca
 from tsvar.calculus import (
     DomainMismatchError,
     GridFunction,
@@ -474,3 +475,86 @@ class TestCsv:
         buf = io.StringIO()
         write_csv(f, buf)
         assert buf.getvalue() == want
+
+
+def _reference_rows(t, v):
+    return "".join("%.17g,%.17g\n" % (a, b) for a, b in zip(t.tolist(), v.tolist()))
+
+
+def _written_rows(t, v):
+    buf = io.StringIO()
+    ca._write_rows(buf, "t,value", t, v)
+    head, _, body = buf.getvalue().partition("\n")
+    assert head == "t,value"
+    return body
+
+
+def _ulp_neighbours(x):
+    x = np.asarray(x, dtype=float)
+    return np.concatenate([np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)])
+
+
+class TestCsvWriterOracle:
+    """The block writer against one ``%.17g`` per number, byte for byte."""
+
+    def assert_matches(self, values, rng):
+        values = np.asarray(values, dtype=float)
+        values = np.concatenate([values, -values])
+        values = values[rng.permutation(values.size)]
+        n = max(values.size // 2, ca._MIN_VECTOR_ROWS)
+        values = np.resize(values, 2 * n)  # enough rows for the vectorised path
+        t, v = values[:n], values[n:]
+        assert _written_rows(t, v) == _reference_rows(t, v)
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(31)
+        bits = rng.integers(0, 2**64, size=60_000, dtype=np.uint64)
+        self.assert_matches(bits.view(np.float64), rng)  # NaNs and infinities among them
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        rng = np.random.default_rng(32)
+        powers = [float(f"1e{k}") for k in range(-323, 309)]
+        # and the largest 17-digit values below each decade, which round up
+        nines = [float(f"9.9999999999999999e{k}") for k in range(-300, 300)]
+        self.assert_matches(_ulp_neighbours(powers + nines), rng)
+
+    def test_integers_at_and_beyond_2_to_the_53(self):
+        rng = np.random.default_rng(33)
+        ints = [2.0**e + d for e in range(53, 70) for d in (-2, -1, 0, 1, 2)]
+        ints += (rng.integers(2**53, 2**63, 2000).astype(float)).tolist()
+        ints += [float(10**k + m) for k in range(16, 19) for m in (-5, -1, 0, 1, 5, 10)]
+        self.assert_matches(_ulp_neighbours(ints), rng)
+
+    def test_zeros_subnormals_and_fast_path_edges(self):
+        rng = np.random.default_rng(34)
+        edges = _ulp_neighbours([1e-250, 1e250, 2.2250738585072014e-308, 1e-4, 1e17])
+        subnormals = rng.integers(1, 2**52, 500, dtype=np.uint64).view(np.float64)
+        special = [0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan, 1.7976931348623157e308]
+        self.assert_matches(np.concatenate([edges, subnormals, special]), rng)
+
+    def test_decimal_ties_and_near_ties(self):
+        # m / 2^18 for odd m has 18 significant digits ending in 5 in [0.1, 1):
+        # an exact tie at 17 digits, which rounds half to even
+        rng = np.random.default_rng(35)
+        ties = (2 * rng.integers(13_107, 131_072, 3000) + 1) / 2.0**18
+        scaled = ties * 2.0 ** rng.integers(-30, 31, ties.size)
+        self.assert_matches(_ulp_neighbours(np.concatenate([ties, scaled])), rng)
+
+    def test_every_decade_and_mantissa(self):
+        rng = np.random.default_rng(36)
+        vals = rng.uniform(1.0, 10.0, 40_000) * 10.0 ** rng.integers(-260, 260, 40_000)
+        self.assert_matches(vals, rng)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    @pytest.mark.parametrize("base", ["crossover", "block"])
+    def test_block_edges(self, monkeypatch, base, extra):
+        n = (ca._MIN_VECTOR_ROWS if base == "crossover" else ca._BLOCK_ROWS) + extra
+        rng = np.random.default_rng(37 + n)
+        t = np.cumsum(rng.uniform(0.5, 1.5, n)) * 1e-3
+        v = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 6, n)
+        calls = []
+        real = ca._format_numbers
+        monkeypatch.setattr(ca, "_format_numbers", lambda x: calls.append(x.size) or real(x))
+        assert _written_rows(t, v) == _reference_rows(t, v)
+        blocks = [min(ca._BLOCK_ROWS, n - lo) for lo in range(0, n, ca._BLOCK_ROWS)]
+        assert calls == [2 * b for b in blocks if b >= ca._MIN_VECTOR_ROWS]

@@ -62,8 +62,20 @@ class TestParse:
             parse("v 2")
 
     def test_exponent_must_be_number(self):
-        with pytest.raises(ExprSyntaxError):
-            parse("v^t")
+        for text in ("v^t", "v^-t", "v^--2", "v^-"):
+            with pytest.raises(ExprSyntaxError):
+                parse(text)
+
+    def test_negative_exponent(self):
+        assert parse("y^-0.5") == Pow(Var("y"), -0.5)
+        assert parse("-y^-2") == Neg(Pow(Var("y"), -2.0))
+
+    def test_printed_derivative_of_a_fractional_power_parses(self):
+        d = differentiate(parse("y^0.5"), "y")
+        back = parse(to_text(d))
+        for y in (0.25, 1.0, 7.5):
+            b = Binding(t=0.0, y=y, v=0.0)
+            assert evaluate(back, b) == evaluate(d, b) == pytest.approx(0.5 * y**-0.5)
 
     def test_unbalanced_parens(self):
         with pytest.raises(ExprSyntaxError):

@@ -16,7 +16,7 @@ st = hypothesis.strategies
 SETTINGS = hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=75)
 
 CONSTANTS = [0.5, 1.0, 1.5, 2.0, 3.0]
-EXPONENTS = [2.0, 3.0, 0.5, 1.5]  # the grammar has unsigned exponents only
+EXPONENTS = [2.0, 3.0, 0.5, 1.5, -0.5, -1.0, -2.0]
 
 
 LEAVES = st.one_of(st.sampled_from([ex.Var(n) for n in ex.VARIABLES]),

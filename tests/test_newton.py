@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import random_integrand
 from tsvar import expr as ex
 from tsvar import solver as so
 from tsvar import variational as va
@@ -20,22 +21,6 @@ from tsvar.variational import (
     functional_gradient,
     functional_hessian,
 )
-
-# smooth integrands defined for every real (t, y, v); {} takes a coefficient
-TEMPLATES = (
-    "{}*v^2 + y^2 + t*v*y",
-    "exp({}*v) + sin(y)*v",
-    "sqrt(1 + v^2) + {}*y^2*v^2",
-    "cos(y - t*v) + {}*v^3",
-    "ln(2 + y^2) * v^2 + {}*y",
-    "y*v / (1 + v^2) + {}*t",
-)
-
-
-def random_integrand(rng):
-    template = TEMPLATES[int(rng.integers(len(TEMPLATES)))]
-    return parse(template.format(f"{rng.uniform(0.2, 0.9):.4f}"))
-
 
 def random_smooth_problem(rng, bc_a, bc_b, constraint=None):
     n = int(rng.integers(3, 13))

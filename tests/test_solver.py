@@ -385,6 +385,42 @@ class TestIsoperimetricSolve:
         assert rep.constraint_error == 5e-11 and rep.grad_norm == 1e-6
         assert rep.message == "did not converge; best iterate"
 
+    def test_start_stuck_off_the_constraint_is_recorded_unmet(self, monkeypatch):
+        # Start 2 cannot be projected onto K = k, and its feasibility phase
+        # ends at a nonzero local minimum of (K - k)^2/2 (|K - k| ~ 0.14),
+        # where gradK vanishes.  KKT Newton run on from there crawled for
+        # 1,447 steps and about 300,000 evaluations without converging.
+        ts = from_points([0.25939104072278973, 0.6523357979962027,
+                          0.8717081877736784, 1.305698149972931])
+        c = IsoperimetricConstraint(parse("exp(0.4574*v) + sin(y)*v"),
+                                    parse("cos(y - t*v) + 0.387*v^3"), 1.388792958733802)
+        p = VariationalProblem(ts, parse("0.7529*v^2 + y^2 + t*v*y"),
+                               parse("0.4961*v^2 + y^2 + t*v*y"), None, None, c)
+        cfg = SolverConfig(multistarts=4, seed=0)
+        calls = []
+        real = va.functional_gradient
+
+        def counted(*a, **k):
+            calls.append(1)
+            assert len(calls) < 5000, "the stuck start crawls"
+            return real(*a, **k)
+
+        monkeypatch.setattr(va, "functional_gradient", counted)
+        rep = solve_isoperimetric(p, cfg)
+        # the same extremal as from the other three starts alone
+        real_starts = so._starts
+
+        def start_2_as_start_0(p, cfg):
+            cp, starts = real_starts(p, cfg)
+            starts[2] = starts[0].copy()
+            return cp, starts
+
+        monkeypatch.setattr(so, "_starts", start_2_as_start_0)
+        other = solve_isoperimetric(p, cfg)
+        assert rep.converged and rep.multistart_index == other.multistart_index
+        np.testing.assert_array_equal(rep.trajectory.values, other.trajectory.values)
+        assert (rep.J, rep.lam, rep.iterations) == (other.J, other.lam, other.iterations)
+
 
 class TestStarts:
     @pytest.mark.parametrize("bc_a, bc_b", [(0.0, 1.0), (2.0, None), (None, -3.0), (None, None)])
