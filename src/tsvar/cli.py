@@ -14,8 +14,8 @@ variable and can be overridden per file ([solver] seed = ...) or with --seed.
 ``solver.solve_auto``; this module parses, prints and writes files.
 
 Exit codes: 0 success/converged, 1 verification failure, 2 no extremal or
-no convergence, 3 infeasible constraint, 64 parse error or an --out path
-that cannot be a directory, 65 trajectory/scale mismatch, 66 inapplicable
+no convergence, 3 infeasible constraint, 64 parse or usage error, or an --out
+path that cannot be a directory, 65 trajectory/scale mismatch, 66 inapplicable
 residual form, 67 an integrand undefined along the trajectory (domain
 violation).
 """
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import os
 import sys
@@ -217,10 +218,10 @@ def _config_for(overrides: dict, seed_flag: int | None) -> so.SolverConfig:
         cfg = so.SolverConfig(seed=int(env_seed) if env_seed else 0)
         if overrides:
             cfg = replace(cfg, **overrides)
+        if seed_flag is not None:
+            cfg = replace(cfg, seed=seed_flag)
     except ValueError as err:
         raise ProblemFileError(f"bad solver configuration: {err}") from None
-    if seed_flag is not None:
-        cfg = replace(cfg, seed=seed_flag)
     return cfg
 
 
@@ -472,8 +473,17 @@ def _cmd_verify(args) -> int:
 # Entry point
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error is a parse error; argparse's own exit code 2 means
+        # "not converged" here
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="tsvar", description=__doc__.splitlines()[0])
+    ap = _ArgumentParser(prog="tsvar", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_common(sp, trajectory=False):

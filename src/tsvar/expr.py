@@ -20,6 +20,8 @@ tighter than '+'/'-'); binary operators associate to the left.
 
 from __future__ import annotations
 
+import functools
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -39,6 +41,7 @@ __all__ = [
     "parse",
     "evaluate",
     "eval_arrays",
+    "Program",
     "differentiate",
     "to_text",
     "is_constant",
@@ -155,6 +158,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                 f"unexpected character {stripped[0]!r}", len(text) - len(stripped)
             )
         kind = m.lastgroup
+        # every constant of a parsed tree is finite, as ``Program`` relies on
+        if kind == "number" and not np.isfinite(float(m.group(kind))):
+            raise ExprSyntaxError("numeric literal out of range", m.start(kind))
         tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     tokens.append(("end", "", len(text)))
@@ -319,6 +325,127 @@ def _check_finite(out, node, opname):
 def evaluate(e: Expression, b: Binding) -> float:
     """Evaluate ``e`` at a single binding."""
     return float(eval_arrays(e, b.t, b.y, b.v))
+
+
+_UFUNCS = {"+": "add", "-": "subtract", "*": "multiply", "/": "divide",
+           "sin": "sin", "cos": "cos", "exp": "exp", "ln": "log", "sqrt": "sqrt"}
+
+
+class Program:
+    """Several expressions over the same (t, y, v), compiled into one
+    straight-line program in which shared subtrees are computed once.
+
+    Called on arrays t, y, v, it returns one fresh array per expression,
+    bit-identical to ``eval_arrays`` of that expression, and filled to the
+    broadcast shape of the inputs where the expression is constant.  The
+    program runs with floating-point faults raised; on a fault, a non-finite
+    input or a scalar input it replays ``eval_arrays`` on the expressions in
+    order, so a failure raises the same ``DomainViolation`` as evaluating
+    them one after another.
+    """
+
+    def __init__(self, exprs):
+        self.exprs = tuple(exprs)
+        self._run, self._reads = _compile(*_lower(self.exprs))
+
+    def __call__(self, t, y, v):
+        ins = [np.asarray(x, dtype=float) for x in (t, y, v)]
+        if self._run is not None and min(x.ndim for x in ins) > 0:
+            try:
+                with np.errstate(over="raise", divide="raise", invalid="raise"):
+                    # the inputs read sum to a finite number without a fault
+                    # only when all of their elements are finite
+                    if math.isfinite(sum(np.add.reduce(ins[i], axis=None) for i in self._reads)):
+                        return self._run(*ins)
+            except FloatingPointError:
+                pass
+        shape = np.broadcast_shapes(*(x.shape for x in ins))
+        outs = [eval_arrays(e, t, y, v) for e in self.exprs]
+        return tuple(np.array(x, dtype=float) if np.ndim(x) else np.full(shape, x) for x in outs)
+
+
+def _lower(exprs) -> tuple[tuple, tuple]:
+    """Hash-cons ``exprs`` into straight-line code: instructions ('k', hex of
+    a constant), ('x', variable index) or (ufunc name, operand indices...),
+    each operand an earlier instruction, and the index of each expression.
+    Constants are keyed by ``float.hex``, so 0.0 and -0.0 stay apart."""
+    index, code = {}, []
+
+    def node(ins):
+        if ins not in index:
+            index[ins] = len(code)
+            code.append(ins)
+        return index[ins]
+
+    def visit(e):
+        if isinstance(e, Const):
+            return node(("k", float(e.value).hex()))
+        if isinstance(e, Var):
+            return node(("x", VARIABLES.index(e.name)))
+        if isinstance(e, Neg):
+            return node(("negative", visit(e.arg)))
+        if isinstance(e, Call):
+            return node((_UFUNCS[e.fn], visit(e.arg)))
+        if isinstance(e, Pow):
+            return node(("power", visit(e.base), node(("k", float(e.exponent).hex()))))
+        if isinstance(e, BinOp):
+            return node((_UFUNCS[e.op], visit(e.left), visit(e.right)))
+        raise TypeError(f"not an expression node: {e!r}")
+
+    outs = tuple(visit(e) for e in exprs)
+    return tuple(code), outs
+
+
+@functools.lru_cache(maxsize=256)
+def _compile(code: tuple, outs: tuple):
+    """The function (t, y, v) -> outputs that runs ``code``, and the indices
+    of the variables it reads; (None, ()) when a constant is not finite.
+
+    The source names only generated registers and numpy functions; constants
+    are bound as values.  After its last use a register takes a result of
+    its own shape in place (``out=``) or is deleted, so the program holds no
+    more arrays at once than it needs.  An output that is an input, or
+    another output, is copied, and a constant one is filled to the broadcast
+    shape of the inputs, so every output is a fresh array."""
+    ns = {f: getattr(np, f) for f in ("negative", "power", "full", "array", "broadcast", *_UFUNCS.values())}
+    last = {a: i for i, (_, *args) in enumerate(code) for a in args}
+    names, deps, body = [], [], []
+    for i, (op, *args) in enumerate(code):
+        if op == "k":
+            value = float.fromhex(args[0])
+            if not np.isfinite(value):
+                return None, ()
+            names.append(f"k{i}")
+            deps.append(0)
+            ns[names[i]] = np.float64(value)
+        elif op == "x":
+            names.append(VARIABLES[args[0]])
+            deps.append(1 << args[0])
+        else:
+            deps.append(functools.reduce(int.__or__, (deps[a] for a in args)))
+            dead = [a for a in dict.fromkeys(args)
+                    if last[a] == i and a not in outs and code[a][0] not in ("k", "x")]
+            into = [a for a in dead if deps[a] == deps[i] != 0][:1]
+            names.append(names[into[0]] if into else f"r{i}")
+            out = f", out={names[i]}" if into else ""
+            body.append(f"{names[i]} = {op}({', '.join(names[a] for a in args)}{out})")
+            if len(dead) > len(into):
+                body.append(f"del {', '.join(names[a] for a in dead if a not in into)}")
+    results = []
+    if not all(deps[o] for o in outs):
+        body.append("shape = broadcast(t, y, v).shape")
+    for j, o in enumerate(outs):
+        if not deps[o]:
+            results.append(f"full(shape, {names[o]})")
+        elif code[o][0] == "x" or o in outs[:j]:
+            results.append(f"array({names[o]})")
+        else:
+            results.append(names[o])
+    body.append(f"return ({', '.join(results)},)")
+    source = "def program(t, y, v):\n" + "".join(f"    {line}\n" for line in body)
+    exec(compile(source, "<tsvar program>", "exec"), ns)
+    reads = tuple(i for i in range(len(VARIABLES)) if any(d >> i & 1 for d in deps))
+    return ns["program"], reads
 
 
 # ---------------------------------------------------------------------------

@@ -93,9 +93,12 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("grad_tol", "multistarts"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"solver config field {name} must be positive")
+        if not 0 < self.grad_tol < np.inf:
+            raise ValueError("solver config field grad_tol must be positive and finite")
+        if self.multistarts <= 0:
+            raise ValueError("solver config field multistarts must be positive")
+        if self.seed < 0:
+            raise ValueError("solver config field seed must not be negative")
 
 
 @dataclass(frozen=True)
@@ -757,9 +760,7 @@ def _affine_pieces(p: va.VariationalProblem):
     zeros = np.zeros(len(ts) - 1)
 
     def affine(L, t):
-        ev = va._sampler(t, zeros, zeros)
-        ev(L)
-        return ev(va._d(L, "v")), ev(va._d(L, "vv"))
+        return va._sampled(L, ("", "v", "vv"), (t, zeros, zeros))[1:]
 
     return affine(p.L_delta, ts.points[:-1]) + affine(p.L_nabla, ts.points[1:])
 
@@ -794,8 +795,8 @@ def _integrals(p, y, d):
     which an integrand is undefined, without losing the other rows."""
     ts = p.scale
     try:
-        ld = ex.eval_arrays(p.L_delta, ts.points[:-1], y[:, 1:], d)
-        ln = ex.eval_arrays(p.L_nabla, ts.points[1:], y[:, :-1], d)
+        (ld,) = va._program(p.L_delta, ("",))(ts.points[:-1], y[:, 1:], d)
+        (ln,) = va._program(p.L_nabla, ("",))(ts.points[1:], y[:, :-1], d)
     except ex.DomainViolation:
         if len(y) == 1:
             return np.full(1, np.nan), np.full(1, np.nan)

@@ -109,44 +109,47 @@ def _check_trajectory(p: VariationalProblem, y: GridFunction):
         raise ValueError("trajectory must be defined at every point, a and b included")
 
 
-def _on_delta(ts: TimeScale, yvals: np.ndarray):
-    """Evaluator of integrands at the forward samples (t, y^sigma, Dy) over
-    the scale minus its maximum point."""
-    return _sampler(ts.points[:-1], yvals[1:], np.diff(yvals) / ts.mu_values[:-1])
+def _samples(ts: TimeScale, yvals: np.ndarray, forward: bool):
+    """The forward samples (t, y^sigma, Dy) over the scale minus its maximum
+    point, or the backward samples (t, y^rho, Ny) over the scale minus its
+    minimum point."""
+    if forward:
+        return ts.points[:-1], yvals[1:], np.diff(yvals) / ts.mu_values[:-1]
+    return ts.points[1:], yvals[:-1], np.diff(yvals) / ts.nu_values[1:]
 
 
-def _on_nabla(ts: TimeScale, yvals: np.ndarray):
-    """Evaluator of integrands at the backward samples (t, y^rho, Ny) over
-    the scale minus its minimum point."""
-    return _sampler(ts.points[1:], yvals[:-1], np.diff(yvals) / ts.nu_values[1:])
+def _program(e: ex.Expression, slots: tuple) -> ex.Program:
+    """The compiled program of the partials of ``e`` named by ``slots`` (see
+    ``_d``), kept on ``e`` like the partials themselves."""
+    memo = vars(e).setdefault("_programs", {})
+    hit = memo.get(slots)
+    if hit is None:
+        hit = memo[slots] = ex.Program(_d(e, s) for s in slots)
+    return hit
 
 
-def _sampler(t, yy, vv):
-    """Evaluator of integrands at the samples (t, yy, vv), three arrays of
-    one shape; a ``DomainViolation`` names the t of the first non-finite
-    element of the failing node (the first sample for a scalar node)."""
-
-    def ev(e: ex.Expression) -> np.ndarray:
-        try:
-            out = ex.eval_arrays(e, t, yy, vv)
-        except ex.DomainViolation as err:
-            ti = float(np.ravel(t)[err.index or 0])
-            raise ex.DomainViolation(f"{err.reason} at t={ti!r}", err.offset, err.index) from None
-        if np.ndim(out) == 0:
-            return np.full(t.shape, float(out))
-        return np.array(out, dtype=float)
-
-    return ev
+def _sampled(e: ex.Expression, slots: tuple, samples: tuple) -> tuple:
+    """The partials of ``e`` named by ``slots`` at ``samples``, three arrays of
+    one shape, from one run of its program; a ``DomainViolation`` names the t
+    of the first non-finite element of the failing node (the first sample for
+    a scalar node)."""
+    try:
+        return _program(e, slots)(*samples)
+    except ex.DomainViolation as err:
+        ti = float(np.ravel(samples[0])[err.index or 0])
+        raise ex.DomainViolation(f"{err.reason} at t={ti!r}", err.offset, err.index) from None
 
 
 def _d(e: ex.Expression, slots: str) -> ex.Expression:
     """Exact partial of ``e`` in the slots named by ``slots`` ('y', 'v',
-    'yy', 'yv', 'vv'), differentiated once per integrand.
+    'yy', 'yv', 'vv'; '' is ``e`` itself), differentiated once per integrand.
 
     The partials are kept in the integrand's own instance dictionary, as
     ``functools.cached_property`` does on frozen dataclasses, so they live
     exactly as long as the integrand; equality and hashing ignore them.
     """
+    if not slots:
+        return e
     memo = vars(e).setdefault("_partials", {})
     hit = memo.get(slots)
     if hit is None:
@@ -157,13 +160,13 @@ def _d(e: ex.Expression, slots: str) -> ex.Expression:
 
 def eval_J_delta(p: VariationalProblem, y: GridFunction) -> float:
     _check_trajectory(p, y)
-    vals = _on_delta(p.scale, y.values)(p.L_delta)
+    (vals,) = _sampled(p.L_delta, ("",), _samples(p.scale, y.values, True))
     return float(np.dot(p.scale.mu_values[:-1], vals))
 
 
 def eval_J_nabla(p: VariationalProblem, y: GridFunction) -> float:
     _check_trajectory(p, y)
-    vals = _on_nabla(p.scale, y.values)(p.L_nabla)
+    (vals,) = _sampled(p.L_nabla, ("",), _samples(p.scale, y.values, False))
     return float(np.dot(p.scale.nu_values[1:], vals))
 
 
@@ -202,9 +205,9 @@ def _sample(e: ex.Expression, ts: TimeScale, yvals: np.ndarray, forward: bool):
     """One sampling pass of the weighted sum of ``e``: its value and the
     samples of d2 e and d3 e, at the forward samples (weights mu) or at the
     backward ones (weights nu)."""
-    on = (_on_delta if forward else _on_nabla)(ts, yvals)
+    L, d2, d3 = _sampled(e, ("", "y", "v"), _samples(ts, yvals, forward))
     w = ts.mu_values[:-1] if forward else ts.nu_values[1:]
-    return float(np.dot(w, on(e))), on(_d(e, "y")), on(_d(e, "v"))
+    return float(np.dot(w, L)), d2, d3
 
 
 class _Parts(NamedTuple):
@@ -324,8 +327,7 @@ def el_differential_delta(p: VariationalProblem, y: GridFunction) -> GridFunctio
             stacklevel=2,
         )
     ts = p.scale
-    on = _on_delta(ts, y.values)
-    d3, d2 = on(_d(p.L_delta, "v")), on(_d(p.L_delta, "y"))
+    d3, d2 = _sampled(p.L_delta, ("v", "y"), _samples(ts, y.values, True))
     dd3 = np.diff(d3) / ts.mu_values[: len(ts) - 2]
     return GridFunction(ts, dd3 - d2[:-1], range(0, len(ts) - 2))
 
@@ -340,8 +342,7 @@ def el_differential_nabla(p: VariationalProblem, y: GridFunction) -> GridFunctio
             stacklevel=2,
         )
     ts = p.scale
-    on = _on_nabla(ts, y.values)
-    d3, d2 = on(_d(p.L_nabla, "v")), on(_d(p.L_nabla, "y"))
+    d3, d2 = _sampled(p.L_nabla, ("v", "y"), _samples(ts, y.values, False))
     nd3 = np.diff(d3) / ts.nu_values[2:]
     return GridFunction(ts, nd3 - d2[1:], range(2, len(ts)))
 
@@ -394,9 +395,9 @@ def natural_bc_reduced(
     if kind == "mixed":
         raise ValueError("reduced natural boundary conditions need a pure problem")
     ts = p.scale
+    L = p.L_delta if kind == "delta" else p.L_nabla
+    d2, d3 = _sampled(L, ("y", "v"), _samples(ts, y.values, kind == "delta"))
     if kind == "delta":
-        on = _on_delta(ts, y.values)
-        d2, d3 = on(_d(p.L_delta, "y")), on(_d(p.L_delta, "v"))
         if which == "a":
             return float(d3[0])
         if variant == "integral":
@@ -405,8 +406,6 @@ def natural_bc_reduced(
         # printed product form, identical on a finite scale
         gap = ts.points[-1] - ts.points[-2]
         return float(d3[-1] + gap * d2[-1])
-    on = _on_nabla(ts, y.values)
-    d2, d3 = on(_d(p.L_nabla, "y")), on(_d(p.L_nabla, "v"))
     if which == "b":
         return float(d3[-1])
     if variant == "product":
@@ -527,11 +526,9 @@ def _grad(ts: TimeScale, side: tuple, forward: bool) -> np.ndarray:
 def _side_hessian(e: ex.Expression, ts: TimeScale, yvals: np.ndarray, forward: bool):
     """Tridiagonal Hessian (diagonal, off-diagonal) of the same weighted sum
     as ``_grad``, from the samples of the second partials d22, d23 and d33."""
-    on = (_on_delta if forward else _on_nabla)(ts, yvals)
+    d22, d23, d33 = _sampled(e, ("yy", "yv", "vv"), _samples(ts, yvals, forward))
     w = ts.mu_values[:-1] if forward else ts.nu_values[1:]
-    d22 = on(_d(e, "yy"))
-    d23 = on(_d(e, "yv"))
-    c = on(_d(e, "vv")) / w
+    c = d33 / w
     diag = np.zeros(len(ts))
     diag[:-1] += c
     diag[1:] += c

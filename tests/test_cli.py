@@ -618,7 +618,57 @@ class TestSeedPlumbing:
         fields = set(SolverConfig.__dataclass_fields__)
         assert fields == cli._SECTION_KEYS["solver"] == {"grad_tol", "multistarts", "seed"}
 
+    @pytest.mark.parametrize("line", ["grad_tol = nan", "grad_tol = inf", "seed = -5"])
+    def test_non_finite_tolerance_or_negative_seed_in_file_is_parse_error(
+        self, tmp_path, capsys, line
+    ):
+        prob = write(tmp_path, "p.problem", GOOD + f"\n[solver]\n{line}\n")
+        assert main(["solve", "--problem", prob, "--out", str(tmp_path / "out")]) == EXIT_PARSE
+        assert "bad solver configuration" in capsys.readouterr().err
+
+    def test_negative_seed_flag_is_parse_error(self, tmp_path, capsys):
+        prob = write(tmp_path, "p.problem", GOOD)
+        out = str(tmp_path / "out")
+        assert main(["solve", "--problem", prob, "--seed", "-5", "--out", out]) == EXIT_PARSE
+        assert "seed must not be negative" in capsys.readouterr().err
+        assert main(["verify", "--case", "product_unit", "--seed", "-5"]) == EXIT_PARSE
+
+    def test_negative_environment_seed_is_parse_error(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("TSVAR_SEED", "-5")
+        prob = write(tmp_path, "p.problem", GOOD)
+        assert main(["solve", "--problem", prob, "--out", str(tmp_path / "out")]) == EXIT_PARSE
+        assert "seed must not be negative" in capsys.readouterr().err
+
     def test_invalid_solver_override_is_parse_error(self, tmp_path):
         text = GOOD + "\n[solver]\ngrad_tol = -1\n"
         prob = write(tmp_path, "p.problem", text)
         assert main(["solve", "--problem", prob, "--out", str(tmp_path)]) == EXIT_PARSE
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--problem", "p.problem", "--bogus"],  # unknown flag
+        ["solve", "--problem", "p.problem", "--seed", "abc"],  # malformed value
+        ["residual", "--problem", "p.problem", "--trajectory", "t.csv", "--form", "el3"],
+        ["solve"],  # missing required option
+        [],  # missing command
+    ])
+    def test_usage_error_exits_64(self, capsys, argv):
+        # exit 2 is "not converged", so argparse's own usage code is not used
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == EXIT_PARSE
+        assert "usage: tsvar" in capsys.readouterr().err
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["--help"])
+        assert err.value.code == 0
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_overflowing_literal_is_parse_error(self, tmp_path, capsys):
+        prob = write(tmp_path, "p.problem", GOOD.replace("delta = v^2", "delta = v^2 + " + "9" * 400))
+        assert main(["solve", "--problem", prob, "--out", str(tmp_path / "out")]) == EXIT_PARSE
+        assert "numeric literal out of range" in capsys.readouterr().err

@@ -66,6 +66,15 @@ class TestParse:
             with pytest.raises(ExprSyntaxError):
                 parse(text)
 
+    def test_literal_out_of_range(self):
+        # a literal that overflows to inf would make every evaluation fail
+        big = "1" * 400
+        for text, offset in ((big, 0), (f"v + {big}.5", 4), (f"y^{big}", 2), (f"y^-{big}", 3)):
+            with pytest.raises(ExprSyntaxError) as err:
+                parse(text)
+            assert err.value.offset == offset
+            assert "numeric literal out of range" in str(err.value)
+
     def test_negative_exponent(self):
         assert parse("y^-0.5") == Pow(Var("y"), -0.5)
         assert parse("-y^-2") == Neg(Pow(Var("y"), -2.0))

@@ -125,3 +125,77 @@ def test_arrays_evaluate_like_elements(e, points):
                 assert other.offset != err.offset  # offsets name nodes uniquely
         return
     assert list(out) == [_scalar(e, point) for point in points]
+
+
+def _partials(e):
+    """e and its partials in the slots every sampler reads."""
+    out = [e]
+    for slots in ("y", "v", "yy", "yv", "vv"):
+        d = e
+        for var in slots:
+            d = ex.differentiate(d, var)
+        out.append(d)
+    return out
+
+
+def _walk(exprs, t, y, v):
+    """eval_arrays of each expression in turn, a constant one filled to the
+    inputs' shape, or the DomainViolation of the first to fail."""
+    shape = np.broadcast_shapes(np.shape(t), np.shape(y), np.shape(v))
+    try:
+        outs = [ex.eval_arrays(e, t, y, v) for e in exprs]
+    except ex.DomainViolation as err:
+        return err
+    return [np.full(shape, x) if np.ndim(x) == 0 else x for x in outs]
+
+
+def _assert_program_is_the_walk(exprs, t, y, v):
+    want = _walk(exprs, t, y, v)
+    if isinstance(want, ex.DomainViolation):
+        with pytest.raises(ex.DomainViolation) as got:
+            ex.Program(exprs)(t, y, v)
+        assert (got.value.reason, got.value.offset, got.value.index) == (
+            want.reason, want.offset, want.index)
+        return
+    got = ex.Program(exprs)(t, y, v)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        np.testing.assert_array_equal(g, w, strict=True)
+    # every output is a fresh array
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations([*got, t, y, v], 2))
+
+
+@SETTINGS
+@hypothesis.given(PARSED, st.permutations(GRID), st.booleans())
+def test_program_is_the_walk(e, points, two_d):
+    # the 125 grid points as one row, or as 5 rows of 25 with t broadcast
+    # across the rows as the consistency scan samples them
+    t, y, v = (np.array(col) for col in zip(*points))
+    if two_d:
+        t, y, v = t[:25], y.reshape(5, 25), v.reshape(5, 25)
+    _assert_program_is_the_walk(_partials(e), t, y, v)
+
+
+@SETTINGS
+@hypothesis.given(PARSED, POINTS, st.sampled_from(range(3)), st.integers(0, 5),
+                  st.sampled_from([np.inf, -np.inf, np.nan]))
+def test_program_on_non_finite_inputs_is_the_walk(e, points, slot, at, bad):
+    cols = [np.array(col) for col in zip(*points)]
+    cols[slot][at % len(points)] = bad
+    _assert_program_is_the_walk(_partials(e), *cols)
+
+
+def test_program_keeps_signed_zeros_apart():
+    y = np.array([1.0, 2.0])
+    plus, minus = ex.Program([ex.parse("y * 0"), ex.BinOp("*", ex.Var("y"), ex.Const(-0.0))])(y, y, y)
+    assert not np.signbit(plus).any() and np.signbit(minus).all()
+    assert ex._lower([ex.Const(0.0), ex.Const(-0.0)])[1] == (0, 1)
+
+
+def test_program_outputs_are_fresh():
+    # a repeated expression, an input and a constant each get their own array
+    y = np.array([0.5, 1.0])
+    outs = ex.Program([ex.parse(text) for text in ("sin(y)", "sin(y)", "y", "2", "2")])(y, y, y)
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations([*outs, y], 2))
+    np.testing.assert_array_equal(outs[3], [2.0, 2.0])

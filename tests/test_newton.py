@@ -11,7 +11,6 @@ import pytest
 from helpers import random_integrand
 from tsvar import expr as ex
 from tsvar import solver as so
-from tsvar import variational as va
 from tsvar.expr import parse
 from tsvar.solver import SolverConfig, solve
 from tsvar.timescale import from_points, q_scale, uniform
@@ -113,18 +112,18 @@ class TestExactHessian:
         fun, model = so._merit(cp, p, 1e-9)
         at = fun(np.linspace(0.2, 0.8, 7))
         calls = []
-        real = va._sampler
+        real = ex.Program.__call__
 
-        def sampler(t, yy, vv):
-            ev = real(t, yy, vv)
-            return lambda e: calls.append(e) or ev(e)
+        def run(self, t, yy, vv):
+            calls.append(self.exprs)
+            return real(self, t, yy, vv)
 
-        monkeypatch.setattr(va, "_sampler", sampler)
+        monkeypatch.setattr(ex.Program, "__call__", run)
         model(at)
-        assert len(calls) == 6  # d22, d23 and d33 of each integrand
+        assert len(calls) == 2  # one program of d22, d23 and d33 per integrand
         calls.clear()
         functional_hessian(p.scale, p.L_delta, p.L_nabla, cp.y)
-        assert len(calls) == 12
+        assert len(calls) == 4  # and one of L, d2 and d3 per integrand
 
     def test_partials_are_differentiated_once(self, monkeypatch):
         calls = []

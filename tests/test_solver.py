@@ -58,6 +58,12 @@ class TestConfig:
             SolverConfig(multistarts=0)
         SolverConfig(seed=0)  # seed zero is fine
 
+    @pytest.mark.parametrize("field", [dict(grad_tol=float("nan")), dict(grad_tol=float("inf")),
+                                       dict(seed=-1)])
+    def test_non_finite_tolerance_and_negative_seed_rejected(self, field):
+        with pytest.raises(ValueError):
+            SolverConfig(**field)
+
 
 class TestGradient:
     def test_matches_central_differences(self):
@@ -492,23 +498,17 @@ class TestReport:
 
     @staticmethod
     def count_evaluations(monkeypatch, fn):
-        """fn() and its number of outermost ``ex.eval_arrays`` calls (the
-        evaluator recurses through the module attribute)."""
-        calls, depth = [], [0]
-        real = ex.eval_arrays
+        """fn() and its number of ``ex.Program`` runs."""
+        calls = []
+        real = ex.Program.__call__
 
-        def counted(e, t, y, v):
-            if not depth[0]:
-                calls.append(e)
-            depth[0] += 1
-            try:
-                return real(e, t, y, v)
-            finally:
-                depth[0] -= 1
+        def counted(self, t, y, v):
+            calls.append(self.exprs)
+            return real(self, t, y, v)
 
-        monkeypatch.setattr(ex, "eval_arrays", counted)
+        monkeypatch.setattr(ex.Program, "__call__", counted)
         out = fn()
-        monkeypatch.setattr(ex, "eval_arrays", real)
+        monkeypatch.setattr(ex.Program, "__call__", real)
         return out, len(calls)
 
     @pytest.mark.parametrize("bc_a, bc_b", [(0.0, 1.0), (None, 1.0), (0.0, None), (None, None)])
@@ -517,7 +517,7 @@ class TestReport:
         p = VariationalProblem(ts, parse("v^2 + sin(y)^2"), parse("exp(0.5*v) + y^2"), bc_a, bc_b)
         y = GridFunction(ts, np.linspace(0.1, 0.9, 6))
         rep, n = self.count_evaluations(monkeypatch, lambda: so._report(p, y, 1.0, **self.FIELDS))
-        assert n == 6  # L, d2 L and d3 L of each integrand
+        assert n == 2  # one program of L, d2 L and d3 L per integrand
         assert rep.el_defect_1 == rep.el_defect_2 == va.el_residual_2(p, y).defect
         assert rep.J == va.eval_J(p, y)
         assert rep.bc_residual_a == (None if bc_a is not None else va.natural_bc_residual_a(p, y))
@@ -528,7 +528,7 @@ class TestReport:
         p = quad_double(uniform(0, 1, 6), 0.0, 1.0)
         y = GridFunction(p.scale, np.array([0.0, 0.3, 0.35, 0.6, 0.8, 1.0]))
         rep, n = self.count_evaluations(monkeypatch, lambda: so._report(p, y, **self.FIELDS))
-        assert n == 6
+        assert n == 2
         grad = functional_gradient(p.scale, p.L_delta, p.L_nabla, y.values)[1]
         assert rep.grad_norm == float(np.max(np.abs(grad[1:-1])))
 
@@ -541,7 +541,7 @@ class TestReport:
         rep, n = self.count_evaluations(
             monkeypatch, lambda: so._report(p, y, 1.0, 1.0, -0.7, **self.FIELDS)
         )
-        assert n == 12
+        assert n == 4
         assert rep.el_defect_1 == rep.el_defect_2 == va.iso_residual(p, y, 1.0, -0.7, "el1").defect
         assert rep.extension == (bc_b is None)
 
