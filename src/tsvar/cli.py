@@ -3,8 +3,9 @@
 Commands:
   tsvar eval     --problem P --trajectory T.csv       print J_delta, J_nabla, J
   tsvar residual --problem P --trajectory T.csv --form el1|el2|iso1|iso2|nbc
-  tsvar solve    --problem P [--out DIR]              solve and write report files
-  tsvar verify   [--case ID]                          run the bundled example suite
+                 [--lambda0 L0 --lambda L] [--out DIR]
+  tsvar solve    --problem P [--seed N] [--out DIR]   solve and write report files
+  tsvar verify   [--case ID] [--seed N]               run the bundled example suite
 
 Problem files are INI-style documents with sections [timescale], [lagrangian],
 [boundary] and optional [constraint] and [solver]; unknown sections or keys
@@ -259,6 +260,8 @@ def _residual_rows(problem, y, args):
             raise InapplicableFormError("isoperimetric form needs a [constraint] section")
         if args.lambda0 is None or args.lam is None:
             raise InapplicableFormError("isoperimetric form needs --lambda0 and --lambda")
+        if not (np.isfinite([args.lambda0, args.lam]).all() and (args.lambda0 or args.lam)):
+            raise ProblemFileError("--lambda0 and --lambda must be finite and not both zero")
         rep = va.iso_residual(problem, y, args.lambda0, args.lam, "el1" if form == "iso1" else "el2")
         return rep.residual.t, rep.residual.values, rep.defect, rep.mean
     # natural boundary conditions
@@ -280,7 +283,8 @@ def _residual_rows(problem, y, args):
 def _cmd_residual(args) -> int:
     problem, _ = parse_problem_file(args.problem)
     y = _load_trajectory(args.trajectory, problem.scale)
-    t, values, defect, mean = _residual_rows(problem, y, args)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises DomainViolation
+        t, values, defect, mean = _residual_rows(problem, y, args)
     if args.out:
         outdir = _output_dir(args.out)
         with open(outdir / "residual.csv", "w", encoding="utf-8") as fh:
@@ -359,11 +363,7 @@ def _bundled_path(name: str):
 
 
 def _case_context(case: dict, cfg: so.SolverConfig) -> dict:
-    problem, overrides = parse_problem_text(
-        _bundled_path(case["problem"]).read_text(encoding="utf-8")
-    )
-    if overrides:
-        cfg = replace(cfg, **overrides)
+    problem, _ = parse_problem_text(_bundled_path(case["problem"]).read_text(encoding="utf-8"))
     ctx: dict = {}
     mode = case["mode"]
     if mode == "solve":
@@ -388,11 +388,6 @@ def _case_context(case: dict, cfg: so.SolverConfig) -> dict:
                 if va.is_K_extremal(problem, report.trajectory, 1e-6)
                 else 0.0
             )
-    elif mode == "consistency":
-        roots = so.consistency_solve(problem, cfg)
-        ctx["n_roots"] = float(len(roots))
-        if roots:
-            ctx.update(A=roots[0].A, B=roots[0].B, trajectory=roots[0].trajectory.values)
     elif mode == "trajectory":
         with resources.as_file(_bundled_path(case["trajectory"])) as path:
             y = ca.read_csv(path, problem.scale)
@@ -486,24 +481,22 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = _ArgumentParser(prog="tsvar", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, trajectory=False):
-        sp.add_argument("--problem", required=True, help="problem file path")
-        if trajectory:
-            sp.add_argument("--trajectory", required=True, help="trajectory CSV (t,value)")
-        sp.add_argument("--seed", type=int, default=None, help="random seed override")
-        sp.add_argument("--out", default=None, help="output directory")
-
     sp = sub.add_parser("eval", help="evaluate the functionals along a trajectory")
-    add_common(sp, trajectory=True)
+    sp.add_argument("--problem", required=True, help="problem file path")
+    sp.add_argument("--trajectory", required=True, help="trajectory CSV (t,value)")
 
     sp = sub.add_parser("residual", help="stationarity residual along a trajectory")
-    add_common(sp, trajectory=True)
+    sp.add_argument("--problem", required=True, help="problem file path")
+    sp.add_argument("--trajectory", required=True, help="trajectory CSV (t,value)")
+    sp.add_argument("--out", default=None, help="output directory")
     sp.add_argument("--form", required=True, choices=["el1", "el2", "iso1", "iso2", "nbc"])
     sp.add_argument("--lambda0", type=float, default=None)
     sp.add_argument("--lambda", dest="lam", type=float, default=None)
 
     sp = sub.add_parser("solve", help="solve for an extremal trajectory")
-    add_common(sp)
+    sp.add_argument("--problem", required=True, help="problem file path")
+    sp.add_argument("--seed", type=int, default=None, help="random seed override")
+    sp.add_argument("--out", default=None, help="output directory")
 
     sp = sub.add_parser("verify", help="run the bundled example suite")
     sp.add_argument("--case", default=None, help="run a single case id")

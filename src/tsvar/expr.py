@@ -7,8 +7,8 @@ derivatives with respect to any of the three variables are exact:
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
-    factor := base ('^' '-'? number)?
-    base   := number | 't' | 'y' | 'v' | func '(' expr ')' | '(' expr ')' | '-' base
+    factor := '-' factor | base ('^' '-'? number)?
+    base   := number | 't' | 'y' | 'v' | func '(' expr ')' | '(' expr ')'
     func   := sin | cos | exp | ln | sqrt
 
 Whitespace is insignificant; numbers are plain decimal literals; exponents
@@ -16,6 +16,15 @@ must be numeric constants and may be negative (``y^-0.5``, which ``to_text``
 writes for the derivative of ``y^0.5``).  Precedence is the usual one (pow
 binds tighter than unary minus, which binds tighter than '*'/'/', which bind
 tighter than '+'/'-'); binary operators associate to the left.
+
+An expression has at most ``MAX_TOKENS`` = 100 tokens (numbers, names,
+operators and parentheses); a longer one is a syntax error.  The limit bounds
+the depth of every tree: binary operators associate to the left, so a sum of
+k terms is k levels deep, and a second partial of an expression of n tokens
+is at most about 3n levels deep (a chain of quotients is the deepest).
+Parsing, differentiation, the compiled program, array evaluation and printing
+recurse once per level, so they stay well within Python's default recursion
+limit.
 """
 
 from __future__ import annotations
@@ -167,10 +176,16 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+MAX_TOKENS = 100  # see the module docstring
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
+        if len(self.tokens) > MAX_TOKENS + 1:  # the end marker is a token too
+            raise ExprSyntaxError(f"expression longer than {MAX_TOKENS} tokens",
+                                  self.tokens[MAX_TOKENS][2])
         self.i = 0
 
     def peek(self):
@@ -252,8 +267,6 @@ class _Parser:
             node = self.expr()
             self.expect_op(")")
             return node
-        if kind == "op" and value == "-":
-            return Neg(self.base(), span=offset)
         raise ExprSyntaxError(f"unexpected token {value!r}" if value else "unexpected end of input", offset)
 
 

@@ -17,6 +17,8 @@ second pair of integrands.
 A stationarity residual is reported together with its "defect": the maximum
 absolute deviation from its mean.  The defect is zero exactly when the
 residual is constant, which is the first-order condition in integral form.
+A residual that overflows raises ``DomainViolation``, as an integrand that
+is undefined along the trajectory does.
 """
 
 from __future__ import annotations
@@ -275,7 +277,17 @@ def _stats(vals: np.ndarray) -> tuple[float, float]:
     return mean, float(np.max(np.abs(vals - mean)))
 
 
+def _finite(vals, t: np.ndarray, what: str):
+    """vals, or DomainViolation naming the t of its first non-finite entry."""
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ex.DomainViolation(f"{what} not finite at t={float(t[i])!r}", index=i)
+    return vals
+
+
 def _report(ts: TimeScale, vals: np.ndarray, domain: range, form: str) -> ResidualReport:
+    _finite(vals, ts.points[domain.start :], f"{form} residual")
     mean, defect = _stats(vals)
     return ResidualReport(GridFunction(ts, vals, domain), defect, mean, form)
 
@@ -359,7 +371,8 @@ def natural_bc_residual_a(p: VariationalProblem, y: GridFunction) -> float:
     _check_trajectory(p, y)
     if p.bc_a is not None:
         raise ValueError("endpoint a is not free")
-    return _el_parts(p.scale, p.L_delta, p.L_nabla, y.values).nbc_a
+    nbc = _el_parts(p.scale, p.L_delta, p.L_nabla, y.values).nbc_a
+    return _finite(nbc, p.scale.points[:1], "natural boundary residual")
 
 
 def natural_bc_residual_b(p: VariationalProblem, y: GridFunction) -> float:
@@ -373,7 +386,8 @@ def natural_bc_residual_b(p: VariationalProblem, y: GridFunction) -> float:
     _check_trajectory(p, y)
     if p.bc_b is not None:
         raise ValueError("endpoint b is not free")
-    return _el_parts(p.scale, p.L_delta, p.L_nabla, y.values).nbc_b
+    nbc = _el_parts(p.scale, p.L_delta, p.L_nabla, y.values).nbc_b
+    return _finite(nbc, p.scale.points[-1:], "natural boundary residual")
 
 
 def natural_bc_reduced(

@@ -1,4 +1,5 @@
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,32 @@ class TestProblemFiles:
     def test_bad_files_rejected(self, mutation):
         with pytest.raises(ProblemFileError):
             parse_problem_text(mutation(GOOD))
+
+    def test_bundled_problems_have_no_solver_overrides(self):
+        # verify runs every case at the config it is given, so a [solver]
+        # section in a bundled problem would go unread
+        for case in load_bundled_manifest()["cases"]:
+            text = cli._bundled_path(case["problem"]).read_text(encoding="utf-8")
+            assert parse_problem_text(text)[1] == {}, case["id"]
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("uniform 0 2 3", "explicit 0, 1, 2", "explicit time scale needs [..] list"),
+        ("uniform 0 2 3", "explicit [0, one, 2]", "bad explicit time scale: "),
+        ("uniform 0 2 3", "uniform 0 1 1e12", "bad time scale literal: "),
+        ("a = fixed:0", "a = fixed:zero", "bad boundary value for a: 'fixed:zero'"),
+        ("[boundary]\na = fixed:0\nb = fixed:2\n", "", "missing required section [boundary]"),
+        ("b = fixed:2\n", "b = fixed:2\n[constraint]\ndelta = v\nnabla = 1\nk = one\n",
+         "constraint level k must be a number"),
+        ("b = fixed:2\n", "b = fixed:2\n[solver]\nmultistarts = 2.5\n",
+         "bad numeric value for solver multistarts"),
+        ("a = fixed:0", "a = fixed:inf", "bc_a must be finite or None (free)"),
+    ])
+    def test_problem_file_errors_exit_64_with_message(self, tmp_path, capsys, old, new, message):
+        assert old in GOOD
+        prob = write(tmp_path, "p.problem", GOOD.replace(old, new))
+        assert main(["solve", "--problem", prob, "--out", str(tmp_path / "o")]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: " + message) and err.count("\n") == 1
 
     def test_default_section_rejected(self):
         # configparser would silently inject DEFAULT keys into every section
@@ -353,6 +380,42 @@ class TestResidualCommand:
         )
         assert rc == EXIT_BAD_FORM
 
+    @pytest.mark.parametrize("lambda0, lam", [("0", "0"), ("nan", "1"), ("1", "inf")])
+    def test_zero_or_non_finite_multipliers_exit_64(self, tmp_path, capsys, lambda0, lam):
+        prob = write(tmp_path, "p.problem", GOOD_FULL)
+        traj = line_csv(tmp_path, [0, 1, 2, 3], [0.0, 2.0, 3.0, 3.0])
+        rc = main(["residual", "--problem", prob, "--trajectory", traj, "--form", "iso1",
+                   "--lambda0", lambda0, "--lambda", lam])
+        assert rc == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            "parse error: --lambda0 and --lambda must be finite and not both zero\n")
+
+    def test_overflowing_multiplier_residual_exits_67(self, tmp_path, capsys):
+        prob = write(tmp_path, "p.problem", GOOD_FULL)
+        traj = line_csv(tmp_path, [0, 1, 2, 3], [0.0, 1.0, 4.0, 3.0])
+        rc = main(["residual", "--problem", prob, "--trajectory", traj, "--form", "iso2",
+                   "--lambda0", "1e308", "--lambda", "1e308"])
+        assert rc == EXIT_DOMAIN
+        assert capsys.readouterr().err == "iso2 residual not finite at t=0.0\n"
+
+    OVERFLOW = (GOOD.replace("delta = v^2", "delta = 10000000000*v")
+                .replace("nabla = v^2", "nabla = 10000000000*v").replace("b = fixed:2", "b = free"))
+
+    @pytest.mark.parametrize("form, where", [
+        ("el1", "el1 residual not finite at t=1.0"),
+        ("el2", "el2 residual not finite at t=0.0"),
+        ("nbc", "natural boundary residual not finite at t=2.0"),
+    ])
+    def test_overflowing_residual_exits_67_for_every_form(self, tmp_path, capsys, form, where):
+        prob = write(tmp_path, "p.problem", self.OVERFLOW)
+        traj = line_csv(tmp_path, [0, 1, 2], [0.0, 1e290, 2e290])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["residual", "--problem", prob, "--trajectory", traj, "--form", form])
+        assert rc == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.err == where + "\n" and captured.out == ""
+
     def test_out_directory_receives_csv(self, tmp_path, capsys):
         prob = write(tmp_path, "p.problem", GOOD)
         traj = line_csv(tmp_path, [0, 1, 2], [0, 1, 2])
@@ -551,6 +614,17 @@ class TestVerifyCommand:
         assert ok1 and ok2
         assert r1 == r2
 
+    def test_cases_run_in_solve_or_trajectory_mode(self):
+        manifest = copy.deepcopy(load_bundled_manifest())
+        assert {c["mode"] for c in manifest["cases"]} == {"solve", "trajectory"}
+        # the empty consistency set of product_3pt is a solve with no report
+        rows, ok = run_verify_cases(manifest, SolverConfig(), "product_3pt")
+        assert ok and [r[1:4] for r in rows] == [("n_roots", "0", "0")]
+        case = next(c for c in manifest["cases"] if c["id"] == "product_3pt")
+        case["mode"] = "consistency"
+        rows, ok = run_verify_cases(manifest, SolverConfig(), "product_3pt")
+        assert not ok and rows[0][3] == "error: unknown verify mode 'consistency'"
+
     def test_manifest_provenance_present_for_every_expected_number(self):
         manifest = load_bundled_manifest()
         for case in manifest["cases"]:
@@ -652,6 +726,11 @@ class TestUsage:
         ["residual", "--problem", "p.problem", "--trajectory", "t.csv", "--form", "el3"],
         ["solve"],  # missing required option
         [],  # missing command
+        # eval reads no seed and writes no file; residual reads no seed
+        ["eval", "--problem", "p.problem", "--trajectory", "t.csv", "--seed", "1"],
+        ["eval", "--problem", "p.problem", "--trajectory", "t.csv", "--out", "d"],
+        ["residual", "--problem", "p.problem", "--trajectory", "t.csv", "--form", "el1",
+         "--seed", "1"],
     ])
     def test_usage_error_exits_64(self, capsys, argv):
         # exit 2 is "not converged", so argparse's own usage code is not used

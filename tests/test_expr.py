@@ -75,6 +75,45 @@ class TestParse:
             assert err.value.offset == offset
             assert "numeric literal out of range" in str(err.value)
 
+    # the deepest shapes per token: nesting, chains of each operator (a sum
+    # of k terms is k levels deep) and a quotient chain, whose second
+    # partials are the deepest trees the partials reach
+    LONGEST = {
+        "parens": lambda k: "(" * k + "v" + ")" * k,
+        "calls": lambda k: "sin(" * k + "v" + ")" * k,
+        "negations": lambda k: "-" * k + "v",
+        "powers": lambda k: "(" * k + "y" + ")^-0.5" * k,
+        "sum": lambda k: "y + " * k + "v",
+        "product": lambda k: "y*" * k + "v",
+        "quotient": lambda k: "v/" * k + "y",
+        "nested quotient": lambda k: "y/(" * k + "v" + ")" * k,
+    }
+
+    @pytest.mark.parametrize("shape", LONGEST)
+    def test_longest_accepted_expressions_get_through_every_layer(self, shape):
+        make = self.LONGEST[shape]
+        k = max(k for k in range(1, ex.MAX_TOKENS) if len(ex._tokenize(make(k))) <= ex.MAX_TOKENS + 1)
+        e = parse(make(k))
+        with pytest.raises(ExprSyntaxError, match=f"expression longer than {ex.MAX_TOKENS} tokens"):
+            parse(make(k + 1))
+        partials = [e] + [differentiate(e, s) for s in "yv"]
+        partials += [differentiate(d, s) for d, s in ((partials[1], "y"), (partials[2], "y"), (partials[2], "v"))]
+        program = ex.Program(partials)
+        compiled = program(np.array([0.5, 1.5]), np.array([0.75, 2.0]), np.array([1.25, 0.5]))
+        walked = program(0.5, 0.75, 1.25)  # scalar inputs replay eval_arrays
+        for d, a, b in zip(partials, compiled, walked):
+            assert a[0] == b and np.isfinite(a).all()
+            assert to_text(d)
+
+    def test_expressions_over_the_token_limit_are_syntax_errors(self):
+        # each of these exhausted the recursion limit in the parser or in _diff
+        limit = ex.MAX_TOKENS
+        for text in ("(" * 3000 + "v" + ")" * 3000, " + ".join(["v"] * 1500), "v + " * limit + "v"):
+            with pytest.raises(ExprSyntaxError) as err:
+                parse(text)
+            assert str(err.value).startswith(f"expression longer than {limit} tokens")
+            assert err.value.offset == ex._tokenize(text)[limit][2]
+
     def test_negative_exponent(self):
         assert parse("y^-0.5") == Pow(Var("y"), -0.5)
         assert parse("-y^-2") == Neg(Pow(Var("y"), -2.0))

@@ -272,6 +272,20 @@ class TestConvergence:
 
 
 class TestNoFloatingPointWarnings:
+    def test_undefined_hessian_falls_back_to_steepest_descent(self, monkeypatch):
+        # d2/dy2 of y^1.5 is undefined at the fixed y(0) = 0, so no Newton
+        # model exists anywhere; the solve still ends in a finite report
+        p = VariationalProblem(uniform(0.0, 1.0, 5), parse("v^2"), parse("y^1.5 + v^2"), 0.0, 1.0)
+        models = []
+        real = so._model
+        monkeypatch.setattr(so, "_model", lambda *a: models.append(real(*a)) or models[-1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = solve(p, SolverConfig(multistarts=2))
+        assert models and all(m is None for m in models)
+        assert np.isfinite(rep.trajectory.values).all()
+        assert np.isfinite([rep.J, rep.grad_norm, rep.el_defect_1, rep.el_defect_2]).all()
+
     @pytest.mark.parametrize(
         "ts, delta, nabla, bc_b",
         [

@@ -284,6 +284,24 @@ class TestConsistencySolve:
 
 
 class TestIsoperimetricSolve:
+    def test_feasibility_phase_hands_over_to_kkt_newton(self, monkeypatch):
+        # the straight line cannot be projected onto K = k, so the start first
+        # minimizes (K - k)^2/2 and then reruns KKT Newton from where that ends
+        p = VariationalProblem(
+            from_points([0.234, 0.791, 1.05]),
+            parse("0.7529*v^2 + y^2 + t*v*y"), parse("0.4961*v^2 + y^2 + t*v*y"), 0.5, -0.5,
+            IsoperimetricConstraint(parse("0.3671*v^2 + y^2 + t*v*y"),
+                                    parse("cos(y - t*v) + 0.6676*v^3"), -2.855079),
+        )
+        runs = []
+        real = so._newton
+        monkeypatch.setattr(so, "_newton", lambda *a: runs.append(real(*a)) or runs[-1])
+        rep = solve_isoperimetric(p, SolverConfig(multistarts=1))
+        assert [np.isfinite(at.f) for _, at, _ in runs] == [False, True, True]
+        assert rep.converged and rep.message == "normal extremal"
+        assert abs(rep.J - 1.43823802776) <= 1e-10
+        assert rep.iterations == 7 and rep.constraint_error <= 1e-10
+
     def test_m2_reduces_to_identity_with_zero_multiplier(self):
         rep = solve_isoperimetric(iso_problem(2), CFG)
         assert rep.converged
