@@ -381,8 +381,10 @@ def _lower(exprs) -> tuple[tuple, tuple]:
     """Hash-cons ``exprs`` into straight-line code: instructions ('k', hex of
     a constant), ('x', variable index) or (ufunc name, operand indices...),
     each operand an earlier instruction, and the index of each expression.
-    Constants are keyed by ``float.hex``, so 0.0 and -0.0 stay apart."""
-    index, code = {}, []
+    Constants are keyed by ``float.hex``, so 0.0 and -0.0 stay apart.
+    Partials share subtree objects, so a node seen before (by identity:
+    every node stays alive meanwhile) is not walked again."""
+    index, code, seen = {}, [], {}
 
     def node(ins):
         if ins not in index:
@@ -391,19 +393,24 @@ def _lower(exprs) -> tuple[tuple, tuple]:
         return index[ins]
 
     def visit(e):
+        if id(e) in seen:
+            return seen[id(e)]
         if isinstance(e, Const):
-            return node(("k", float(e.value).hex()))
-        if isinstance(e, Var):
-            return node(("x", VARIABLES.index(e.name)))
-        if isinstance(e, Neg):
-            return node(("negative", visit(e.arg)))
-        if isinstance(e, Call):
-            return node((_UFUNCS[e.fn], visit(e.arg)))
-        if isinstance(e, Pow):
-            return node(("power", visit(e.base), node(("k", float(e.exponent).hex()))))
-        if isinstance(e, BinOp):
-            return node((_UFUNCS[e.op], visit(e.left), visit(e.right)))
-        raise TypeError(f"not an expression node: {e!r}")
+            ins = ("k", float(e.value).hex())
+        elif isinstance(e, Var):
+            ins = ("x", VARIABLES.index(e.name))
+        elif isinstance(e, Neg):
+            ins = ("negative", visit(e.arg))
+        elif isinstance(e, Call):
+            ins = (_UFUNCS[e.fn], visit(e.arg))
+        elif isinstance(e, Pow):
+            ins = ("power", visit(e.base), node(("k", float(e.exponent).hex())))
+        elif isinstance(e, BinOp):
+            ins = (_UFUNCS[e.op], visit(e.left), visit(e.right))
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
+        seen[id(e)] = node(ins)
+        return seen[id(e)]
 
     outs = tuple(visit(e) for e in exprs)
     return tuple(code), outs

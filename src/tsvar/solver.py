@@ -22,8 +22,10 @@ One globalisation keeps every step a descent step:
   which ends unbounded searches (value below -1e100) quickly and crosses
   the exp(c*v) regime, where a pure Newton step moves v by only about 1/c.
 
-Trial points whose value or gradient is undefined (``DomainViolation``) or
-not finite are rejected steps.  Because the product of two integral
+A run that has converged stops at the first step that does not lower its
+error, so it does not crawl on at a degenerate stationary point.  Trial
+points whose value or gradient is undefined (``DomainViolation``) or not
+finite are rejected steps.  Because the product of two integral
 functionals is nonconvex, every solve multistarts from seeded smooth random
 perturbations of the straight-line interpolant between the boundary values;
 a report's ``iterations`` counts the Newton steps of the reported start.
@@ -53,6 +55,13 @@ method's ``SolveReport`` comes from one builder, ``_report``, which samples
 each integrand pair once at the final trajectory and reduces J_delta,
 J_nabla, both residual defects and the natural boundary residuals from
 that one pass.
+
+``probe_extremal_type`` classifies a stationary point by the exact inertia
+of the Newton model of J on the free block: the signs of the LDL^T pivots
+of the tridiagonal part (Sylvester's law of inertia), corrected for the
+rank-2 part by a 2 x 2 Schur complement (Haynsworth additivity).  It uses
+the same evaluator and factorization as a Newton step, and no random
+numbers or finite differences.
 """
 
 from __future__ import annotations
@@ -149,16 +158,15 @@ class ClosestApproach:
 def _ldl(diag, off):
     """LDL^T factors (pivots, multipliers) of the symmetric tridiagonal
     matrix with main diagonal ``diag`` and off-diagonal ``off`` (sequences
-    of Python floats), or None as soon as a pivot is not positive."""
+    of Python floats), or None at a zero pivot.  By Sylvester's law of
+    inertia the pivots have the signs of the matrix's eigenvalues."""
     d = diag[0]
-    if not d > 0.0:
-        return None
     piv, mult = [d], []
     for a, b in zip(diag[1:], off):
+        if d == 0.0:
+            return None
         m = b / d
         d = a - m * b
-        if not d > 0.0:
-            return None
         mult.append(m)
         piv.append(d)
     return piv, mult
@@ -184,7 +192,7 @@ def _structured_solve(diag, off, U, C, b):
     which share the factorization.  Returns None when T has a non-positive
     pivot or the k x k capacitance system is singular."""
     fac = _ldl(diag.tolist(), off.tolist())
-    if fac is None:
+    if fac is None or not all(p > 0.0 for p in fac[0]):
         return None
     x = np.array([_ldl_solve(fac, row) for row in np.atleast_2d(b).tolist()])
     if len(U):
@@ -195,6 +203,26 @@ def _structured_solve(diag, off, U, C, b):
             return None
         x = x - w.T @ Z
     return x.reshape(np.shape(b))
+
+
+def _inertia(diag, off, U, C):
+    """(negative, positive) eigenvalue counts of T + U^T C U as in
+    ``_structured_solve``, C invertible: the LDL^T pivot signs of T plus
+    In(S) - In(-C^-1), S = -C^-1 - U T^-1 U^T (Haynsworth additivity).  None
+    when a pivot or an eigenvalue of S is within n*eps of the largest pivot
+    or entry of |C^-1| + |U| |T^-1 U^T| (which S is summed from)."""
+    fac = _ldl(diag.tolist(), off.tolist())
+    if fac is None:
+        return None
+    Ci = np.linalg.inv(C)
+    Z = np.array([_ldl_solve(fac, u) for u in U.tolist()]).reshape(U.shape)
+    piv, s, c = np.array(fac[0]), np.linalg.eigvalsh(-Ci - U @ Z.T), np.linalg.eigvalsh(-Ci)
+    scale = np.max(np.abs(Ci) + np.abs(U) @ np.abs(Z).T, initial=0.0)
+    tol = len(piv) * _EPS
+    if not (np.all(np.abs(piv) > tol * np.max(np.abs(piv))) and np.all(np.abs(s) > tol * scale)):
+        return None
+    neg = int(np.count_nonzero(piv < 0.0) + np.count_nonzero(s < 0.0) - np.count_nonzero(c < 0.0))
+    return neg, len(piv) - neg
 
 
 def _bordered_solve(diag, off, U, C, border, b):
@@ -306,8 +334,9 @@ def _newton(fun, model, w0):
     Hessian there, for ``_direction``.  Steps are globalised by Armijo
     backtracking from alpha = 1, and a full step that may be too short is
     expanded.  Iterates until err <= 1e-3 when possible, so the error ends
-    well inside the tolerance, for at most _MAX_STEPS steps, and stops once
-    the value falls below _UNBOUNDED; returns (w, at, iterations).
+    well inside the tolerance, for at most _MAX_STEPS steps; stops once the
+    value falls below _UNBOUNDED, or once a run with err <= 1 takes a step
+    that does not lower err, which is not taken; returns (w, at, iterations).
     """
     w = np.asarray(w0, dtype=float)
     with np.errstate(all="ignore"):
@@ -349,6 +378,10 @@ def _newton(fun, model, w0):
                     if not at_t.f < an.f:
                         break
                     alpha, an = 2.0 * alpha, at_t
+            # Converged already and the step did not lower the error: at a
+            # degenerate stationary point further steps only crawl.
+            if at.err <= 1.0 and an.err >= at.err:
+                break
             stalled = an.f >= f - 1e-16 * (1.0 + abs(f)) and float(
                 np.max(np.abs(an.w - w))
             ) <= 1e-14 * (1.0 + float(np.max(np.abs(w))))
@@ -983,42 +1016,22 @@ def consistency_solve(
 def probe_extremal_type(
     p: va.VariationalProblem, y: GridFunction, cfg: SolverConfig = SolverConfig()
 ) -> str:
-    """Random-direction second-difference probe at a stationary trajectory.
-
-    Returns one of 'local-min-indication', 'local-max-indication',
-    'saddle-indication', 'inconclusive'.  The probe is heuristic: a 0.9
-    majority of positive (negative) curvatures indicates a minimum (maximum).
-    """
+    """Classify a stationary trajectory by the ``_inertia`` of the exact
+    Hessian of J on the free block (its Newton ``_model``): positive definite
+    is 'local-min-indication', negative definite 'local-max-indication', both
+    signs 'saddle-indication', and singular to rounding or undefined
+    'inconclusive'.  ``cfg`` supplies only grad_tol, for the stationarity check."""
     defect = va.el_residual_1(p, y).defect  # both residual forms share it
     Jval = va.eval_J(p, y)
     if defect > 10.0 * cfg.grad_tol * (1.0 + abs(Jval)):
         raise ValueError(f"trajectory is not stationary (defect {defect:.3e})")
     cp = _Compiled(p, y.values)
-    z0 = cp.y[cp.lo : cp.hi].copy()
-    rng = np.random.default_rng(cfg.seed)
-    h = 1e-4
-    k = 50
-    pos = neg = 0
-    for _ in range(k):
-        d = rng.standard_normal(z0.size)
-        nrm = np.linalg.norm(d)
-        if nrm == 0.0:
-            continue
-        d /= nrm
-        fp = cp.value_grad(z0 + h * d, p.L_delta, p.L_nabla)[0]
-        fm = cp.value_grad(z0 - h * d, p.L_delta, p.L_nabla)[0]
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            continue
-        d2 = (fp - 2.0 * Jval + fm) / (h * h)
-        floor = 50.0 * np.finfo(float).eps * (abs(Jval) + abs(fp) + abs(fm)) / (h * h)
-        if d2 > floor:
-            pos += 1
-        elif d2 < -floor:
-            neg += 1
-    if pos >= 0.9 * k:
+    z = cp.y[cp.lo : cp.hi].copy()
+    first = cp.value_grad(z, p.L_delta, p.L_nabla)[2]
+    model = None if first is None else _model([(1.0, cp.hessian(z, p.L_delta, p.L_nabla, first))])
+    counts = None if model is None else _inertia(*model)
+    if counts is None:
+        return "inconclusive"
+    if counts[0] == 0:
         return "local-min-indication"
-    if neg >= 0.9 * k:
-        return "local-max-indication"
-    if pos >= 0.1 * k and neg >= 0.1 * k:
-        return "saddle-indication"
-    return "inconclusive"
+    return "local-max-indication" if counts[1] == 0 else "saddle-indication"

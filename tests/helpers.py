@@ -1,4 +1,5 @@
-"""Shared generators for randomized tests (all seeded by the caller)."""
+"""Shared generators for randomized tests (all seeded by the caller) and the
+dense matrix of a solver model."""
 
 import numpy as np
 
@@ -72,3 +73,10 @@ SMOOTH_TEMPLATES = (
 def random_integrand(rng) -> ex.Expression:
     template = SMOOTH_TEMPLATES[int(rng.integers(len(SMOOTH_TEMPLATES)))]
     return ex.parse(template.format(f"{rng.uniform(0.2, 0.9):.4f}"))
+
+
+def dense(model):
+    """The matrix T + U^T C U of a solver ``_model`` form (diag, off, U, C)."""
+    diag, off, U, C = model
+    H = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    return H + U.T @ C @ U if len(U) else H

@@ -109,8 +109,9 @@ def argvs(draw):
 
 def _run(argv):
     # The suite checks exit codes, not convergence, so a Newton run stops
-    # after 50 steps: some starts crawl to the 10000-step cap at a degenerate
-    # stationary point, which takes 10-25 s on a three-point scale.
+    # after 50 steps: with no Newton model anywhere (`y^1.5 + v^2` on both
+    # sides of `qscale 2 0 2`, y(b) = 0 fixed) every start crawls to the
+    # 10000-step cap, which takes about 25 s apiece on a three-point scale.
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             mock.patch.object(so, "_MAX_STEPS", 50):

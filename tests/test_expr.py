@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from tsvar import cli
 from tsvar import expr as ex
+from tsvar import variational as va
 from tsvar.expr import (
     Binding,
     BinOp,
@@ -309,3 +313,47 @@ def test_eval_arrays_vectorizes():
     y = np.array([1.0, 1.0, 1.0])
     v = np.array([2.0, 2.0, 2.0])
     np.testing.assert_allclose(ex.eval_arrays(e, t, y, v), [1.0, 3.0, 5.0])
+
+
+def _lower_by_walking(exprs):
+    """``ex._lower`` as a plain tree walk that revisits shared subtrees: the
+    oracle for its memoised walk."""
+    index, code = {}, []
+
+    def node(ins):
+        if ins not in index:
+            index[ins] = len(code)
+            code.append(ins)
+        return index[ins]
+
+    def visit(e):
+        if isinstance(e, Const):
+            return node(("k", float(e.value).hex()))
+        if isinstance(e, Var):
+            return node(("x", ex.VARIABLES.index(e.name)))
+        if isinstance(e, Neg):
+            return node(("negative", visit(e.arg)))
+        if isinstance(e, ex.Call):
+            return node((ex._UFUNCS[e.fn], visit(e.arg)))
+        if isinstance(e, Pow):
+            return node(("power", visit(e.base), node(("k", float(e.exponent).hex()))))
+        return node((ex._UFUNCS[e.op], visit(e.left), visit(e.right)))
+
+    outs = tuple(visit(e) for e in exprs)
+    return tuple(code), outs
+
+
+def _bundled_integrands():
+    root = Path(cli.__file__).parent / "problems"
+    for path in sorted(root.glob("*.problem")):
+        p, _ = cli.parse_problem_file(path)
+        c = p.constraint
+        yield from (p.L_delta, p.L_nabla) + (() if c is None else (c.K_delta, c.K_nabla))
+
+
+def test_lowering_a_shared_subtree_once_keeps_the_program():
+    chain = parse("y/" * 49 + "v")  # 99 tokens; its second partials share subtrees
+    for L in [chain, *_bundled_integrands()]:
+        exprs = [va._d(L, s) for s in ("", "y", "v", "yy", "yv", "vv")]
+        assert ex._lower(exprs) == _lower_by_walking(exprs)
+    assert len(ex._lower([va._d(chain, s) for s in ("yy", "yv", "vv")])[0]) == 544

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import random_integrand
+from helpers import dense, random_integrand
 from tsvar import expr as ex
 from tsvar import solver as so
 from tsvar.expr import parse
@@ -27,12 +27,6 @@ def random_smooth_problem(rng, bc_a, bc_b, constraint=None):
     return VariationalProblem(
         ts, random_integrand(rng), random_integrand(rng), bc_a, bc_b, constraint
     )
-
-
-def dense(model):
-    diag, off, U, C = model
-    H = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    return H + U.T @ C @ U if len(U) else H
 
 
 def fd_hessian_times(grad, z, x, h=1e-5):
@@ -163,9 +157,55 @@ class TestStructuredSolve:
          ([float("nan"), 1.0], [0.0])],
     )
     def test_non_positive_pivot_is_reported(self, diag, off):
-        assert so._ldl(diag, off) is None
+        # _ldl stops only at a zero pivot and otherwise returns every pivot,
+        # NaN included; the solve refuses any pivot that is not positive
         assert so._structured_solve(np.array(diag), np.array(off), np.zeros((0, 2)),
                                     np.zeros((0, 0)), np.ones(len(diag))) is None
+        fac = so._ldl(diag, off)
+        assert (fac is None) == (diag[0] == 0.0)
+        if fac is not None and np.isfinite(diag).all():
+            T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+            assert np.array_equal(np.sign(sorted(fac[0])), np.sign(np.linalg.eigvalsh(T)))
+
+    def test_pivot_signs_are_the_inertia_of_indefinite_tridiagonals(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            n = int(rng.integers(1, 60))
+            diag, off = rng.uniform(-2, 2, n), rng.uniform(-2, 2, n - 1)
+            piv = so._ldl(diag.tolist(), off.tolist())[0]
+            ev = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+            assert np.min(np.abs(ev)) > 1e-9  # no eigenvalue near zero in this set
+            assert np.count_nonzero(np.array(piv) < 0) == np.count_nonzero(ev < 0)
+            x = so._structured_solve(diag, off, np.zeros((0, n)), np.zeros((0, 0)), np.ones(n))
+            assert (x is None) == (min(piv) < 0)
+
+    def test_inertia_matches_dense_eigenvalues_of_random_models(self):
+        rng = np.random.default_rng(19)
+        corrected = 0
+        for _ in range(300):
+            n, k = int(rng.integers(1, 30)), int(rng.integers(0, 5))
+            diag, off = rng.uniform(-2, 2, n), rng.uniform(-1, 1, n - 1)
+            if rng.random() < 0.5:  # T positive definite, as at most minima
+                diag = np.abs(diag) + 2.0
+            U = rng.standard_normal((k, n))
+            B = rng.standard_normal((k, k))
+            C = B + B.T
+            ev = np.linalg.eigvalsh(dense((diag, off, U, C)))
+            if np.min(np.abs(ev)) <= 1e-6 * np.max(np.abs(ev)):
+                continue
+            want = (np.count_nonzero(ev < 0), np.count_nonzero(ev > 0))
+            assert so._inertia(diag, off, U, C) == want
+            T = np.linalg.eigvalsh(dense((diag, off, U[:0], C[:0, :0])))
+            corrected += np.count_nonzero(T < 0) != want[0]
+        assert corrected >= 50  # the rank-k term changes the inertia of T
+        assert so._inertia(np.array([0.0, 1.0]), np.array([1.0]), np.zeros((0, 2)),
+                           np.zeros((0, 0))) is None  # a zero pivot
+        assert so._inertia(np.zeros(3), np.zeros(2), np.ones((2, 3)), np.eye(2)) is None
+        # singular to rounding: a tiny pivot, and 1 - 100*0.1^2 (-2e-16 in floats)
+        assert so._inertia(np.array([1.0, 1e-17]), np.zeros(1), np.zeros((0, 2)),
+                           np.zeros((0, 0))) is None
+        assert so._inertia(np.ones(1), np.zeros(0), np.full((1, 1), 0.1),
+                           np.full((1, 1), -100.0)) is None
 
     def test_indefinite_model_still_gives_a_descent_direction(self):
         g = np.array([1.0, -2.0, 0.5])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_gridfn, random_quadratic_problem
+from helpers import dense, random_gridfn, random_integrand, random_quadratic_problem
 from tsvar import expr as ex
 from tsvar import solver as so
 from tsvar import variational as va
@@ -302,6 +302,22 @@ class TestIsoperimetricSolve:
         assert abs(rep.J - 1.43823802776) <= 1e-10
         assert rep.iterations == 7 and rep.constraint_error <= 1e-10
 
+    def test_converged_start_stops_at_a_degenerate_stationary_point(self, monkeypatch):
+        # J = (y(b) - y(a))^2 with both endpoints free, so its minima along
+        # K = k are degenerate; once converged, a step that does not lower the
+        # error ends the run instead of crawling to the step cap
+        p = VariationalProblem(
+            from_points([0.234, 0.791, 1.05]), parse("v"), parse("v"), None, None,
+            IsoperimetricConstraint(parse("t*v"), parse("1/3"), 1.0),
+        )
+        runs = []
+        real = so._newton
+        monkeypatch.setattr(so, "_MAX_STEPS", 200)
+        monkeypatch.setattr(so, "_newton", lambda *a: runs.append(real(*a)) or runs[-1])
+        rep = solve_isoperimetric(p, SolverConfig())
+        assert rep.converged and len(runs) >= 8
+        assert max(it for _, _, it in runs) < 200
+
     def test_m2_reduces_to_identity_with_zero_multiplier(self):
         rep = solve_isoperimetric(iso_problem(2), CFG)
         assert rep.converged
@@ -463,6 +479,15 @@ class TestStarts:
         assert len({float(z[0]) for z in starts}) == 16
 
 
+def dense_hessian(p, y):
+    """The exact Hessian of J on the free block as a dense matrix, from the
+    ``_model`` form that Newton factorizes."""
+    cp = so._Compiled(p, y.values)
+    z = cp.y[cp.lo : cp.hi].copy()
+    first = cp.value_grad(z, p.L_delta, p.L_nabla)[2]
+    return dense(so._model([(1.0, cp.hessian(z, p.L_delta, p.L_nabla, first))]))
+
+
 class TestProbe:
     def test_straight_line_minimum(self):
         ts = uniform(0, 4, 5)
@@ -471,20 +496,58 @@ class TestProbe:
         assert probe_extremal_type(p, rep.trajectory, CFG) == "local-min-indication"
 
     def test_free_endpoint_zero_minimum(self):
+        # J = (sum of mu*v^2)^2 is quartic at its minimum y = 0, where its
+        # exact Hessian is zero: a degenerate point, not a definite minimum
         ts = uniform(0, 2, 3)
         p = VariationalProblem(ts, parse("v^2"), parse("v^2"), 0.0, None)
         rep = solve(p, CFG)
-        assert probe_extremal_type(p, rep.trajectory, CFG) == "local-min-indication"
+        assert np.array_equal(rep.trajectory.values, np.zeros(3))
+        assert probe_extremal_type(p, rep.trajectory, CFG) == "inconclusive"
 
     def test_sign_indefinite_product(self):
+        # J = -J_delta^2 at the straight line, which minimizes J_delta > 0
         ts = uniform(0, 2, 3)
         p = VariationalProblem(ts, parse("v^2"), parse("-v^2"), 0.0, 2.0)
         y = GridFunction(ts, ts.points.copy())
-        assert probe_extremal_type(p, y, CFG) in (
-            "saddle-indication",
-            "local-max-indication",
-            "inconclusive",
-        )
+        assert probe_extremal_type(p, y, CFG) == "local-max-indication"
+
+    def test_saddle_that_random_directions_called_a_minimum(self):
+        # y = 0 is stationary: both partials of y*v/(1 + v^2) vanish there.
+        # The Hessian's eigenvalues run from -3.26 to 14.75
+        ts = from_points([0.312, 0.8464, 1.3496, 1.7869, 1.986, 2.2512, 2.529, 3.1045])
+        p = VariationalProblem(ts, parse("y*v/(1 + v^2) + 0.2059*t"),
+                               parse("y*v/(1 + v^2) + 0.863*t"), None, None)
+        y = GridFunction(ts, np.zeros(len(ts)))
+        ev = np.linalg.eigvalsh(dense_hessian(p, y))
+        assert ev[0] == pytest.approx(-3.26, abs=0.01) and ev[-1] == pytest.approx(14.75, abs=0.01)
+        for seed in range(6):
+            assert probe_extremal_type(p, y, SolverConfig(seed=seed)) == "saddle-indication"
+
+    def test_agrees_with_the_dense_hessian_at_random_stationary_points(self, monkeypatch):
+        # converged solves give minima and saddles; negating one integrand
+        # negates J and its Hessian at the same point, which gives maxima.
+        # The solves are capped at 50 steps: only their converged ends count
+        monkeypatch.setattr(so, "_MAX_STEPS", 50)
+        rng = np.random.default_rng(2036)  # two of its points need the Schur term
+        labels = ("local-max-indication", "saddle-indication", "local-min-indication")
+        found = []
+        for i in range(40):
+            n = int(rng.integers(3, 13))
+            ts = from_points(np.cumsum(rng.uniform(0.1, 0.6, n)))
+            bc = [(0.0, 1.0), (None, 1.0), (0.5, None), (None, None)][i % 4]
+            p = VariationalProblem(ts, random_integrand(rng), random_integrand(rng), *bc)
+            rep = solve(p, SolverConfig(multistarts=2, seed=i))
+            if not rep.converged:
+                continue
+            ev = np.linalg.eigvalsh(dense_hessian(p, rep.trajectory))
+            if not np.min(np.abs(ev)) > 1e-8 * np.max(np.abs(ev)):
+                continue
+            k = 1 + (ev[0] > 0) - (ev[-1] < 0)  # the index of the label in labels
+            flipped = VariationalProblem(ts, p.L_delta, ex.Neg(p.L_nabla), *bc)
+            for q, label in ((p, labels[k]), (flipped, labels[2 - k])):
+                assert probe_extremal_type(q, rep.trajectory, SolverConfig(seed=i)) == label
+                found.append(label)
+        assert len(found) >= 40 and set(found) == set(labels)
 
     def test_rejects_nonstationary_trajectory(self):
         ts = uniform(0, 3, 4)
