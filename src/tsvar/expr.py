@@ -22,9 +22,10 @@ operators and parentheses); a longer one is a syntax error.  The limit bounds
 the depth of every tree: binary operators associate to the left, so a sum of
 k terms is k levels deep, and a second partial of an expression of n tokens
 is at most about 3n levels deep (a chain of quotients is the deepest).
-Parsing, differentiation, the compiled program, array evaluation and printing
+Parsing, differentiation, lowering to the compiled program and printing
 recurse once per level, so they stay well within Python's default recursion
-limit.
+limit.  Array evaluation runs the lowered straight-line code and does not
+recurse.
 """
 
 from __future__ import annotations
@@ -287,52 +288,7 @@ def eval_arrays(e: Expression, t, y, v):
     fractional power of a negative base, overflow), naming the first node,
     in evaluation order, with a non-finite element and that element's index.
     """
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return {"t": t, "y": y, "v": v}[e.name]
-    if isinstance(e, Neg):
-        return -np.asarray(eval_arrays(e.arg, t, y, v))
-    if isinstance(e, Call):
-        arg = np.asarray(eval_arrays(e.arg, t, y, v), dtype=float)
-        with np.errstate(all="ignore"):
-            out = {
-                "sin": np.sin,
-                "cos": np.cos,
-                "exp": np.exp,
-                "ln": np.log,
-                "sqrt": np.sqrt,
-            }[e.fn](arg)
-        _check_finite(out, e, e.fn)
-        return out
-    if isinstance(e, Pow):
-        base = np.asarray(eval_arrays(e.base, t, y, v), dtype=float)
-        with np.errstate(all="ignore"):
-            out = np.power(base, e.exponent)
-        _check_finite(out, e, "pow")
-        return out
-    if isinstance(e, BinOp):
-        left = np.asarray(eval_arrays(e.left, t, y, v), dtype=float)
-        right = np.asarray(eval_arrays(e.right, t, y, v), dtype=float)
-        with np.errstate(all="ignore"):
-            if e.op == "+":
-                out = left + right
-            elif e.op == "-":
-                out = left - right
-            elif e.op == "*":
-                out = left * right
-            else:
-                out = left / right
-        _check_finite(out, e, e.op)
-        return out
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def _check_finite(out, node, opname):
-    finite = np.isfinite(out)
-    if not finite.all():
-        index = None if finite.ndim == 0 else int(np.argmin(finite.ravel()))
-        raise DomainViolation(f"domain violation in {opname!r}", node.span, index)
+    return _checked(*_lower((e,)), t, y, v)[0]
 
 
 def evaluate(e: Expression, b: Binding) -> float:
@@ -349,17 +305,18 @@ class Program:
     straight-line program in which shared subtrees are computed once.
 
     Called on arrays t, y, v, it returns one fresh array per expression,
-    bit-identical to ``eval_arrays`` of that expression, and filled to the
-    broadcast shape of the inputs where the expression is constant.  The
-    program runs with floating-point faults raised; on a fault, a non-finite
-    input or a scalar input it replays ``eval_arrays`` on the expressions in
-    order, so a failure raises the same ``DomainViolation`` as evaluating
-    them one after another.
+    filled to the broadcast shape of the inputs where the expression is
+    constant.  The program runs with floating-point faults raised; on a
+    fault, a non-finite input or a scalar input it runs again checked, one
+    instruction at a time (``_checked``), so a failure raises the same
+    ``DomainViolation`` as evaluating the expressions one after another.
+    Both runs give bit-identical outputs.
     """
 
     def __init__(self, exprs):
         self.exprs = tuple(exprs)
-        self._run, self._reads = _compile(*_lower(self.exprs))
+        self._lowered = _lower(self.exprs)
+        self._run, self._reads = _compile(*self._lowered[:2])
 
     def __call__(self, t, y, v):
         ins = [np.asarray(x, dtype=float) for x in (t, y, v)]
@@ -372,29 +329,35 @@ class Program:
                         return self._run(*ins)
             except FloatingPointError:
                 pass
-        shape = np.broadcast_shapes(*(x.shape for x in ins))
-        outs = [eval_arrays(e, t, y, v) for e in self.exprs]
-        return tuple(np.array(x, dtype=float) if np.ndim(x) else np.full(shape, x) for x in outs)
+        return _checked(*self._lowered, t, y, v)
 
 
-def _lower(exprs) -> tuple[tuple, tuple]:
+def _lower(exprs) -> tuple[tuple, tuple, tuple]:
     """Hash-cons ``exprs`` into straight-line code: instructions ('k', hex of
     a constant), ('x', variable index) or (ufunc name, operand indices...),
-    each operand an earlier instruction, and the index of each expression.
+    each operand an earlier instruction, the index of each expression, and
+    for each instruction the operation name a ``DomainViolation`` reports
+    (None for a constant, a variable or a negation, which are not checked)
+    and the span of the first node lowered to it.
     Constants are keyed by ``float.hex``, so 0.0 and -0.0 stay apart.
     Partials share subtree objects, so a node seen before (by identity:
-    every node stays alive meanwhile) is not walked again."""
-    index, code, seen = {}, [], {}
+    every node stays alive meanwhile) is not walked again.  Nodes are
+    visited in evaluation order, operands before their operation, so the
+    first instruction with a non-finite element belongs to the first node
+    that has one."""
+    index, code, where, seen = {}, [], [], {}
 
-    def node(ins):
+    def node(ins, name=None, span=None):
         if ins not in index:
             index[ins] = len(code)
             code.append(ins)
+            where.append((name, span))
         return index[ins]
 
     def visit(e):
         if id(e) in seen:
             return seen[id(e)]
+        name = None
         if isinstance(e, Const):
             ins = ("k", float(e.value).hex())
         elif isinstance(e, Var):
@@ -402,18 +365,43 @@ def _lower(exprs) -> tuple[tuple, tuple]:
         elif isinstance(e, Neg):
             ins = ("negative", visit(e.arg))
         elif isinstance(e, Call):
-            ins = (_UFUNCS[e.fn], visit(e.arg))
+            ins, name = (_UFUNCS[e.fn], visit(e.arg)), e.fn
         elif isinstance(e, Pow):
-            ins = ("power", visit(e.base), node(("k", float(e.exponent).hex())))
+            ins, name = ("power", visit(e.base), node(("k", float(e.exponent).hex()))), "pow"
         elif isinstance(e, BinOp):
-            ins = (_UFUNCS[e.op], visit(e.left), visit(e.right))
+            ins, name = (_UFUNCS[e.op], visit(e.left), visit(e.right)), e.op
         else:
             raise TypeError(f"not an expression node: {e!r}")
-        seen[id(e)] = node(ins)
+        seen[id(e)] = node(ins, name, e.span)
         return seen[id(e)]
 
     outs = tuple(visit(e) for e in exprs)
-    return tuple(code), outs
+    return tuple(code), outs, tuple(where)
+
+
+def _checked(code, outs, where, t, y, v):
+    """Run lowered code one instruction at a time on arrays or scalars t, y,
+    v, and return a fresh array per output, a 0-d one filled to the
+    broadcast shape of the inputs.  The first checked instruction with a
+    non-finite element raises DomainViolation, with that element's flat
+    index (None for a 0-d value)."""
+    ins = [np.asarray(x, dtype=float) for x in (t, y, v)]
+    vals = []
+    with np.errstate(all="ignore"):
+        for (op, *args), (name, span) in zip(code, where):
+            if op == "k":
+                vals.append(np.float64(float.fromhex(args[0])))
+            elif op == "x":
+                vals.append(ins[args[0]])
+            else:
+                vals.append(getattr(np, op)(*(vals[a] for a in args)))
+            if name is not None:
+                finite = np.isfinite(vals[-1])
+                if not finite.all():
+                    index = None if finite.ndim == 0 else int(np.argmin(finite.ravel()))
+                    raise DomainViolation(f"domain violation in {name!r}", span, index)
+    shape = np.broadcast_shapes(*(x.shape for x in ins))
+    return tuple(np.array(vals[o]) if np.ndim(vals[o]) else np.full(shape, vals[o]) for o in outs)
 
 
 @functools.lru_cache(maxsize=256)

@@ -1,5 +1,5 @@
-"""Shared generators for randomized tests (all seeded by the caller) and the
-dense matrix of a solver model."""
+"""Shared generators for randomized tests (all seeded by the caller), the
+dense matrix of a solver model, and a reference walker for expressions."""
 
 import numpy as np
 
@@ -80,3 +80,57 @@ def dense(model):
     diag, off, U, C = model
     H = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     return H + U.T @ C @ U if len(U) else H
+
+
+def walk(e, t, y, v):
+    """Evaluate ``e`` over arrays (or scalars) t, y, v by a recursive walk of
+    its tree, node by node: an oracle for ``tsvar.expr.eval_arrays`` that
+    shares no code with it.  Raises DomainViolation at the first node, in
+    evaluation order, with a non-finite element (constants, variables and
+    negations are not checked), naming that element's flat index."""
+    if isinstance(e, ex.Const):
+        return e.value
+    if isinstance(e, ex.Var):
+        return {"t": t, "y": y, "v": v}[e.name]
+    if isinstance(e, ex.Neg):
+        return -np.asarray(walk(e.arg, t, y, v))
+    if isinstance(e, ex.Call):
+        arg = np.asarray(walk(e.arg, t, y, v), dtype=float)
+        with np.errstate(all="ignore"):
+            out = {
+                "sin": np.sin,
+                "cos": np.cos,
+                "exp": np.exp,
+                "ln": np.log,
+                "sqrt": np.sqrt,
+            }[e.fn](arg)
+        _check_finite(out, e, e.fn)
+        return out
+    if isinstance(e, ex.Pow):
+        base = np.asarray(walk(e.base, t, y, v), dtype=float)
+        with np.errstate(all="ignore"):
+            out = np.power(base, e.exponent)
+        _check_finite(out, e, "pow")
+        return out
+    if isinstance(e, ex.BinOp):
+        left = np.asarray(walk(e.left, t, y, v), dtype=float)
+        right = np.asarray(walk(e.right, t, y, v), dtype=float)
+        with np.errstate(all="ignore"):
+            if e.op == "+":
+                out = left + right
+            elif e.op == "-":
+                out = left - right
+            elif e.op == "*":
+                out = left * right
+            else:
+                out = left / right
+        _check_finite(out, e, e.op)
+        return out
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _check_finite(out, node, opname):
+    finite = np.isfinite(out)
+    if not finite.all():
+        index = None if finite.ndim == 0 else int(np.argmin(finite.ravel()))
+        raise ex.DomainViolation(f"domain violation in {opname!r}", node.span, index)

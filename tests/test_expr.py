@@ -104,7 +104,7 @@ class TestParse:
         partials += [differentiate(d, s) for d, s in ((partials[1], "y"), (partials[2], "y"), (partials[2], "v"))]
         program = ex.Program(partials)
         compiled = program(np.array([0.5, 1.5]), np.array([0.75, 2.0]), np.array([1.25, 0.5]))
-        walked = program(0.5, 0.75, 1.25)  # scalar inputs replay eval_arrays
+        walked = program(0.5, 0.75, 1.25)  # scalar inputs run the program checked
         for d, a, b in zip(partials, compiled, walked):
             assert a[0] == b and np.isfinite(a).all()
             assert to_text(d)
@@ -355,5 +355,10 @@ def test_lowering_a_shared_subtree_once_keeps_the_program():
     chain = parse("y/" * 49 + "v")  # 99 tokens; its second partials share subtrees
     for L in [chain, *_bundled_integrands()]:
         exprs = [va._d(L, s) for s in ("", "y", "v", "yy", "yv", "vv")]
-        assert ex._lower(exprs) == _lower_by_walking(exprs)
-    assert len(ex._lower([va._d(chain, s) for s in ("yy", "yv", "vv")])[0]) == 544
+        assert ex._lower(exprs)[:2] == _lower_by_walking(exprs)
+    code, outs, where = ex._lower([va._d(chain, s) for s in ("yy", "yv", "vv")])
+    assert len(code) == len(where) == 544
+    # a checked instruction reports its operation; the others report none
+    for (op, *_), (name, _) in zip(code, where):
+        assert name == {"k": None, "x": None, "negative": None, "power": "pow", "divide": "/",
+                        "multiply": "*", "add": "+", "subtract": "-"}[op]

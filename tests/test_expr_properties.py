@@ -1,11 +1,13 @@
 """Property tests of the expression language on generated trees over t, y, v:
 exact partials against sympy, the print/parse round trip, and array
-evaluation against scalar evaluation, including where evaluation fails."""
+evaluation against scalar evaluation and against a reference tree walk,
+including where evaluation fails."""
 
 import itertools
 
 import numpy as np
 import pytest
+from helpers import walk
 
 from tsvar import expr as ex
 
@@ -109,6 +111,7 @@ def test_printed_text_evaluates_like_the_tree(e, points):
 @hypothesis.given(PARSED, st.permutations(GRID))
 def test_arrays_evaluate_like_elements(e, points):
     t, y, v = (np.array(col) for col in zip(*points))
+    _assert_eval_arrays_is_the_walk(e, t, y, v)
     try:
         out = np.broadcast_to(ex.eval_arrays(e, t, y, v), t.shape)
     except ex.DomainViolation as err:
@@ -127,6 +130,24 @@ def test_arrays_evaluate_like_elements(e, points):
     assert list(out) == [_scalar(e, point) for point in points]
 
 
+def _outcome(f, *args):
+    """f(*args), or the (reason, offset, index) of the DomainViolation it raises."""
+    try:
+        return f(*args)
+    except ex.DomainViolation as err:
+        return err.reason, err.offset, err.index
+
+
+def _assert_eval_arrays_is_the_walk(e, t, y, v):
+    got, want = _outcome(ex.eval_arrays, e, t, y, v), _outcome(walk, e, t, y, v)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    # bit for bit, a constant filled to the inputs' shape
+    want = np.full(got.shape, want) if np.ndim(want) == 0 else np.asarray(want, dtype=float)
+    assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+
+
 def _partials(e):
     """e and its partials in the slots every sampler reads."""
     out = [e]
@@ -139,11 +160,11 @@ def _partials(e):
 
 
 def _walk(exprs, t, y, v):
-    """eval_arrays of each expression in turn, a constant one filled to the
-    inputs' shape, or the DomainViolation of the first to fail."""
+    """The reference walk of each expression in turn, a constant one filled
+    to the inputs' shape, or the DomainViolation of the first to fail."""
     shape = np.broadcast_shapes(np.shape(t), np.shape(y), np.shape(v))
     try:
-        outs = [ex.eval_arrays(e, t, y, v) for e in exprs]
+        outs = [walk(e, t, y, v) for e in exprs]
     except ex.DomainViolation as err:
         return err
     return [np.full(shape, x) if np.ndim(x) == 0 else x for x in outs]
@@ -175,6 +196,8 @@ def test_program_is_the_walk(e, points, two_d):
     if two_d:
         t, y, v = t[:25], y.reshape(5, 25), v.reshape(5, 25)
     _assert_program_is_the_walk(_partials(e), t, y, v)
+    # and at the first point as scalars, which the program runs checked
+    _assert_program_is_the_walk(_partials(e), *points[0])
 
 
 @SETTINGS
@@ -199,3 +222,44 @@ def test_program_outputs_are_fresh():
     outs = ex.Program([ex.parse(text) for text in ("sin(y)", "sin(y)", "y", "2", "2")])(y, y, y)
     assert not any(np.shares_memory(a, b) for a, b in itertools.combinations([*outs, y], 2))
     np.testing.assert_array_equal(outs[3], [2.0, 2.0])
+
+
+def _assert_both_are_the_walk(e, *inputs):
+    t, y, v = (np.array(x, dtype=float) for x in inputs)  # three distinct arrays
+    _assert_eval_arrays_is_the_walk(e, t, y, v)
+    _assert_program_is_the_walk([e], t, y, v)
+
+
+def test_a_non_finite_constant_is_checked_where_it_is_used():
+    # a hand-built constant can be non-finite; such a program is not
+    # compiled, and its checked run names the node that uses the constant
+    y = np.array([1.0, 0.0, -2.0])
+    inf = ex.Const(np.inf, span=2)
+    times = ex.BinOp("*", ex.Var("y", span=0), inf, span=1)
+    assert ex._compile(*ex._lower([times])[:2]) == (None, ())
+    with pytest.raises(ex.DomainViolation) as err:
+        ex.Program([times])(y, y, y)
+    assert (err.value.reason, err.value.offset, err.value.index) == ("domain violation in '*'", 1, 0)
+    _assert_both_are_the_walk(times, y, y, y)
+    # exp(-inf) is finite, so this one evaluates
+    vanishing = ex.BinOp("*", ex.Var("y"), ex.Call("exp", ex.Neg(inf)))
+    np.testing.assert_array_equal(ex.Program([vanishing])(y, y, y)[0], [0.0, 0.0, -0.0], strict=True)
+    _assert_both_are_the_walk(vanishing, y, y, y)
+
+
+@pytest.mark.parametrize("text, y, name, offset, index", [
+    # both ln(y) lower to one instruction, which names the first of them
+    ("v + ln(y) + ln(y)", np.array([1.0, 2.0, -1.0]), "ln", 4, 2),
+    ("v + ln(y) + ln(y)", -1.0, "ln", 4, None),
+    # 1/0 fails on a 0-d value, before y is read
+    ("1/0 + y", np.array([1.0, 2.0]), "/", 1, None),
+])
+def test_the_first_failing_node_is_named(text, y, name, offset, index):
+    e = ex.parse(text)
+    t = v = np.ones(np.shape(y))
+    for run in (lambda: ex.eval_arrays(e, t, y, v), lambda: ex.Program([e])(t, y, v)):
+        with pytest.raises(ex.DomainViolation) as err:
+            run()
+        assert (err.value.reason, err.value.offset, err.value.index) == (
+            f"domain violation in {name!r}", offset, index)
+    _assert_both_are_the_walk(e, t, y, v)

@@ -94,23 +94,18 @@ class TestFunctionalValues:
 
     def test_domain_violation_is_located_without_evaluating_again(self, monkeypatch):
         # the failing node names its first non-finite element, so the whole
-        # trajectory is evaluated once, not once more per sample
+        # trajectory is run checked once, not once more per sample
         ts = uniform(0, 1, 1001)
         p = VariationalProblem(ts, parse("ln(y) + v^2"), V2, 0.0, 0.0)
         y = GridFunction(ts, np.r_[np.ones(1000), -1.0])
-        calls, depth = [], [0]
-        real = ex.eval_arrays
+        calls = []
+        real = ex._checked
 
-        def counted(e, t, yy, vv):
-            if not depth[0]:
-                calls.append(e)
-            depth[0] += 1
-            try:
-                return real(e, t, yy, vv)
-            finally:
-                depth[0] -= 1
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
 
-        monkeypatch.setattr(ex, "eval_arrays", counted)
+        monkeypatch.setattr(ex, "_checked", counted)
         with pytest.raises(DomainViolation) as err:
             eval_J_delta(p, y)
         assert len(calls) == 1
