@@ -781,6 +781,8 @@ def is_affine_class(p: va.VariationalProblem) -> bool:
 _THETA_POINTS = 512  # nodes of the scan grid over [0, pi]
 _BLOCK_ELEMENTS = 1 << 16  # trajectory samples per block of angles
 _GOLDEN_STEPS = 40  # shrinks a grid cell pair (2*pi/511) below 1e-10
+_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0  # 1/phi: golden-section inner-point fraction
+_LOOKAHEAD_SAMPLES = 1 << 10  # trajectory samples per call of G in a search
 
 
 def _affine_pieces(p: va.VariationalProblem):
@@ -825,7 +827,9 @@ def _trajectories(p, pieces, A, B):
 
 def _integrals(p, y, d):
     """(J_nabla, J_delta) of each row of y with slopes d; NaN for a row along
-    which an integrand is undefined, without losing the other rows."""
+    which an integrand is undefined, without losing the other rows.  Each
+    row is reduced by its own dot product, so its bits do not depend on the
+    other rows (a matrix-vector product may block rows differently)."""
     ts = p.scale
     try:
         (ld,) = va._program(p.L_delta, ("",))(ts.points[:-1], y[:, 1:], d)
@@ -837,8 +841,8 @@ def _integrals(p, y, d):
         (n1, d1), (n2, d2) = _integrals(p, y[:h], d[:h]), _integrals(p, y[h:], d[h:])
         return np.concatenate([n1, n2]), np.concatenate([d1, d2])
     with np.errstate(all="ignore"):
-        jn = np.broadcast_to(ln, d.shape) @ ts.nu_values[1:]
-        jd = np.broadcast_to(ld, d.shape) @ ts.mu_values[:-1]
+        jn = np.vecdot(np.broadcast_to(ln, d.shape), ts.nu_values[1:])
+        jd = np.vecdot(np.broadcast_to(ld, d.shape), ts.mu_values[:-1])
     return jn, jd
 
 
@@ -865,36 +869,107 @@ def _on_rays(p, pieces, theta):
         return s * jd - c * jn, jn, jd
 
 
-def _golden_min(f, lo, hi):
-    """Vectorised golden-section search for a minimum of f on each [lo, hi];
-    returns the best abscissae and values."""
+def _depth(n, brackets, steps):
+    """Steps of a search taken per call of G on a scale of n points: the
+    most, up to ``steps``, whose 2^m - 1 abscissae per bracket stay within
+    _LOOKAHEAD_SAMPLES samples; at least 1."""
+    m = 1
+    while m < steps and brackets * ((2 << m) - 1) * n <= _LOOKAHEAD_SAMPLES:
+        m += 1
+    return m
+
+
+def _branches(state):
+    """Each column of the (brackets, w) arrays ``state`` twice, and the mask
+    of the even columns: the two children of each node of a decision tree,
+    the first where the step's comparison holds."""
+    state = [np.repeat(v, 2, axis=1) for v in state]
+    return state, np.arange(state[0].shape[1]) % 2 == 0
+
+
+def _bisection_tree(a, b, mid, m):
+    """The mid-points the next m steps of ``_bisect`` can visit from [a, b],
+    whose first is ``mid``, as a (brackets, 2^m - 1) heap: level by level,
+    node j's children are 2j + 1 (the sign change lies left of j's
+    mid-point) and 2j + 2."""
+    lo, hi, levels = a[:, None], b[:, None], [mid[:, None]]
+    for _ in range(m - 1):
+        (lo, hi, mid), left = _branches([lo, hi, levels[-1]])
+        lo, hi = np.where(left, lo, mid), np.where(left, mid, hi)
+        levels.append(0.5 * (lo + hi))
+    return np.concatenate(levels, axis=1)
+
+
+def _golden_step(left, lo, hi, x1, x2):
+    """One golden-section step where ``left`` is f(x1) < f(x2): the new
+    bracket and inner points, and the new abscissa, which takes x1's place
+    where ``left`` holds and x2's elsewhere."""
+    r = _INV_PHI
+    lo, hi = np.where(left, lo, x1), np.where(left, x2, hi)
+    new = np.where(left, hi - r * (hi - lo), lo + r * (hi - lo))
+    return lo, hi, np.where(left, new, x2), np.where(left, x1, new), new
+
+
+def _golden_tree(lo, hi, x1, x2, new, m):
+    """The new abscissae of the next m steps of ``_golden_min``, the first
+    being ``new``, which made the bracket [lo, hi] with inner points x1, x2,
+    as a (brackets, 2^m - 1) heap: node j's children are 2j + 1 (f(x1) <
+    f(x2) after j) and 2j + 2."""
+    state, levels = [v[:, None] for v in (lo, hi, x1, x2)], [new[:, None]]
+    for _ in range(m - 1):
+        state, left = _branches(state)
+        *state, new = _golden_step(left, *state)
+        levels.append(new)
+    return np.concatenate(levels, axis=1)
+
+
+def _golden_min(G, sign, lo, hi, n):
+    """Vectorised golden-section search for a minimum of sign*G on each
+    [lo, hi]; returns the best abscissae and values.  A call of G takes the
+    abscissae of the next m steps (see _depth) for every outcome of their
+    comparisons, so the search visits the points of one step per call."""
     if lo.size == 0:
         return lo, lo
-    r = (np.sqrt(5.0) - 1.0) / 2.0
+    r = _INV_PHI
     x1, x2 = hi - r * (hi - lo), lo + r * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(_GOLDEN_STEPS):
+    f1, f2 = sign * G(np.concatenate([x1, x2])).reshape(2, -1)
+    rows, level, m = np.arange(lo.size), 0, 0
+    for step in range(_GOLDEN_STEPS):
         left = f1 < f2
-        lo, hi = np.where(left, lo, x1), np.where(left, x2, hi)
-        keep_x, keep_f = np.where(left, x1, x2), np.where(left, f1, f2)
-        new_x = np.where(left, hi - r * (hi - lo), lo + r * (hi - lo))
-        new_f = f(new_x)
-        x1, f1 = np.where(left, new_x, keep_x), np.where(left, new_f, keep_f)
-        x2, f2 = np.where(left, keep_x, new_x), np.where(left, keep_f, new_f)
+        lo, hi, x1, x2, new_x = _golden_step(left, lo, hi, x1, x2)
+        if level == m:
+            m, level, node = _depth(n, lo.size, _GOLDEN_STEPS - step), 0, 0
+            tree = _golden_tree(lo, hi, x1, x2, new_x, m)
+            g = sign[:, None] * G(tree.ravel()).reshape(tree.shape)
+        else:
+            node = 2 * node + np.where(left, 1, 2)  # this step's comparison
+        new_f = g[rows, node]
+        f1, f2 = np.where(left, new_f, f2), np.where(left, f1, new_f)
+        level += 1
     left = f1 < f2
     return np.where(left, x1, x2), np.where(left, f1, f2)
 
 
-def _bisect(G, a, b, neg_a):
+def _bisect(G, a, b, neg_a, n):
     """Vectorised bisection of a sign change of G on each [a, b] (``neg_a``
     is G(a) <= 0) down to adjacent floating-point numbers, or to 2^-64 of
-    the first width near 0; returns the left ends."""
-    for _ in range(64):
+    the first width near 0; returns the left ends.  A call of G takes the
+    mid-points of the next m steps (see _depth) for every outcome, so the
+    search visits the points of one step per call."""
+    rows, level, m = np.arange(a.size), 0, 0
+    for step in range(64):
         mid = 0.5 * (a + b)
         if not np.any((a < mid) & (mid < b)):
             break
-        left = (G(mid) <= 0.0) != neg_a
+        if level == m:
+            m, level, node = _depth(n, a.size, 64 - step), 0, 0
+            tree = _bisection_tree(a, b, mid, m)
+            g = G(tree.ravel()).reshape(tree.shape)
+        else:
+            node = 2 * node + np.where(left, 1, 2)  # the last step's choice
+        left = (g[rows, node] <= 0.0) != neg_a
         a, b = np.where(left, a, mid), np.where(left, mid, b)
+        level += 1
     return a
 
 
@@ -919,8 +994,13 @@ def consistency_scan(
     change is bisected to adjacent floating-point numbers, and every local
     minimum of |G| is refined by golden section: a minimum through which G
     changes sign holds two close roots, both then bisected, and one that
-    touches zero is a tangent root.  A refined point is a root only when the
-    system residual at the pair (A, B) on its ray is at most
+    touches zero is a tangent root.  G is a pure function of theta (the
+    bits at an angle do not depend on the angles in the same call), so each
+    call of G evaluates m levels of the searches' decision tree, with m
+    taken from the scale size and the bracket count (see _depth), and the
+    searches then take m steps: the abscissae are those of refinement one
+    step at a time.  A refined point is a root only when the system
+    residual at the pair (A, B) on its ray is at most
     1e-10*(1 + max(|A|, |B|)) and, for a bisected bracket, |G| there is below
     |G| at the bracket's ends.  The second test rejects a sign change through
     a pole, where y_theta degenerates: (A, B) grows without bound there, and
@@ -939,6 +1019,7 @@ def consistency_scan(
             "(state-independent integrands, derivative-affine slopes)"
         )
     pieces = _affine_pieces(p)
+    n = len(p.scale)
 
     def G(theta):
         return _on_rays(p, pieces, theta)[0]
@@ -958,7 +1039,7 @@ def consistency_scan(
         & (mag[k] <= mag[k - 1]) & (mag[k] <= mag[k + 1])
     ]
     sign = np.where(neg[k], -1.0, 1.0)
-    t_min, f_min = _golden_min(lambda t: sign * G(t), theta[k] - h, theta[k] + h)
+    t_min, f_min = _golden_min(G, sign, theta[k] - h, theta[k] + h, n)
     split = f_min < 0.0
     j = np.flatnonzero(change[1:]) + 1
     a = np.concatenate([theta[j], theta[k[split]] - h, t_min[split]])
@@ -971,7 +1052,7 @@ def consistency_scan(
         np.maximum(mag[k[split] + 1], -f_min[split]),
         np.full(np.count_nonzero(~split), np.inf),
     ])
-    cand = np.concatenate([_bisect(G, a, b, neg_a), t_min[~split]])
+    cand = np.concatenate([_bisect(G, a, b, neg_a, n), t_min[~split]])
     g, jn, jd = _on_rays(p, pieces, cand)
     keep = np.isfinite(g)
     if not keep.any():

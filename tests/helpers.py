@@ -1,5 +1,6 @@
 """Shared generators for randomized tests (all seeded by the caller), the
-dense matrix of a solver model, and a reference walker for expressions."""
+dense matrix of a solver model, a reference walker for expressions, and
+one-step reference searches for the consistency scan."""
 
 import numpy as np
 
@@ -75,6 +76,28 @@ def random_integrand(rng) -> ex.Expression:
     return ex.parse(template.format(f"{rng.uniform(0.2, 0.9):.4f}"))
 
 
+def random_affine_problem(rng, nmin=3, nmax=1001) -> VariationalProblem:
+    """A problem in the derivative-affine class, a(t)*v^2 + b(t)*v + c(t) on
+    each side (a = 0 in one form of four), on a random scale of
+    log-uniformly many points in [nmin, nmax]."""
+    n = int(np.exp(rng.uniform(np.log(nmin), np.log(nmax + 1))))
+    ts = random_scale(rng, nmin=n, nmax=n, span=2.0)
+
+    def side():
+        c = [f"{x:.4f}" for x in rng.uniform(-1.0, 1.0, size=5)]
+        forms = (
+            f"({c[0]} + {c[1]}*t)*v^2 + {c[2]}*v + {c[3]}*t",
+            f"({c[0]} + {c[1]}*t^2)*v^2 + {c[2]}*t*v + {c[4]}",
+            f"exp({c[1]}*t)*v^2 + sin({c[2]}*t)*v + {c[3]}",
+            f"({c[0]} + {c[1]}*t)*v + {c[2]}*t^2",
+        )
+        return ex.parse(forms[int(rng.integers(len(forms)))].replace("+ -", "- "))
+
+    return VariationalProblem(
+        ts, side(), side(), float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))
+    )
+
+
 def dense(model):
     """The matrix T + U^T C U of a solver ``_model`` form (diag, off, U, C)."""
     diag, off, U, C = model
@@ -134,3 +157,39 @@ def _check_finite(out, node, opname):
     if not finite.all():
         index = None if finite.ndim == 0 else int(np.argmin(finite.ravel()))
         raise ex.DomainViolation(f"domain violation in {opname!r}", node.span, index)
+
+
+# One-step reference searches: the consistency scan's bisection and
+# golden-section loops with one call of G per step, an oracle for the
+# look-ahead searches.  Same signatures as ``tsvar.solver._bisect`` and
+# ``_golden_min``; the scale size n is unused.
+
+GOLDEN_STEPS = 40
+
+
+def golden_min(G, sign, lo, hi, n):
+    if lo.size == 0:
+        return lo, lo
+    r = (np.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - r * (hi - lo), lo + r * (hi - lo)
+    f1, f2 = sign * G(x1), sign * G(x2)
+    for _ in range(GOLDEN_STEPS):
+        left = f1 < f2
+        lo, hi = np.where(left, lo, x1), np.where(left, x2, hi)
+        keep_x, keep_f = np.where(left, x1, x2), np.where(left, f1, f2)
+        new_x = np.where(left, hi - r * (hi - lo), lo + r * (hi - lo))
+        new_f = sign * G(new_x)
+        x1, f1 = np.where(left, new_x, keep_x), np.where(left, new_f, keep_f)
+        x2, f2 = np.where(left, keep_x, new_x), np.where(left, keep_f, new_f)
+    left = f1 < f2
+    return np.where(left, x1, x2), np.where(left, f1, f2)
+
+
+def bisect(G, a, b, neg_a, n):
+    for _ in range(64):
+        mid = 0.5 * (a + b)
+        if not np.any((a < mid) & (mid < b)):
+            break
+        left = (G(mid) <= 0.0) != neg_a
+        a, b = np.where(left, a, mid), np.where(left, mid, b)
+    return a

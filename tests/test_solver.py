@@ -1,7 +1,12 @@
+from dataclasses import astuple
+from importlib import resources
+
 import numpy as np
 import pytest
 
+import helpers
 from helpers import dense, random_gridfn, random_integrand, random_quadratic_problem
+from tsvar import cli
 from tsvar import expr as ex
 from tsvar import solver as so
 from tsvar import variational as va
@@ -159,6 +164,54 @@ class TestDirectSolve:
         )
 
 
+def bundled_affine_problems():
+    """The bundled problems that ``consistency_scan`` solves, by name."""
+    out = {}
+    for f in sorted(resources.files("tsvar").joinpath("problems").iterdir()):
+        if f.name.endswith(".problem"):
+            p = cli.parse_problem_text(f.read_text(encoding="utf-8"))[0]
+            if p.constraint is None and None not in (p.bc_a, p.bc_b) and is_affine_class(p):
+                out[f.name[: -len(".problem")]] = p
+    return out
+
+
+def tangent_problem(shift):
+    """t*v + c / v^2 on {0, 1/2, 1}, with c = c* + shift (see
+    ``test_tangent_and_close_roots``)."""
+    c = (np.sqrt(3.0) - 1.0) / 4.0 + shift
+    return VariationalProblem(
+        from_points([0, 0.5, 1]), parse(f"t*v + {float(c)!r}"), parse("v^2"), 0.0, 1.0
+    )
+
+
+def near_zero_problem():
+    """Three sign changes in one bisection: a root at (0.0, 0.3125), on the
+    angle 0 itself, whose bracket [0, h] still spans h*2^-64 when the
+    64-step cap ends the search, and two others."""
+    return VariationalProblem(
+        from_points([0, 0.25, 0.5, 1]), parse("t*v"), parse("v^2 - v"), 0.0, 1.0
+    )
+
+
+def scan_bits(p, one_step=False):
+    """Every float of ``consistency_scan(p)``, as hex strings and bytes; with
+    ``one_step``, of the scan by the one-step reference searches."""
+    with pytest.MonkeyPatch.context() as m:
+        if one_step:
+            m.setattr(so, "_bisect", helpers.bisect)
+            m.setattr(so, "_golden_min", helpers.golden_min)
+        roots, near = consistency_scan(p)
+    return (
+        [(r.A.hex(), r.B.hex(), r.trajectory.values.tobytes()) for r in roots],
+        None if near is None else [x.hex() for x in astuple(near)],
+    )
+
+
+def ray_values(p):
+    pieces = so._affine_pieces(p)
+    return lambda theta: so._on_rays(p, pieces, theta)[0]
+
+
 class TestConsistencySolve:
     def test_affine_class_detection(self):
         assert is_affine_class(product_problem(uniform(0, 1, 11)))
@@ -240,9 +293,7 @@ class TestConsistencySolve:
         # both roots lie inside one grid cell, where G keeps its sign at the
         # grid angles; just below, there is no root but a near miss.
         c = (np.sqrt(3.0) - 1.0) / 4.0 + shift
-        p = VariationalProblem(
-            from_points([0, 0.5, 1]), parse(f"t*v + {float(c)!r}"), parse("v^2"), 0.0, 1.0
-        )
+        p = tangent_problem(shift)
         roots, near = consistency_scan(p)
         assert_roots_solve_system(p, roots)
         if shift == 0.0:  # rounding leaves a double root or a pair within 1e-8
@@ -269,6 +320,9 @@ class TestConsistencySolve:
         np.testing.assert_array_equal(np.isnan(jd), [False, True, False, True])
         np.testing.assert_allclose(jd[[0, 2]], [np.log(2.0), np.log(1.5)], rtol=1e-15)
         np.testing.assert_allclose(jn[[0, 2]], [5.0, 9.25], rtol=1e-15)
+        for i in (0, 2):
+            alone = so._integrals(p, y[i : i + 1], d[i : i + 1])
+            np.testing.assert_array_equal(alone, [jn[i : i + 1], jd[i : i + 1]], strict=True)
 
     def test_non_affine_rejected(self):
         ts = uniform(0, 1, 11)
@@ -281,6 +335,117 @@ class TestConsistencySolve:
         p = VariationalProblem(ts, parse("t*v"), parse("v^2"), 0.0, None)
         with pytest.raises(ValueError):
             consistency_solve(p, CFG)
+
+
+class TestLookaheadSearch:
+    """Bisection and golden section take several steps per call of G, at
+    the abscissae of the one-step loops in ``helpers``: bit for bit the same
+    roots, trajectories and closest approach, in fewer calls."""
+
+    # the bundled product_3pt is the problem of test_pole_at_b_zero_is_not_reported
+    @pytest.mark.parametrize(
+        "name, p",
+        list(bundled_affine_problems().items())
+        + [(f"tangent{s}", tangent_problem(s)) for s in (0.0, 1e-6, 1e-9, -1e-6)]
+        + [("near_zero", near_zero_problem())],
+    )
+    def test_scan_matches_one_step_searches(self, name, p):
+        assert scan_bits(p) == scan_bits(p, one_step=True)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_scans_match_one_step_searches(self, seed):
+        # 25 problems per seed: n up to 1001 for the first seed, up to 101
+        # for the others, which keeps the four to a few seconds
+        rng = np.random.default_rng(5100 + seed)
+        sizes = []
+        for _ in range(25):
+            p = helpers.random_affine_problem(rng, nmax=1001 if seed == 0 else 101)
+            sizes.append(len(p.scale))
+            assert scan_bits(p) == scan_bits(p, one_step=True), len(p.scale)
+        assert min(sizes) <= 5 and max(sizes) >= (300 if seed == 0 else 50)
+
+    def test_search_coverage(self, monkeypatch):
+        # the near-zero problem bisects three brackets at once, and the one
+        # at the angle 0 runs into the 64-step cap: ten calls of 6 levels
+        # (3*63 angles of 4 points fit 1024 samples) and a last one of the
+        # 4 steps left
+        p = near_zero_problem()
+        seen = []
+        real = so._bisect
+
+        def bisect(G, a, b, neg_a, n):
+            one_step, sizes = [], []
+            helpers.bisect(lambda t: one_step.append(t) or G(t), a, b, neg_a, n)
+            out = real(lambda t: sizes.append(t.size) or G(t), a, b, neg_a, n)
+            seen.append((a.size, len(one_step), a.min(), sizes))
+            return out
+
+        monkeypatch.setattr(so, "_bisect", bisect)
+        roots, _ = consistency_scan(p)
+        assert seen == [(3, 64, 0.0, [3 * 63] * 10 + [3 * 15])]
+        assert (roots[0].A, roots[0].B) == (0.0, 0.3125)
+
+    @pytest.mark.parametrize("n", [3, 11, 101, 1001])
+    def test_bisect_with_brackets_at_adjacent_floats(self, n):
+        # two of three brackets start at adjacent floats, where the mid-point
+        # rounds to b in the first and to a in the last; the look-ahead depth
+        # runs from 6 at n = 3 down to 1 at n = 1001
+        p = product_problem(uniform(0, 1, n))
+        G = ray_values(p)
+        a = np.array([0.3, 1.2, 2.5])
+        b = np.array([np.nextafter(0.3, 1.0), 1.22, np.nextafter(2.5, 3.0)])
+        mid = 0.5 * (a + b)
+        assert (mid[0], mid[2]) == (b[0], a[2])
+        neg_a = G(a) <= 0.0
+        want = helpers.bisect(G, a, b, neg_a, n)
+        np.testing.assert_array_equal(so._bisect(G, a, b, neg_a, n), want, strict=True)
+
+    @pytest.mark.parametrize("n", [3, 11, 1001])
+    def test_golden_min_on_several_brackets(self, n):
+        p = product_problem(uniform(0, 1, n))
+        G = ray_values(p)
+        lo = np.array([0.1, 1.0, 1.4, 2.0])
+        hi = lo + np.array([0.3, 0.2, 1e-12, 0.5])
+        sign = np.array([1.0, -1.0, 1.0, -1.0])
+        got = so._golden_min(G, sign, lo, hi, n)
+        want = helpers.golden_min(G, sign, lo, hi, n)
+        np.testing.assert_array_equal(got, want, strict=True)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_G_is_batch_invariant(self, seed):
+        # G at an angle has the same bits alone, in a batch of 2, in a batch
+        # of 63 and inside the scan's grid of 513 angles
+        rng = np.random.default_rng(5200 + seed)
+        problems = [helpers.random_affine_problem(rng) for _ in range(4)]
+        if seed == 0:
+            problems += list(bundled_affine_problems().values())
+        h = np.pi / (so._THETA_POINTS - 1)
+        theta = h * np.arange(-1, so._THETA_POINTS)
+        for p in problems:
+            G = ray_values(p)
+            grid = G(theta)
+            alone = np.concatenate([G(theta[i : i + 1]) for i in range(theta.size)])
+            pairs = np.concatenate([G(theta[i : i + 2]) for i in range(0, theta.size, 2)])
+            batches = np.concatenate([G(theta[i : i + 63]) for i in range(0, theta.size, 63)])
+            for other in (alone, pairs, batches):
+                np.testing.assert_array_equal(other, grid, strict=True)
+
+    @staticmethod
+    def count_rays(monkeypatch, p):
+        calls = []
+        real = so._on_rays
+        monkeypatch.setattr(so, "_on_rays", lambda *args: calls.append(0) or real(*args))
+        consistency_scan(p)
+        return len(calls)
+
+    @pytest.mark.parametrize("name, most", [("ex1", 12), ("product_3pt", 20)])
+    def test_bundled_scans_call_G_rarely(self, monkeypatch, name, most):
+        # one call per step took 48 and 89 calls
+        assert self.count_rays(monkeypatch, bundled_affine_problems()[name]) <= most
+
+    def test_fine_grid_scan_calls_G_no_more_than_one_step_searches(self, monkeypatch):
+        # at n = 1001 a call holds one step: the count stays at most 89
+        assert self.count_rays(monkeypatch, product_problem(uniform(0, 1, 1001))) <= 89
 
 
 class TestIsoperimetricSolve:
