@@ -122,6 +122,8 @@ def _parse_timescale_literal(text: str) -> tsc.TimeScale:
             return tsc.q_scale(float(parts[1]), int(parts[2]), int(parts[3]))
     except (ValueError, tsc.TimeScaleError) as err:
         raise ProblemFileError(f"bad time scale literal: {err}") from None
+    except MemoryError:
+        raise ProblemFileError(f"time scale too large to allocate: {text!r}") from None
     raise ProblemFileError(f"unrecognized time scale literal: {text!r}")
 
 
@@ -183,11 +185,12 @@ def parse_problem_text(text: str) -> tuple[va.VariationalProblem, dict]:
             k = float(need("constraint", "k"))
         except ValueError:
             raise ProblemFileError("constraint level k must be a number") from None
-        constraint = va.IsoperimetricConstraint(
-            _parse_expression(need("constraint", "delta"), "[constraint] delta"),
-            _parse_expression(need("constraint", "nabla"), "[constraint] nabla"),
-            k,
-        )
+        K_delta = _parse_expression(need("constraint", "delta"), "[constraint] delta")
+        K_nabla = _parse_expression(need("constraint", "nabla"), "[constraint] nabla")
+        try:
+            constraint = va.IsoperimetricConstraint(K_delta, K_nabla, k)
+        except ValueError as err:  # k is nan or inf
+            raise ProblemFileError(str(err)) from None
 
     overrides: dict = {}
     if "solver" in cp:

@@ -45,9 +45,10 @@ For problems whose stationarity equation is affine in the derivative slot
 stationarity equation exactly for a given pair (A, B) of functional values
 and then closes the loop A = J_nabla(y), B = J_delta(y).  The trajectory
 depends only on the ratio A:B, so the loop reduces to the zeros of one
-function of the ray angle, which a fixed grid brackets and bisection and
-golden-section search refine for all brackets at once: deterministic, with
-no random starts and no finite differences.
+function of the ray angle, which a fixed grid brackets and multisection
+refines, all brackets at once: each call of that function samples every
+bracket on a grid of equally spaced points and keeps one or two of its
+cells.  Deterministic, with no random starts and no finite differences.
 
 ``solve_auto`` selects the method by the problem's shape (constrained,
 derivative-affine with both endpoints fixed, or otherwise direct), and every
@@ -780,9 +781,8 @@ def is_affine_class(p: va.VariationalProblem) -> bool:
 
 _THETA_POINTS = 512  # nodes of the scan grid over [0, pi]
 _BLOCK_ELEMENTS = 1 << 16  # trajectory samples per block of angles
-_GOLDEN_STEPS = 40  # shrinks a grid cell pair (2*pi/511) below 1e-10
-_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0  # 1/phi: golden-section inner-point fraction
 _LOOKAHEAD_SAMPLES = 1 << 10  # trajectory samples per call of G in a search
+_MIN_WIDTH = 1e-10  # a minimum's bracket is refined until narrower than this
 
 
 def _affine_pieces(p: va.VariationalProblem):
@@ -869,107 +869,58 @@ def _on_rays(p, pieces, theta):
         return s * jd - c * jn, jn, jd
 
 
-def _depth(n, brackets, steps):
-    """Steps of a search taken per call of G on a scale of n points: the
-    most, up to ``steps``, whose 2^m - 1 abscissae per bracket stay within
-    _LOOKAHEAD_SAMPLES samples; at least 1."""
-    m = 1
-    while m < steps and brackets * ((2 << m) - 1) * n <= _LOOKAHEAD_SAMPLES:
-        m += 1
-    return m
+def _multisect(G, lo, hi, least, n):
+    """One call of G cuts each bracket [lo, hi] into k + 1 equal cells, with
+    k = max(least, _LOOKAHEAD_SAMPLES // (brackets*n)) on a scale of n
+    points: the (brackets, k + 2) cell ends, lo and hi included, and G at
+    the k interior ones."""
+    k = max(least, _LOOKAHEAD_SAMPLES // (lo.size * n))
+    x = np.empty((lo.size, k + 2))
+    x[:, 0], x[:, -1] = lo, hi
+    inner = lo[:, None] + (hi - lo)[:, None] * (np.arange(1, k + 1) / (k + 1))
+    x[:, 1:-1] = np.minimum(inner, hi[:, None])  # hi - lo may round up
+    return x, G(x[:, 1:-1].ravel()).reshape(lo.size, k)
 
 
-def _branches(state):
-    """Each column of the (brackets, w) arrays ``state`` twice, and the mask
-    of the even columns: the two children of each node of a decision tree,
-    the first where the step's comparison holds."""
-    state = [np.repeat(v, 2, axis=1) for v in state]
-    return state, np.arange(state[0].shape[1]) % 2 == 0
+def _min_search(G, sign, lo, hi, n):
+    """Multisection for a minimum of sign*G on each [lo, hi]: each call of G
+    samples at least 3 interior points per bracket and keeps the two cells
+    around the smallest value, until the bracket is narrower than
+    _MIN_WIDTH.  Returns the best abscissae and values (NaN and inf where
+    sign*G was never defined)."""
+    lo, hi = lo.copy(), hi.copy()
+    best_x, best_f = np.full(lo.shape, np.nan), np.full(lo.shape, np.inf)
+    live = np.arange(lo.size)
+    while live.size:
+        x, g = _multisect(G, lo[live], hi[live], 3, n)
+        f = sign[live, None] * g
+        f[np.isnan(f)] = np.inf
+        rows, i = np.arange(live.size), np.argmin(f, axis=1)
+        f, better = f[rows, i], f[rows, i] < best_f[live]
+        best_x[live[better]], best_f[live[better]] = x[rows, i + 1][better], f[better]
+        lo[live], hi[live] = x[rows, i], x[rows, i + 2]
+        live = live[hi[live] - lo[live] >= _MIN_WIDTH]
+    return best_x, best_f
 
 
-def _bisection_tree(a, b, mid, m):
-    """The mid-points the next m steps of ``_bisect`` can visit from [a, b],
-    whose first is ``mid``, as a (brackets, 2^m - 1) heap: level by level,
-    node j's children are 2j + 1 (the sign change lies left of j's
-    mid-point) and 2j + 2."""
-    lo, hi, levels = a[:, None], b[:, None], [mid[:, None]]
-    for _ in range(m - 1):
-        (lo, hi, mid), left = _branches([lo, hi, levels[-1]])
-        lo, hi = np.where(left, lo, mid), np.where(left, mid, hi)
-        levels.append(0.5 * (lo + hi))
-    return np.concatenate(levels, axis=1)
-
-
-def _golden_step(left, lo, hi, x1, x2):
-    """One golden-section step where ``left`` is f(x1) < f(x2): the new
-    bracket and inner points, and the new abscissa, which takes x1's place
-    where ``left`` holds and x2's elsewhere."""
-    r = _INV_PHI
-    lo, hi = np.where(left, lo, x1), np.where(left, x2, hi)
-    new = np.where(left, hi - r * (hi - lo), lo + r * (hi - lo))
-    return lo, hi, np.where(left, new, x2), np.where(left, x1, new), new
-
-
-def _golden_tree(lo, hi, x1, x2, new, m):
-    """The new abscissae of the next m steps of ``_golden_min``, the first
-    being ``new``, which made the bracket [lo, hi] with inner points x1, x2,
-    as a (brackets, 2^m - 1) heap: node j's children are 2j + 1 (f(x1) <
-    f(x2) after j) and 2j + 2."""
-    state, levels = [v[:, None] for v in (lo, hi, x1, x2)], [new[:, None]]
-    for _ in range(m - 1):
-        state, left = _branches(state)
-        *state, new = _golden_step(left, *state)
-        levels.append(new)
-    return np.concatenate(levels, axis=1)
-
-
-def _golden_min(G, sign, lo, hi, n):
-    """Vectorised golden-section search for a minimum of sign*G on each
-    [lo, hi]; returns the best abscissae and values.  A call of G takes the
-    abscissae of the next m steps (see _depth) for every outcome of their
-    comparisons, so the search visits the points of one step per call."""
-    if lo.size == 0:
-        return lo, lo
-    r = _INV_PHI
-    x1, x2 = hi - r * (hi - lo), lo + r * (hi - lo)
-    f1, f2 = sign * G(np.concatenate([x1, x2])).reshape(2, -1)
-    rows, level, m = np.arange(lo.size), 0, 0
-    for step in range(_GOLDEN_STEPS):
-        left = f1 < f2
-        lo, hi, x1, x2, new_x = _golden_step(left, lo, hi, x1, x2)
-        if level == m:
-            m, level, node = _depth(n, lo.size, _GOLDEN_STEPS - step), 0, 0
-            tree = _golden_tree(lo, hi, x1, x2, new_x, m)
-            g = sign[:, None] * G(tree.ravel()).reshape(tree.shape)
-        else:
-            node = 2 * node + np.where(left, 1, 2)  # this step's comparison
-        new_f = g[rows, node]
-        f1, f2 = np.where(left, new_f, f2), np.where(left, f1, new_f)
-        level += 1
-    left = f1 < f2
-    return np.where(left, x1, x2), np.where(left, f1, f2)
-
-
-def _bisect(G, a, b, neg_a, n):
-    """Vectorised bisection of a sign change of G on each [a, b] (``neg_a``
-    is G(a) <= 0) down to adjacent floating-point numbers, or to 2^-64 of
-    the first width near 0; returns the left ends.  A call of G takes the
-    mid-points of the next m steps (see _depth) for every outcome, so the
-    search visits the points of one step per call."""
-    rows, level, m = np.arange(a.size), 0, 0
-    for step in range(64):
-        mid = 0.5 * (a + b)
-        if not np.any((a < mid) & (mid < b)):
+def _root_search(G, a, b, neg_a, n):
+    """Multisection of a sign change of G on each [a, b] (``neg_a`` is
+    G(a) <= 0): each call of G samples at least 1 interior point per bracket
+    and keeps the first cell whose right end has the other sign, until a and
+    b are adjacent floating-point numbers or 64 bits of the first width are
+    resolved.  Returns the left ends."""
+    a, b = a.copy(), b.copy()
+    cap = (b - a) * 2.0**-64
+    live = np.arange(a.size)
+    for _ in range(64):  # a call resolves at least one bit
+        live = live[(np.nextafter(a[live], b[live]) < b[live]) & (b[live] - a[live] > cap[live])]
+        if live.size == 0:
             break
-        if level == m:
-            m, level, node = _depth(n, a.size, 64 - step), 0, 0
-            tree = _bisection_tree(a, b, mid, m)
-            g = G(tree.ravel()).reshape(tree.shape)
-        else:
-            node = 2 * node + np.where(left, 1, 2)  # the last step's choice
-        left = (g[rows, node] <= 0.0) != neg_a
-        a, b = np.where(left, a, mid), np.where(left, mid, b)
-        level += 1
+        x, g = _multisect(G, a[live], b[live], 1, n)
+        other = np.ones((live.size, g.shape[1] + 1), bool)  # b has the other sign
+        other[:, :-1] = (g <= 0.0) != neg_a[live, None]
+        rows, i = np.arange(live.size), np.argmax(other, axis=1)
+        a[live], b[live] = x[rows, i], x[rows, i + 1]
     return a
 
 
@@ -990,19 +941,19 @@ def consistency_scan(
     (J_nabla, J_delta) to the ray at theta, reached at
     r = sin(theta)*J_nabla + cos(theta)*J_delta.
 
-    G is sampled on a fixed grid of angles, a block at a time.  Every sign
-    change is bisected to adjacent floating-point numbers, and every local
-    minimum of |G| is refined by golden section: a minimum through which G
-    changes sign holds two close roots, both then bisected, and one that
-    touches zero is a tangent root.  G is a pure function of theta (the
-    bits at an angle do not depend on the angles in the same call), so each
-    call of G evaluates m levels of the searches' decision tree, with m
-    taken from the scale size and the bracket count (see _depth), and the
-    searches then take m steps: the abscissae are those of refinement one
-    step at a time.  A refined point is a root only when the system
-    residual at the pair (A, B) on its ray is at most
-    1e-10*(1 + max(|A|, |B|)) and, for a bisected bracket, |G| there is below
-    |G| at the bracket's ends.  The second test rejects a sign change through
+    G is sampled on a fixed grid of angles, a block at a time, and the
+    brackets it finds are refined by multisection: each further call of G
+    samples every open bracket at k equally spaced interior points, k as
+    large as _LOOKAHEAD_SAMPLES trajectory samples allow (see _multisect).
+    A sign change keeps its first cell that still holds one, down to
+    adjacent floating-point numbers or 2^-64 of its first width.  A local
+    minimum of |G| keeps the two cells around its smallest sample (at least
+    3 per call) until narrower than 1e-10: a minimum through which G
+    changes sign holds two close roots, whose sign changes are then
+    refined, and one that touches zero is a tangent root.  A refined point
+    is a root only when the system residual at the pair (A, B) on its ray
+    is at most 1e-10*(1 + max(|A|, |B|)) and, for a sign change, |G| there
+    is below |G| at the bracket's ends.  The second test rejects a sign change through
     a pole, where y_theta degenerates: (A, B) grows without bound there, and
     the first tolerance grows with it, faster than |G|.  Roots are
     deduplicated at distance 1e-6 and sorted by (A, B).  The closest approach
@@ -1039,20 +990,20 @@ def consistency_scan(
         & (mag[k] <= mag[k - 1]) & (mag[k] <= mag[k + 1])
     ]
     sign = np.where(neg[k], -1.0, 1.0)
-    t_min, f_min = _golden_min(G, sign, theta[k] - h, theta[k] + h, n)
+    t_min, f_min = _min_search(G, sign, theta[k] - h, theta[k] + h, n)
     split = f_min < 0.0
     j = np.flatnonzero(change[1:]) + 1
     a = np.concatenate([theta[j], theta[k[split]] - h, t_min[split]])
     b = np.concatenate([theta[j + 1], t_min[split], theta[k[split]] + h])
     neg_a = np.concatenate([neg[j], neg[k[split]], ~neg[k[split]]])
-    # |G| at the ends of each bracket: bisection of a pole ends above it
+    # |G| at the ends of each bracket: the search through a pole ends above it
     ends = np.concatenate([
         np.maximum(mag[j], mag[j + 1]),
         np.maximum(mag[k[split] - 1], -f_min[split]),
         np.maximum(mag[k[split] + 1], -f_min[split]),
         np.full(np.count_nonzero(~split), np.inf),
     ])
-    cand = np.concatenate([_bisect(G, a, b, neg_a, n), t_min[~split]])
+    cand = np.concatenate([_root_search(G, a, b, neg_a, n), t_min[~split]])
     g, jn, jd = _on_rays(p, pieces, cand)
     keep = np.isfinite(g)
     if not keep.any():

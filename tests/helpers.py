@@ -159,10 +159,10 @@ def _check_finite(out, node, opname):
         raise ex.DomainViolation(f"domain violation in {opname!r}", node.span, index)
 
 
-# One-step reference searches: the consistency scan's bisection and
-# golden-section loops with one call of G per step, an oracle for the
-# look-ahead searches.  Same signatures as ``tsvar.solver._bisect`` and
-# ``_golden_min``; the scale size n is unused.
+# One-step reference searches for the consistency scan: bisection and
+# golden section with one call of G per step, references for its
+# multisection.  Same signatures as ``tsvar.solver._root_search`` and
+# ``_min_search``; the scale size n is unused.
 
 GOLDEN_STEPS = 40
 

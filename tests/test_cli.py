@@ -128,6 +128,10 @@ class TestProblemFiles:
         ("[boundary]\na = fixed:0\nb = fixed:2\n", "", "missing required section [boundary]"),
         ("b = fixed:2\n", "b = fixed:2\n[constraint]\ndelta = v\nnabla = 1\nk = one\n",
          "constraint level k must be a number"),
+        ("b = fixed:2\n", "b = fixed:2\n[constraint]\ndelta = v\nnabla = 1\nk = nan\n",
+         "constraint level k must be finite"),
+        ("b = fixed:2\n", "b = fixed:2\n[constraint]\ndelta = v\nnabla = 1\nk = inf\n",
+         "constraint level k must be finite"),
         ("b = fixed:2\n", "b = fixed:2\n[solver]\nmultistarts = 2.5\n",
          "bad numeric value for solver multistarts"),
         ("a = fixed:0", "a = fixed:inf", "bc_a must be finite or None (free)"),
@@ -138,6 +142,25 @@ class TestProblemFiles:
         assert main(["solve", "--problem", prob, "--out", str(tmp_path / "o")]) == EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("parse error: " + message) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("builder, literal", [
+        ("uniform", "uniform 0 1 100000000000"),
+        ("h_integers", "hz 0 1 0.0000000001"),
+        ("q_scale", "qscale 2 0 100000000000"),
+    ])
+    def test_scale_too_large_to_allocate_exits_64(
+        self, tmp_path, capsys, monkeypatch, builder, literal
+    ):
+        # the builder raises as numpy does when the points do not fit in
+        # memory; a real allocation of that size might succeed and be touched
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli.tsc, builder, no_memory)
+        prob = write(tmp_path, "p.problem", GOOD.replace("uniform 0 2 3", literal))
+        assert main(["solve", "--problem", prob, "--out", str(tmp_path / "o")]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err == f"parse error: time scale too large to allocate: {literal!r}\n"
 
     def test_default_section_rejected(self):
         # configparser would silently inject DEFAULT keys into every section

@@ -47,7 +47,7 @@ CONSTRAINTS = [
     ("t*v", "1/3", "1"),
     ("0.3671*v^2 + y^2 + t*v*y", "cos(y - t*v) + 0.6676*v^3", "-2.855079"),
     ("v", "0.5", "9"),  # infeasible
-    ("v", "1", "one"),
+    ("v", "1", "one"), ("v", "1", "nan"), ("v", "1", "inf"),
 ]
 SOLVER_LINES = ["multistarts = 1", "multistarts = 2", "seed = 3", "grad_tol = 1e-6",
                 "seed = -5", "grad_tol = nan", "multistarts = 0", "multistarts = 1.5", "max_iter = 5"]
