@@ -332,19 +332,23 @@ class Program:
         return _checked(*self._lowered, t, y, v)
 
 
-def _lower(exprs) -> tuple[tuple, tuple, tuple]:
+def _lower(exprs, inputs=None) -> tuple[tuple, tuple, tuple]:
     """Hash-cons ``exprs`` into straight-line code: instructions ('k', hex of
-    a constant), ('x', variable index) or (ufunc name, operand indices...),
+    a constant), ('x', input index) or (ufunc name, operand indices...),
     each operand an earlier instruction, the index of each expression, and
     for each instruction the operation name a ``DomainViolation`` reports
     (None for a constant, a variable or a negation, which are not checked)
     and the span of the first node lowered to it.
+    ``inputs`` gives, per expression, the input indices of its variables t,
+    y and v (by default 0, 1 and 2 for every expression), so one program
+    can cover several input sets: an instruction that reads the same inputs
+    in two expressions is computed once for both.
     Constants are keyed by ``float.hex``, so 0.0 and -0.0 stay apart.
-    Partials share subtree objects, so a node seen before (by identity:
-    every node stays alive meanwhile) is not walked again.  Nodes are
-    visited in evaluation order, operands before their operation, so the
-    first instruction with a non-finite element belongs to the first node
-    that has one."""
+    Partials share subtree objects, so a node seen before under the same
+    inputs (by identity: every node stays alive meanwhile) is not walked
+    again.  Nodes are visited in evaluation order, operands before their
+    operation, so the first instruction with a non-finite element belongs
+    to the first node that has one."""
     index, code, where, seen = {}, [], [], {}
 
     def node(ins, name=None, span=None):
@@ -354,28 +358,31 @@ def _lower(exprs) -> tuple[tuple, tuple, tuple]:
             where.append((name, span))
         return index[ins]
 
-    def visit(e):
-        if id(e) in seen:
-            return seen[id(e)]
+    def visit(e, xs):
+        key = (id(e), xs)
+        if key in seen:
+            return seen[key]
         name = None
         if isinstance(e, Const):
             ins = ("k", float(e.value).hex())
         elif isinstance(e, Var):
-            ins = ("x", VARIABLES.index(e.name))
+            ins = ("x", xs[VARIABLES.index(e.name)])
         elif isinstance(e, Neg):
-            ins = ("negative", visit(e.arg))
+            ins = ("negative", visit(e.arg, xs))
         elif isinstance(e, Call):
-            ins, name = (_UFUNCS[e.fn], visit(e.arg)), e.fn
+            ins, name = (_UFUNCS[e.fn], visit(e.arg, xs)), e.fn
         elif isinstance(e, Pow):
-            ins, name = ("power", visit(e.base), node(("k", float(e.exponent).hex()))), "pow"
+            ins, name = ("power", visit(e.base, xs), node(("k", float(e.exponent).hex()))), "pow"
         elif isinstance(e, BinOp):
-            ins, name = (_UFUNCS[e.op], visit(e.left), visit(e.right)), e.op
+            ins, name = (_UFUNCS[e.op], visit(e.left, xs), visit(e.right, xs)), e.op
         else:
             raise TypeError(f"not an expression node: {e!r}")
-        seen[id(e)] = node(ins, name, e.span)
-        return seen[id(e)]
+        seen[key] = node(ins, name, e.span)
+        return seen[key]
 
-    outs = tuple(visit(e) for e in exprs)
+    exprs = tuple(exprs)
+    inputs = [(0, 1, 2)] * len(exprs) if inputs is None else inputs
+    outs = tuple(visit(e, tuple(xs)) for e, xs in zip(exprs, inputs, strict=True))
     return tuple(code), outs, tuple(where)
 
 
@@ -405,18 +412,23 @@ def _checked(code, outs, where, t, y, v):
 
 
 @functools.lru_cache(maxsize=256)
-def _compile(code: tuple, outs: tuple):
-    """The function (t, y, v) -> outputs that runs ``code``, and the indices
-    of the variables it reads; (None, ()) when a constant is not finite.
+def _compile(code: tuple, outs: tuple, arity: int = len(VARIABLES), shared: bool = False):
+    """The function of ``arity`` input arrays (t, y, v by default) -> outputs
+    that runs ``code``, and the indices of the inputs it reads; (None, ())
+    when a constant is not finite.
 
     The source names only generated registers and numpy functions; constants
     are bound as values.  After its last use a register takes a result of
     its own shape in place (``out=``) or is deleted, so the program holds no
     more arrays at once than it needs.  An output that is an input, or
     another output, is copied, and a constant one is filled to the broadcast
-    shape of the inputs, so every output is a fresh array."""
-    ns = {f: getattr(np, f) for f in ("negative", "power", "full", "array", "broadcast", *_UFUNCS.values())}
-    last = {a: i for i, (_, *args) in enumerate(code) for a in args}
+    shape of the inputs, so every output is a fresh array.  With ``shared``
+    the inputs are arrays of one shape and outputs may share arrays: inputs
+    and repeated outputs are passed on as they are, and a constant is
+    filled once, to the shape of the first input."""
+    ns = {f: getattr(np, f) for f in ("negative", "power", "empty", "array", "broadcast", *_UFUNCS.values())}
+    last = {a: i for i, (op, *args) in enumerate(code) if op not in ("k", "x") for a in args}
+    inputs = [f"x{j}" for j in range(arity)]
     names, deps, body = [], [], []
     for i, (op, *args) in enumerate(code):
         if op == "k":
@@ -427,7 +439,7 @@ def _compile(code: tuple, outs: tuple):
             deps.append(0)
             ns[names[i]] = np.float64(value)
         elif op == "x":
-            names.append(VARIABLES[args[0]])
+            names.append(inputs[args[0]])
             deps.append(1 << args[0])
         else:
             deps.append(functools.reduce(int.__or__, (deps[a] for a in args)))
@@ -441,18 +453,23 @@ def _compile(code: tuple, outs: tuple):
                 body.append(f"del {', '.join(names[a] for a in dead if a not in into)}")
     results = []
     if not all(deps[o] for o in outs):
-        body.append("shape = broadcast(t, y, v).shape")
+        shape = "x0.shape" if shared else f"broadcast({', '.join(inputs)}).shape"
+        body.append(f"shape = {shape}")
     for j, o in enumerate(outs):
-        if not deps[o]:
-            results.append(f"full(shape, {names[o]})")
-        elif code[o][0] == "x" or o in outs[:j]:
+        if shared and o in outs[:j]:
+            results.append(results[outs.index(o)])
+        elif not deps[o]:
+            body.append(f"f{j} = empty(shape)")
+            body.append(f"f{j}.fill({names[o]})")
+            results.append(f"f{j}")
+        elif not shared and (code[o][0] == "x" or o in outs[:j]):
             results.append(f"array({names[o]})")
         else:
             results.append(names[o])
     body.append(f"return ({', '.join(results)},)")
-    source = "def program(t, y, v):\n" + "".join(f"    {line}\n" for line in body)
+    source = f"def program({', '.join(inputs)}):\n" + "".join(f"    {line}\n" for line in body)
     exec(compile(source, "<tsvar program>", "exec"), ns)
-    reads = tuple(i for i in range(len(VARIABLES)) if any(d >> i & 1 for d in deps))
+    reads = tuple(i for i in range(arity) if any(d >> i & 1 for d in deps))
     return ns["program"], reads
 
 

@@ -5,9 +5,13 @@ contiguous block) are optimized directly by one exact-Newton core.  Each
 sample of J = J_delta * J_nabla couples two neighbouring nodes, so the exact
 Hessian is Jn*Hd + Jd*Hn + gd gn^T + gn gd^T: a tridiagonal matrix built
 from the exact second partials of the integrands
-(``variational.functional_hessian``) plus a rank-2 term.  A Newton step is
-an LDL^T factorization of the tridiagonal part and a Woodbury correction for
-the low-rank part, O(n) time and memory; no n x n array is ever formed.
+(``variational.functional_hessian``) plus a rank-2 term.  A trial point's
+value and gradient are one run of the integrand pair's compiled kernel, and
+its Newton model one run of the pair's second-order kernel on the samples
+that the evaluation keeps, each with one fault check (see ``variational``).
+A Newton step is an LDL^T factorization of the tridiagonal part and a
+Woodbury correction for the low-rank part, O(n) time and memory; no n x n
+array is ever formed.
 
 One globalisation keeps every step a descent step:
 
@@ -67,6 +71,7 @@ numbers or finite differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -396,7 +401,7 @@ def _newton(fun, model, w0):
 def _finite(val, grad):
     """(val, grad), or (inf, None) when either is not finite: a rejected
     step, like a trial point where an integrand is undefined."""
-    if not (np.isfinite(val) and np.isfinite(grad).all()):
+    if not (math.isfinite(val) and np.isfinite(grad).all()):
         return np.inf, None
     return val, grad
 
@@ -410,8 +415,11 @@ class _Compiled:
     form one contiguous block [lo, hi), and a work trajectory that carries
     the fixed values.  Every trial point is evaluated through
     ``va.functional_gradient`` and every Newton model through
-    ``va.functional_hessian``, which reuses that evaluation's samples, with
-    partials differentiated once."""
+    ``va.functional_hessian``: one run each of the integrand pair's compiled
+    kernel, the second on the samples that the evaluation keeps, with
+    partials differentiated once.  Callers run them under
+    ``np.errstate(all="ignore")``, as ``_newton`` does, since a value that
+    overflows is a rejected trial point, not a warning."""
 
     def __init__(self, p: va.VariationalProblem, base: np.ndarray):
         n = len(p.scale)
@@ -434,26 +442,28 @@ class _Compiled:
         product functional of (Ld, Ln) at z; (inf, None, None) where it is
         undefined or not finite."""
         try:
-            with np.errstate(all="ignore"):
-                first = va.functional_gradient(self.scale, Ld, Ln, self._at(z), factors=True)
-                val, grad = _finite(first.value, first.gradient[self.lo : self.hi])
+            first = va.functional_gradient(self.scale, Ld, Ln, self._at(z), factors=True)
         except ex.DomainViolation:
             return np.inf, None, None
+        val, grad = first.value, first.gradient[self.lo : self.hi]
+        if not (first.clean and math.isfinite(val)):  # a clean gradient is finite
+            val, grad = _finite(val, grad)
         return val, grad, first
 
-    def hessian(self, z, Ld, Ln, first):
-        """``va.ProductHessian`` of (Ld, Ln) at z restricted to the free
-        block, reusing ``first``, the ``va.ProductGradient`` of the
-        evaluation at z; None where it is undefined or not finite."""
+    def hessian(self, Ld, Ln, first):
+        """``va.ProductHessian`` of (Ld, Ln) restricted to the free block at
+        the nodes of ``first``, the ``va.ProductGradient`` of an evaluation,
+        whose own samples it reuses; None where it is undefined or not
+        finite."""
         try:
-            with np.errstate(all="ignore"):
-                H = va.functional_hessian(self.scale, Ld, Ln, self._at(z), first)
+            H = va.functional_hessian(self.scale, Ld, Ln, first.samples[0], first)
         except ex.DomainViolation:
             return None
         lo, hi = self.lo, self.hi
         H = H._replace(grad_delta=H.grad_delta[lo:hi], grad_nabla=H.grad_nabla[lo:hi],
                        diag=H.diag[lo:hi], off=H.off[lo : hi - 1])
-        if not all(np.isfinite(part).all() for part in H):
+        if not (math.isfinite(H.J_delta) and math.isfinite(H.J_nabla)
+                and np.isfinite(np.concatenate(H[2:])).all()):
             return None
         return H
 
@@ -477,7 +487,7 @@ def _merit(cp: _Compiled, p: va.VariationalProblem, grad_tol: float, feasibility
         return _At(val, float(np.max(np.abs(grad))) / grad_tol, z, grad, first)
 
     def model(at):
-        H = cp.hessian(at.w, *pair, at.data)
+        H = cp.hessian(*pair, at.data)
         if H is None or not feasibility:
             return _model([(1.0, H)])
         return _model([(H.J_delta * H.J_nabla - c.k, H)], [(1.0, H.gradient)])
@@ -536,8 +546,7 @@ def _kkt(cp: _Compiled, p: va.VariationalProblem, grad_tol: float):
 
     def model(at):
         lam, _, _, jfirst, kfirst = at.data
-        return _model([(1.0, cp.hessian(at.w, Ld, Ln, jfirst)),
-                       (-lam, cp.hessian(at.w, Kd, Kn, kfirst))])
+        return _model([(1.0, cp.hessian(Ld, Ln, jfirst)), (-lam, cp.hessian(Kd, Kn, kfirst))])
 
     return fun, model
 
@@ -869,37 +878,50 @@ def _on_rays(p, pieces, theta):
         return s * jd - c * jn, jn, jd
 
 
-def _multisect(G, lo, hi, least, n):
+def _multisect(G, lo, hi, least, n, centre=None):
     """One call of G cuts each bracket [lo, hi] into k + 1 equal cells, with
     k = max(least, _LOOKAHEAD_SAMPLES // (brackets*n)) on a scale of n
     points: the (brackets, k + 2) cell ends, lo and hi included, and G at
-    the k interior ones."""
+    the k interior ones.  ``centre``, the abscissae and G values of a sample
+    at the centre of each bracket, takes the place of the middle interior
+    point when k is odd, and G is not called there again."""
     k = max(least, _LOOKAHEAD_SAMPLES // (lo.size * n))
     x = np.empty((lo.size, k + 2))
     x[:, 0], x[:, -1] = lo, hi
     inner = lo[:, None] + (hi - lo)[:, None] * (np.arange(1, k + 1) / (k + 1))
     x[:, 1:-1] = np.minimum(inner, hi[:, None])  # hi - lo may round up
-    return x, G(x[:, 1:-1].ravel()).reshape(lo.size, k)
+    if centre is None or k % 2 == 0:
+        return x, G(x[:, 1:-1].ravel()).reshape(lo.size, k)
+    mid = (k + 1) // 2
+    x[:, mid] = centre[0]
+    new = np.ones(k + 2, bool)
+    new[[0, mid, k + 1]] = False
+    g = np.empty((lo.size, k))
+    g[:, mid - 1] = centre[1]
+    g[:, new[1:-1]] = G(x[:, new].ravel()).reshape(lo.size, k - 1)
+    return x, g
 
 
 def _min_search(G, sign, lo, hi, n):
     """Multisection for a minimum of sign*G on each [lo, hi]: each call of G
     samples at least 3 interior points per bracket and keeps the two cells
     around the smallest value, until the bracket is narrower than
-    _MIN_WIDTH.  Returns the best abscissae and values (NaN and inf where
-    sign*G was never defined)."""
+    _MIN_WIDTH; that value is the centre of the kept cells, which the next
+    call does not sample again.  Returns the best abscissae and values (NaN
+    and inf where sign*G was never defined)."""
     lo, hi = lo.copy(), hi.copy()
     best_x, best_f = np.full(lo.shape, np.nan), np.full(lo.shape, np.inf)
-    live = np.arange(lo.size)
+    live, centre = np.arange(lo.size), None
     while live.size:
-        x, g = _multisect(G, lo[live], hi[live], 3, n)
+        x, g = _multisect(G, lo[live], hi[live], 3, n, centre)
         f = sign[live, None] * g
         f[np.isnan(f)] = np.inf
         rows, i = np.arange(live.size), np.argmin(f, axis=1)
         f, better = f[rows, i], f[rows, i] < best_f[live]
         best_x[live[better]], best_f[live[better]] = x[rows, i + 1][better], f[better]
         lo[live], hi[live] = x[rows, i], x[rows, i + 2]
-        live = live[hi[live] - lo[live] >= _MIN_WIDTH]
+        keep = hi[live] - lo[live] >= _MIN_WIDTH
+        live, centre = live[keep], (x[rows, i + 1][keep], g[rows, i][keep])
     return best_x, best_f
 
 
@@ -1058,9 +1080,9 @@ def probe_extremal_type(
     if defect > 10.0 * cfg.grad_tol * (1.0 + abs(Jval)):
         raise ValueError(f"trajectory is not stationary (defect {defect:.3e})")
     cp = _Compiled(p, y.values)
-    z = cp.y[cp.lo : cp.hi].copy()
-    first = cp.value_grad(z, p.L_delta, p.L_nabla)[2]
-    model = None if first is None else _model([(1.0, cp.hessian(z, p.L_delta, p.L_nabla, first))])
+    with np.errstate(all="ignore"):
+        first = cp.value_grad(cp.y[cp.lo : cp.hi].copy(), p.L_delta, p.L_nabla)[2]
+        model = None if first is None else _model([(1.0, cp.hessian(p.L_delta, p.L_nabla, first))])
     counts = None if model is None else _inertia(*model)
     if counts is None:
         return "inconclusive"

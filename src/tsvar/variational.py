@@ -19,10 +19,21 @@ absolute deviation from its mean.  The defect is zero exactly when the
 residual is constant, which is the first-order condition in integral form.
 A residual that overflows raises ``DomainViolation``, as an integrand that
 is undefined along the trajectory does.
+
+The exact gradient and structured Hessian of J, which every solver step
+evaluates, come from one compiled kernel per integrand pair and order
+(``_kernel``): one straight-line program of the forward and the backward
+samples, which share the difference quotient, followed by one assembly of
+the sums, the node gradients and the tridiagonal Hessian parts.  A kernel
+run has one fault check, a finite quotient and no floating-point fault,
+and falls back to the checked program of each integrand otherwise
+(``_pair``).  A gradient keeps its own copy of its samples, from which the
+Hessian at the same point takes them.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -246,7 +257,8 @@ class _Parts(NamedTuple):
     @property
     def gradient(self) -> np.ndarray:
         """Node gradient of J, as ``functional_gradient`` assembles it."""
-        return _product(self.ts, self.delta, self.nabla).gradient
+        gd, gn = _grads(self.ts.mu_values[:-1], len(self.ts), *self.delta[1:], *self.nabla[1:])
+        return self.Jn * gd + self.Jd * gn
 
 
 def _el_parts(ts: TimeScale, Ld, Ln, yvals) -> _Parts:
@@ -518,66 +530,140 @@ def first_variation(p: VariationalProblem, y: GridFunction, eta: GridFunction) -
     return Jd * nabla_part + Jn * delta_part
 
 
-def _grad(ts: TimeScale, side: tuple, forward: bool) -> np.ndarray:
-    """Node gradient of one weighted sum from its ``_sample``.
+def _grads(w: np.ndarray, n: int, d2f, d3f, d2b, d3b):
+    """Node gradients of the forward and the backward weighted sum over n
+    nodes from their samples of d2 and d3.
 
     Sample k couples nodes k and k+1 through w_k * L(t_k, y_s, Q_k) with
     Q_k = (y_{k+1} - y_k) / w_k; the state node s is k+1 in the forward sum
     (w = mu) and k in the backward sum (w = nu).
     """
-    _, d2, d3 = side
-    w = ts.mu_values[:-1] if forward else ts.nu_values[1:]
-    g = np.zeros(len(ts))
-    if forward:
-        g[1:] += w * d2 + d3
-        g[:-1] -= d3
-    else:
-        g[:-1] += w * d2 - d3
-        g[1:] += d3
-    return g
+    gd, gn = np.zeros(n), np.zeros(n)
+    gd[1:] += w * d2f + d3f
+    gd[:-1] -= d3f
+    gn[:-1] += w * d2b - d3b
+    gn[1:] += d3b
+    return gd, gn
 
 
-def _side_hessian(e: ex.Expression, ts: TimeScale, yvals: np.ndarray, forward: bool):
-    """Tridiagonal Hessian (diagonal, off-diagonal) of the same weighted sum
-    as ``_grad``, from the samples of the second partials d22, d23 and d33."""
-    d22, d23, d33 = _sampled(e, ("yy", "yv", "vv"), _samples(ts, yvals, forward))
-    w = ts.mu_values[:-1] if forward else ts.nu_values[1:]
-    c = d33 / w
-    diag = np.zeros(len(ts))
-    diag[:-1] += c
-    diag[1:] += c
-    if forward:
-        diag[1:] += w * d22 + 2.0 * d23
-        off = -d23 - c
-    else:
-        diag[:-1] += w * d22 - 2.0 * d23
-        off = d23 - c
-    return diag, off
+def _tridiagonal(w: np.ndarray, n: int, Jd: float, Jn: float, d22f, d23f, d33f, d22b, d23b, d33b):
+    """Tridiagonal part (diagonal, off-diagonal) Jn * H_delta + Jd * H_nabla
+    of the Hessian of J, from the samples of the second partials d22, d23
+    and d33 of both weighted sums, coupled as in ``_grads``."""
+    cf, cb = d33f / w, d33b / w
+    hd, hn = np.zeros(n), np.zeros(n)
+    hd[:-1] += cf
+    hd[1:] += cf
+    hd[1:] += w * d22f + 2.0 * d23f
+    hn[:-1] += cb
+    hn[1:] += cb
+    hn[:-1] += w * d22b - 2.0 * d23b
+    return Jn * hd + Jd * hn, Jn * (-d23f - cf) + Jd * (d23b - cb)
 
 
 class ProductGradient(NamedTuple):
-    """The factors of J = J_delta * J_nabla and their node gradients."""
+    """The factors of J = J_delta * J_nabla, their node gradients and the
+    node gradient J_nabla * grad_delta + J_delta * grad_nabla of J, and
+    ``samples``: the evaluation's own copy of the nodes y and their
+    difference quotient q, at which ``functional_hessian`` samples the
+    second partials.  q is None unless the compiled kernel ran without a
+    floating-point fault (``clean``)."""
 
     J_delta: float
     J_nabla: float
     grad_delta: np.ndarray
     grad_nabla: np.ndarray
+    gradient: np.ndarray
+    samples: tuple
 
     @property
     def value(self) -> float:
         return self.J_delta * self.J_nabla
 
     @property
-    def gradient(self) -> np.ndarray:
-        return self.J_nabla * self.grad_delta + self.J_delta * self.grad_nabla
+    def clean(self) -> bool:
+        """True when every array and factor above is known to be finite:
+        they were computed with floating-point faults raised, from finite
+        samples.  Their product ``value`` may still overflow."""
+        return self.samples[1] is not None
 
 
-def _product(ts: TimeScale, delta: tuple, nabla: tuple) -> ProductGradient:
-    return ProductGradient(delta[0], nabla[0], _grad(ts, delta, True), _grad(ts, nabla, False))
+_FIRST = ("", "y", "v")  # the partials a gradient is assembled from
+_SECOND = ("yy", "yv", "vv")  # and a Hessian
 
 
-def _first(ts: TimeScale, Ld: ex.Expression, Ln: ex.Expression, yvals: np.ndarray):
-    return _product(ts, _sample(Ld, ts, yvals, True), _sample(Ln, ts, yvals, False))
+def _kernel(Ld: ex.Expression, Ln: ex.Expression, slots: tuple):
+    """The compiled kernel of an integrand pair: one straight-line program
+    of the five sample arrays (t[:-1], y[1:], q, t[1:], y[:-1]) that returns
+    the partials of Ld named by ``slots`` at the forward samples (t[:-1],
+    y[1:], q), then those of Ln at the backward ones (t[1:], y[:-1], q).
+    The forward and backward gaps mu[:-1] and nu[1:] are the same array, so
+    both sides share the quotient q, and a subtree that reads only q and
+    constants is computed once for both.  None when a constant is not
+    finite.  Kept on Ld, which keeps Ln alive, so its id is a safe key."""
+    memo = vars(Ld).setdefault("_kernels", {})
+    hit = memo.get((id(Ln), slots))
+    if hit is None:
+        exprs = [_d(Ld, s) for s in slots] + [_d(Ln, s) for s in slots]
+        inputs = [(0, 1, 2)] * len(slots) + [(3, 4, 2)] * len(slots)
+        code, outs, _ = ex._lower(exprs, inputs)
+        hit = memo[(id(Ln), slots)] = (Ln, ex._compile(code, outs, 5, shared=True)[0])
+    return hit[1]
+
+
+def _pair(ts: TimeScale, Ld, Ln, slots: tuple, y: np.ndarray, q, assemble):
+    """``assemble(w, q, partials)``, w the gaps, with the partials of the
+    pair named by ``slots`` (ordered as by ``_kernel``) at the nodes y and
+    their difference quotient q, which is formed here unless it is given,
+    and then known to be finite.  The q passed on is None unless the kernel
+    ran clean.
+
+    The kernel runs, and ``assemble`` with it, with floating-point faults
+    raised (``_raised``).  A quotient is finite only when every node is, so
+    it is the one input checked.  On a non-finite quotient, a fault or a
+    kernel that is None, the checked per-integrand programs (``_sampled``)
+    sample the forward side and then the backward one, so a DomainViolation
+    and every undefined value are those of sampling the sides one at a
+    time; both runs give bit-identical outputs."""
+    tf, tb, w = ts.points[:-1], ts.points[1:], ts.mu_values[:-1]
+    yf, yb = y[1:], y[:-1]
+    run = _kernel(Ld, Ln, slots)
+    if run is not None:
+        try:
+            out = _raised(run, assemble, tf, yf, tb, yb, w, q)
+        except FloatingPointError:
+            out = None
+        if out is not None:
+            return out
+    fq = (yf - yb) / w if q is None else q
+    return assemble(w, None, _sampled(Ld, slots, (tf, yf, fq)) + _sampled(Ln, slots, (tb, yb, fq)))
+
+
+@np.errstate(over="raise", divide="raise", invalid="raise")  # set per call, cheaper than `with`
+def _raised(run, assemble, tf, yf, tb, yb, w, q):
+    """The compiled path of ``_pair``: None when the quotient, formed here
+    unless q is given, is not finite."""
+    fq = (yf - yb) / w if q is None else q
+    if q is None and not math.isfinite(np.add.reduce(fq)):
+        return None
+    return assemble(w, fq, run(tf, yf, fq, tb, yb))
+
+
+def _first(ts: TimeScale, Ld: ex.Expression, Ln: ex.Expression, yvals) -> ProductGradient:
+    """The ``ProductGradient`` of the pair at yvals, from one kernel run on
+    its own copy of the nodes."""
+    y = np.array(yvals, dtype=float)
+
+    def assemble(w, q, parts):
+        Lf, d2f, d3f, Lb, d2b, d3b = parts
+        del parts  # free each sample after its last use: fewer live arrays at large n
+        Jd, Jn = float(np.dot(w, Lf)), float(np.dot(w, Lb))
+        del Lf, Lb
+        gd, gn = _grads(w, y.size, d2f, d3f, d2b, d3b)
+        del d2f, d3f, d2b, d3b
+        return ProductGradient(Jd, Jn, gd, gn, Jn * gd + Jd * gn, (y, q))
+
+    return _pair(ts, Ld, Ln, _FIRST, y, None, assemble)
 
 
 def functional_gradient(
@@ -588,8 +674,10 @@ def functional_gradient(
     Each node value enters the forward sum through at most two samples (as a
     shifted value and through two difference quotients) and likewise the
     backward sum; the gradient is assembled by accumulating those chain-rule
-    contributions.  With ``factors`` the ``ProductGradient`` is returned
-    instead, which ``functional_hessian`` can reuse at the same nodes.
+    contributions.  One run of the pair's compiled kernel samples L, d2 L
+    and d3 L of both integrands (see ``_pair``).  With ``factors`` the
+    ``ProductGradient`` is returned instead, which ``functional_hessian``
+    can reuse.
     """
     first = _first(ts, Ld, Ln, yvals)
     return first if factors else (first.value, first.gradient)
@@ -636,12 +724,16 @@ def functional_hessian(
 ) -> ProductHessian:
     """Exact structured Hessian of the product functional w.r.t. every node,
     assembled from the exact second partials d22, d23 and d33 of both
-    integrands (see ``ProductHessian``).  ``first``, the ``ProductGradient``
-    of an evaluation at the same nodes, saves sampling the integrands and
-    their first partials again."""
+    integrands, from one run of the pair's second-order kernel (see
+    ``ProductHessian`` and ``_pair``).  ``first``, the ``ProductGradient``
+    of an evaluation at yvals, saves sampling the integrands and their first
+    partials again: its own samples are reused, not taken again from yvals."""
     if first is None:
         first = _first(ts, Ld, Ln, yvals)
-    Jd, Jn = first.J_delta, first.J_nabla
-    hd, od = _side_hessian(Ld, ts, yvals, True)
-    hn, on = _side_hessian(Ln, ts, yvals, False)
-    return ProductHessian(*first, Jn * hd + Jd * hn, Jn * od + Jd * on)
+    y, q = first.samples
+
+    def assemble(w, q, parts):
+        diag, off = _tridiagonal(w, y.size, first.J_delta, first.J_nabla, *parts)
+        return ProductHessian(*first[:4], diag, off)
+
+    return _pair(ts, Ld, Ln, _SECOND, y, q, assemble)

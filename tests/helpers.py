@@ -1,11 +1,13 @@
 """Shared generators for randomized tests (all seeded by the caller), the
-dense matrix of a solver model, a reference walker for expressions, and
-one-step reference searches for the consistency scan."""
+dense matrix of a solver model, a reference walker for expressions,
+one-step reference searches for the consistency scan, and the per-side
+assembly of the product functional's gradient and Hessian."""
 
 import numpy as np
 
 from tsvar import expr as ex
 from tsvar import timescale as tsc
+from tsvar import variational as va
 from tsvar.calculus import GridFunction
 from tsvar.variational import VariationalProblem
 
@@ -193,3 +195,69 @@ def bisect(G, a, b, neg_a, n):
         left = (G(mid) <= 0.0) != neg_a
         a, b = np.where(left, a, mid), np.where(left, mid, b)
     return a
+
+
+# The per-side assembly of the product functional, one integrand at a time:
+# an oracle for the compiled kernel of a pair (``tsvar.variational._pair``).
+# Each side samples its own program of partials (``_sampled``), so a fault
+# raises the DomainViolation of the forward side first.
+
+
+def side_samples(ts, yvals, forward):
+    """The forward samples (t, y^sigma, Dy) or the backward ones (t, y^rho, Ny)."""
+    if forward:
+        return ts.points[:-1], yvals[1:], np.diff(yvals) / ts.mu_values[:-1]
+    return ts.points[1:], yvals[:-1], np.diff(yvals) / ts.nu_values[1:]
+
+
+def side_sum(e, ts, yvals, forward):
+    """The weighted sum of e over one side and its samples of d2 e and d3 e."""
+    L, d2, d3 = va._sampled(e, ("", "y", "v"), side_samples(ts, yvals, forward))
+    w = ts.mu_values[:-1] if forward else ts.nu_values[1:]
+    return float(np.dot(w, L)), d2, d3
+
+
+def side_grad(ts, side, forward):
+    """Node gradient of one weighted sum from its ``side_sum``."""
+    _, d2, d3 = side
+    w = ts.mu_values[:-1] if forward else ts.nu_values[1:]
+    g = np.zeros(len(ts))
+    if forward:
+        g[1:] += w * d2 + d3
+        g[:-1] -= d3
+    else:
+        g[:-1] += w * d2 - d3
+        g[1:] += d3
+    return g
+
+
+def side_hessian(e, ts, yvals, forward):
+    """Tridiagonal Hessian (diagonal, off-diagonal) of one weighted sum."""
+    d22, d23, d33 = va._sampled(e, ("yy", "yv", "vv"), side_samples(ts, yvals, forward))
+    w = ts.mu_values[:-1] if forward else ts.nu_values[1:]
+    c = d33 / w
+    diag = np.zeros(len(ts))
+    diag[:-1] += c
+    diag[1:] += c
+    if forward:
+        diag[1:] += w * d22 + 2.0 * d23
+        off = -d23 - c
+    else:
+        diag[:-1] += w * d22 - 2.0 * d23
+        off = d23 - c
+    return diag, off
+
+
+def pair_gradient(ts, Ld, Ln, yvals):
+    """(J_delta, J_nabla, grad_delta, grad_nabla, gradient) of the pair."""
+    delta, nabla = side_sum(Ld, ts, yvals, True), side_sum(Ln, ts, yvals, False)
+    gd, gn = side_grad(ts, delta, True), side_grad(ts, nabla, False)
+    return delta[0], nabla[0], gd, gn, nabla[0] * gd + delta[0] * gn
+
+
+def pair_hessian(ts, Ld, Ln, yvals):
+    """(diag, off) of the tridiagonal part Jn * H_delta + Jd * H_nabla."""
+    Jd, Jn = pair_gradient(ts, Ld, Ln, yvals)[:2]
+    hd, od = side_hessian(Ld, ts, yvals, True)
+    hn, on = side_hessian(Ln, ts, yvals, False)
+    return Jn * hd + Jd * hn, Jn * od + Jd * on

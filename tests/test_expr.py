@@ -315,7 +315,7 @@ def test_eval_arrays_vectorizes():
     np.testing.assert_allclose(ex.eval_arrays(e, t, y, v), [1.0, 3.0, 5.0])
 
 
-def _lower_by_walking(exprs):
+def _lower_by_walking(exprs, inputs=None):
     """``ex._lower`` as a plain tree walk that revisits shared subtrees: the
     oracle for its memoised walk."""
     index, code = {}, []
@@ -326,20 +326,21 @@ def _lower_by_walking(exprs):
             code.append(ins)
         return index[ins]
 
-    def visit(e):
+    def visit(e, xs):
         if isinstance(e, Const):
             return node(("k", float(e.value).hex()))
         if isinstance(e, Var):
-            return node(("x", ex.VARIABLES.index(e.name)))
+            return node(("x", xs[ex.VARIABLES.index(e.name)]))
         if isinstance(e, Neg):
-            return node(("negative", visit(e.arg)))
+            return node(("negative", visit(e.arg, xs)))
         if isinstance(e, ex.Call):
-            return node((ex._UFUNCS[e.fn], visit(e.arg)))
+            return node((ex._UFUNCS[e.fn], visit(e.arg, xs)))
         if isinstance(e, Pow):
-            return node(("power", visit(e.base), node(("k", float(e.exponent).hex()))))
-        return node((ex._UFUNCS[e.op], visit(e.left), visit(e.right)))
+            return node(("power", visit(e.base, xs), node(("k", float(e.exponent).hex()))))
+        return node((ex._UFUNCS[e.op], visit(e.left, xs), visit(e.right, xs)))
 
-    outs = tuple(visit(e) for e in exprs)
+    inputs = [(0, 1, 2)] * len(exprs) if inputs is None else inputs
+    outs = tuple(visit(e, xs) for e, xs in zip(exprs, inputs))
     return tuple(code), outs
 
 
@@ -358,6 +359,14 @@ def test_lowering_a_shared_subtree_once_keeps_the_program():
         assert ex._lower(exprs)[:2] == _lower_by_walking(exprs)
     code, outs, where = ex._lower([va._d(chain, s) for s in ("yy", "yv", "vv")])
     assert len(code) == len(where) == 544
+    # a pair on two input sets, as the kernel of an integrand pair lowers it:
+    # one integrand on both sides shares only what reads neither t nor y
+    inputs = [(0, 1, 2)] * 3 + [(3, 4, 2)] * 3
+    integrands = list(_bundled_integrands())
+    for Ld, Ln in [(chain, chain), *zip(integrands[::2], integrands[1::2])]:
+        for slots in (("", "y", "v"), ("yy", "yv", "vv")):
+            exprs = [va._d(Ld, s) for s in slots] + [va._d(Ln, s) for s in slots]
+            assert ex._lower(exprs, inputs)[:2] == _lower_by_walking(exprs, inputs)
     # a checked instruction reports its operation; the others report none
     for (op, *_), (name, _) in zip(code, where):
         assert name == {"k": None, "x": None, "negative": None, "power": "pow", "divide": "/",

@@ -11,6 +11,7 @@ import pytest
 from helpers import dense, random_integrand
 from tsvar import expr as ex
 from tsvar import solver as so
+from tsvar import variational as va
 from tsvar.expr import parse
 from tsvar.solver import SolverConfig, solve
 from tsvar.timescale import from_points, q_scale, uniform
@@ -100,24 +101,31 @@ class TestExactHessian:
                 np.testing.assert_array_equal(a, b)
 
     def test_newton_step_samples_once(self, monkeypatch):
+        # a Newton model is one run of the pair's second-order kernel on the
+        # samples of its evaluation; no integrand program runs again
         p = VariationalProblem(uniform(0, 1, 9), parse("v^2 + sin(y)^2"),
                                parse("exp(0.5*v) + y^2"), 0.0, 1.0)
         cp = so._Compiled(p, so._base_trajectory(p))
         fun, model = so._merit(cp, p, 1e-9)
         at = fun(np.linspace(0.2, 0.8, 7))
-        calls = []
-        real = ex.Program.__call__
+        runs, programs = [], []
+        real_kernel, real_program = va._kernel, ex.Program.__call__
 
-        def run(self, t, yy, vv):
-            calls.append(self.exprs)
-            return real(self, t, yy, vv)
+        def kernel(Ld, Ln, slots):
+            run = real_kernel(Ld, Ln, slots)
+            return lambda *samples: runs.append(slots) or run(*samples)
 
-        monkeypatch.setattr(ex.Program, "__call__", run)
+        def program(self, t, yy, vv):
+            programs.append(self.exprs)
+            return real_program(self, t, yy, vv)
+
+        monkeypatch.setattr(va, "_kernel", kernel)
+        monkeypatch.setattr(ex.Program, "__call__", program)
         model(at)
-        assert len(calls) == 2  # one program of d22, d23 and d33 per integrand
-        calls.clear()
+        assert runs == [("yy", "yv", "vv")] and programs == []
+        runs.clear()
         functional_hessian(p.scale, p.L_delta, p.L_nabla, cp.y)
-        assert len(calls) == 4  # and one of L, d2 and d3 per integrand
+        assert runs == [("", "y", "v"), ("yy", "yv", "vv")] and programs == []
 
     def test_partials_are_differentiated_once(self, monkeypatch):
         calls = []

@@ -441,6 +441,23 @@ class TestLookaheadSearch:
         np.testing.assert_array_equal(sign * G(x), f, strict=True)
         assert np.all((lo < x) & (x < hi))
 
+    @pytest.mark.parametrize("n, samples", [(101, 138), (1001, 110)])
+    def test_min_search_samples_each_angle_once(self, monkeypatch, n, samples):
+        # the best sample of a call is the centre of the cells it keeps, which
+        # the next call's middle point hits again when its k is odd: sampled
+        # twice, the two searches took 170 and 162 samples, 144 and 114
+        # distinct
+        seen = []
+        real = so._min_search
+
+        def search(G, *args):
+            return real(lambda t: seen.append(t.copy()) or G(t), *args)
+
+        monkeypatch.setattr(so, "_min_search", search)
+        consistency_scan(product_problem(uniform(0, 1, n)))
+        theta = np.concatenate(seen)
+        assert theta.size == samples and np.unique(theta).size == theta.size
+
     @pytest.mark.parametrize("seed", range(2))
     def test_G_is_batch_invariant(self, seed):
         # G at an angle has the same bits alone, in a batch of 2, in a batch
@@ -613,7 +630,7 @@ class TestIsoperimetricSolve:
         monkeypatch.setattr(va, "functional_gradient",
                             lambda *a, **k: calls.append(1) or real(*a, **k))
         rep = solve_isoperimetric(p, SolverConfig())
-        assert len(calls) <= 10000 and rep.iterations <= 20
+        assert calls and len(calls) <= 10000 and rep.iterations <= 20
         assert not rep.converged and rep.J < -1e100
         assert rep.message == "objective unbounded below along K = k; best iterate"
 
@@ -662,6 +679,7 @@ class TestIsoperimetricSolve:
 
         monkeypatch.setattr(va, "functional_gradient", counted)
         rep = solve_isoperimetric(p, cfg)
+        assert calls
         # the same extremal as from the other three starts alone
         real_starts = so._starts
 
@@ -700,7 +718,7 @@ def dense_hessian(p, y):
     cp = so._Compiled(p, y.values)
     z = cp.y[cp.lo : cp.hi].copy()
     first = cp.value_grad(z, p.L_delta, p.L_nabla)[2]
-    return dense(so._model([(1.0, cp.hessian(z, p.L_delta, p.L_nabla, first))]))
+    return dense(so._model([(1.0, cp.hessian(p.L_delta, p.L_nabla, first))]))
 
 
 class TestProbe:
