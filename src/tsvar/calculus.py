@@ -17,8 +17,11 @@ example "defined only off the maximum point") is explicit and checkable.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
+import os
+import stat
 import warnings
 from dataclasses import dataclass, field
 
@@ -401,6 +404,29 @@ def write_csv(f: GridFunction, target) -> None:
             fh.close()
 
 
+def _loadtxt(body, skiprows: int = 0) -> np.ndarray:
+    """Rows of comma-separated cells from a path (a ``str``) or an iterable
+    of lines, by numpy's tokenizer and correctly rounded float conversion."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+        return np.loadtxt(body, skiprows=skiprows, encoding="utf-8", dtype=float,
+                          delimiter=",", comments=None, ndmin=2)
+
+
+# suffixes whose files numpy's DataSource opens through a decompressor
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _reopenable(source, fh) -> str | None:
+    """The absolute path of ``source`` if numpy may open it again by name
+    and read what fh reads: a regular file (not a pipe, which cannot be
+    read twice) without a compression suffix."""
+    path = os.path.abspath(os.fsdecode(source))
+    if path.endswith(_COMPRESSED) or not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        return None
+    return path
+
+
 def read_csv(source, scale: TimeScale | None = None) -> GridFunction:
     """Read a ``t,value`` CSV from a path or an open text handle.
 
@@ -412,21 +438,29 @@ def read_csv(source, scale: TimeScale | None = None) -> GridFunction:
     Python-only spellings such as ``1_0`` are rejected.  Malformed rows and
     non-finite values raise ``ValueError``; a file without rows, or with
     ``scale`` given and points that differ from it, raises ``TimeScaleError``.
+
+    Both readers are ``np.loadtxt``.  A path to a regular file is checked
+    for its header on an open handle, and then its body is parsed by
+    numpy's chunked C reader, which runs only when handed a ``str`` path.
+    That reader rejects whitespace-only lines, so if it raises, the body is
+    read again from the still-open handle, line by line with blank and
+    whitespace-only lines filtered out; every error comes from this
+    fallback.  Open handles, pipes and names ending in a compression suffix
+    go to the filtered read directly.  numpy only ever sees an absolute
+    local path: its DataSource would fetch a relative ``scheme://...`` path
+    as a URL.
     """
     fh = open(source, "r", encoding="utf-8") if _is_path(source) else source
     try:
         header = fh.readline().strip()
         if header.split(",")[:2] != ["t", "value"]:
             raise ValueError("expected CSV header 't,value'")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-            rows = np.loadtxt(
-                itertools.filterfalse(str.isspace, fh),
-                dtype=float,
-                delimiter=",",
-                comments=None,
-                ndmin=2,
-            )
+        rows = None
+        if fh is not source and (path := _reopenable(source, fh)):
+            with contextlib.suppress(ValueError, OSError):  # the line filter decides
+                rows = _loadtxt(path, skiprows=1)
+        if rows is None:
+            rows = _loadtxt(itertools.filterfalse(str.isspace, fh))
     finally:
         if fh is not source:
             fh.close()

@@ -294,9 +294,9 @@ def _direction(model, g, shift_prev, border=None, f=0.0):
     tol = 0.0 if border is None else 1e-12 * (1.0 + abs(f))
     if model is not None:
         diag, off, U, C = model
-        scale = float(max(np.max(np.abs(diag)), np.max(np.abs(off), initial=0.0)))
+        scale = float(max(np.abs(diag).max(), np.abs(off).max(initial=0.0)))
         if scale == 0.0 and len(U):
-            scale = float(np.max(np.abs(C)) * np.max(np.abs(U)) ** 2)
+            scale = float(np.abs(C).max() * np.abs(U).max() ** 2)
         if np.isfinite(scale) and scale > 0.0:
             shift = shift_prev / 10.0 if 1e-11 <= shift_prev < np.inf else 0.0
             for _ in range(_SHIFT_TRIES):
@@ -309,7 +309,7 @@ def _direction(model, g, shift_prev, border=None, f=0.0):
                 if gd < tol:
                     return d, min(gd, 0.0), shift
                 shift = 10.0 * shift if shift else 1e-12
-    gmax = float(np.max(np.abs(g)))
+    gmax = float(np.abs(g).max())
     d = -g / gmax
     return d, -gmax * float(d @ d), np.inf
 
@@ -389,8 +389,8 @@ def _newton(fun, model, w0):
             if at.err <= 1.0 and an.err >= at.err:
                 break
             stalled = an.f >= f - 1e-16 * (1.0 + abs(f)) and float(
-                np.max(np.abs(an.w - w))
-            ) <= 1e-14 * (1.0 + float(np.max(np.abs(w))))
+                np.abs(an.w - w).max()
+            ) <= 1e-14 * (1.0 + float(np.abs(w).max()))
             w, at = an.w, an
             it += 1
             if stalled:
@@ -484,7 +484,7 @@ def _merit(cp: _Compiled, p: va.VariationalProblem, grad_tol: float, feasibility
             val, grad = _finite(0.5 * r * r, r * grad)
         if grad is None:
             return _UNDEFINED
-        return _At(val, float(np.max(np.abs(grad))) / grad_tol, z, grad, first)
+        return _At(val, float(np.abs(grad).max()) / grad_tol, z, grad, first)
 
     def model(at):
         H = cp.hessian(*pair, at.data)
@@ -529,7 +529,7 @@ def _kkt(cp: _Compiled, p: va.VariationalProblem, grad_tol: float):
             feas_target = max(_FEAS_TOL, _rounding(kfirst, cp.y))
             # gradK negligible on the free block against all nodes: an
             # extremal of K, which no projection can move off
-            vanished = np.max(np.abs(kgrad)) <= 1e-6 * (1.0 + np.max(np.abs(kfirst.gradient)))
+            vanished = np.abs(kgrad).max() <= 1e-6 * (1.0 + np.abs(kfirst.gradient).max())
             if abs(r) <= feas_target or vanished or i == _PROJECTION_STEPS:
                 break
             z = z - (r / float(kgrad @ kgrad)) * kgrad
@@ -540,7 +540,7 @@ def _kkt(cp: _Compiled, p: va.VariationalProblem, grad_tol: float):
             return _UNDEFINED
         lam = 0.0 if vanished else float(jgrad @ kgrad) / float(kgrad @ kgrad)
         gl = jgrad - lam * kgrad
-        err = max(float(np.max(np.abs(gl))) / grad_tol, abs(r) / feas_target)
+        err = max(float(np.abs(gl).max()) / grad_tol, abs(r) / feas_target)
         return _At(jval - lam * r, err, z, gl, (lam, r, feas_target, jfirst, kfirst),
                    None if vanished else (kgrad, r))
 
@@ -644,7 +644,7 @@ def solve(p: va.VariationalProblem, cfg: SolverConfig = SolverConfig()) -> Solve
     for s, z0 in enumerate(starts):
         z, at, it = _newton(fun, model, z0)
         if np.isfinite(at.f):
-            gn = float(np.max(np.abs(at.g), initial=0.0))
+            gn = float(np.abs(at.g).max(initial=0.0))
             candidates.append((s, z, at.f, gn, it, at.err <= 1.0))
     if not candidates:
         raise ex.DomainViolation("objective undefined at every multistart")
@@ -717,7 +717,7 @@ def solve_isoperimetric(
         if np.isfinite(at.f):
             lam, r, target, jfirst, _ = at.data
             results.append(dict(index=s, z=z, lam=lam, J=jfirst.value, f=at.f, feas=abs(r),
-                                target=target, lag_gn=float(np.max(np.abs(at.g))), it=it,
+                                target=target, lag_gn=float(np.abs(at.g).max()), it=it,
                                 converged=at.err <= 1.0, unmet=False, abnormal=at.border is None))
     if not results:
         raise ex.DomainViolation("objective undefined at every multistart")

@@ -1,4 +1,5 @@
 import io
+import os
 
 import numpy as np
 import pytest
@@ -377,38 +378,48 @@ class TestGridFunctionApi:
             shift_rho(nabla_derivative(f))
 
 
+def _feeds(tmp_path, text):
+    """``text`` as an open handle, which the line filter reads, and as a
+    path to a file with those bytes, which numpy's file reader reads with
+    the line filter as its fallback."""
+    path = tmp_path / "feed.csv"
+    path.write_bytes(text.encode("utf-8"))
+    return io.StringIO(text, newline=""), str(path)
+
+
 class TestCsv:
-    def test_round_trip_is_bit_exact(self):
+    def test_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(19)
         ts = random_scale(rng)
         f = random_gridfn(rng, ts)
         buf = io.StringIO()
         write_csv(f, buf)
-        buf.seek(0)
-        back = read_csv(buf, ts)
-        np.testing.assert_array_equal(back.values, f.values)
-        np.testing.assert_array_equal(back.t, f.t)
+        for source in _feeds(tmp_path, buf.getvalue()):
+            back = read_csv(source, ts)
+            np.testing.assert_array_equal(back.values, f.values)
+            np.testing.assert_array_equal(back.t, f.t)
 
-    def test_header_enforced(self):
-        with pytest.raises(ValueError):
-            read_csv(io.StringIO("time,val\n0,1\n"))
+    def test_header_enforced(self, tmp_path):
+        for source in _feeds(tmp_path, "time,val\n0,1\n"):
+            with pytest.raises(ValueError):
+                read_csv(source)
 
-    def test_scale_mismatch_detected(self):
+    def test_scale_mismatch_detected(self, tmp_path):
         ts = from_points([0, 1, 2])
-        with pytest.raises(TimeScaleError):
-            read_csv(io.StringIO("t,value\n0,0\n0.5,1\n2,2\n"), ts)
+        for source in _feeds(tmp_path, "t,value\n0,0\n0.5,1\n2,2\n"):
+            with pytest.raises(TimeScaleError):
+                read_csv(source, ts)
 
-    def test_blank_and_whitespace_only_lines_are_skipped(self):
+    def test_blank_and_whitespace_only_lines_are_skipped(self, tmp_path):
         text = "t,value\n\n0,1\n   \n\t\n1,2\n \t \n\n2,4\n  \n"
-        back = read_csv(io.StringIO(text))
-        np.testing.assert_array_equal(back.t, [0.0, 1.0, 2.0])
-        np.testing.assert_array_equal(back.values, [1.0, 2.0, 4.0])
+        for source in _feeds(tmp_path, text):
+            back = read_csv(source)
+            np.testing.assert_array_equal(back.t, [0.0, 1.0, 2.0])
+            np.testing.assert_array_equal(back.values, [1.0, 2.0, 4.0])
 
     def test_crlf_endings_and_padded_cells_accepted(self, tmp_path):
         text = "t,value\r\n 0 , 1 \r\n1,\t2\r\n\t2\t,4\r\n"
-        path = tmp_path / "crlf.csv"
-        path.write_bytes(text.encode("utf-8"))
-        for source in (path, str(path), io.StringIO(text, newline="")):
+        for source in (*_feeds(tmp_path, text), tmp_path / "feed.csv"):
             back = read_csv(source)
             np.testing.assert_array_equal(back.t, [0.0, 1.0, 2.0])
             np.testing.assert_array_equal(back.values, [1.0, 2.0, 4.0])
@@ -428,24 +439,25 @@ class TestCsv:
             "0,1\n# note\n2,4\n",
         ],
     )
-    def test_malformed_rows_rejected(self, body):
-        with pytest.raises(ValueError):
-            read_csv(io.StringIO("t,value\n" + body))
+    def test_malformed_rows_rejected(self, tmp_path, body):
+        for source in _feeds(tmp_path, "t,value\n" + body):
+            with pytest.raises(ValueError):
+                read_csv(source)
 
-    def test_header_only_file_has_no_scale(self):
-        with pytest.raises(TimeScaleError):
-            read_csv(io.StringIO("t,value\n"))
-        with pytest.raises(TimeScaleError):
-            read_csv(io.StringIO("t,value\n\n  \n"), Z4)
+    def test_header_only_file_has_no_scale(self, tmp_path):
+        for text, scale in (("t,value\n", None), ("t,value", None), ("t,value\n\n  \n", Z4)):
+            for source in _feeds(tmp_path, text):
+                with pytest.raises(TimeScaleError):
+                    read_csv(source, scale)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "1e400"])
-    def test_nonfinite_values_rejected(self, cell):
-        with pytest.raises(ValueError):
-            read_csv(io.StringIO(f"t,value\n0,1\n1,{cell}\n2,3\n"))
-        with pytest.raises(ValueError):
-            read_csv(io.StringIO(f"t,value\n0,1\n{cell},2\n2,3\n"))
+    def test_nonfinite_values_rejected(self, tmp_path, cell):
+        for text in (f"t,value\n0,1\n1,{cell}\n2,3\n", f"t,value\n0,1\n{cell},2\n2,3\n"):
+            for source in _feeds(tmp_path, text):
+                with pytest.raises(ValueError):
+                    read_csv(source)
 
-    def test_large_round_trip_is_bit_exact(self):
+    def test_large_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(20)
         n = 100_003
         # values: arbitrary finite bit patterns plus the awkward corners
@@ -459,10 +471,10 @@ class TestCsv:
         f = GridFunction(from_points(pts), vals)
         buf = io.StringIO()
         write_csv(f, buf)
-        buf.seek(0)
-        back = read_csv(buf, f.scale)
-        np.testing.assert_array_equal(back.values.view(np.uint64), vals.view(np.uint64))
-        np.testing.assert_array_equal(back.t.view(np.uint64), pts.view(np.uint64))
+        for source in _feeds(tmp_path, buf.getvalue()):
+            back = read_csv(source, f.scale)
+            np.testing.assert_array_equal(back.values.view(np.uint64), vals.view(np.uint64))
+            np.testing.assert_array_equal(back.t.view(np.uint64), pts.view(np.uint64))
 
     def test_written_bytes_match_17_digit_reference(self, tmp_path):
         rng = np.random.default_rng(21)
@@ -475,6 +487,142 @@ class TestCsv:
         buf = io.StringIO()
         write_csv(f, buf)
         assert buf.getvalue() == want
+
+
+# Files on which numpy's file reader and the line filter could part ways:
+# whitespace-only lines (numpy's file reader rejects them; the filter drops
+# them), line endings, encodings and cells that neither accepts.  Each body
+# has at least three rows, so a parse difference cannot hide behind the
+# scale's minimum size.
+CORPUS = {
+    "nbsp_line": "t,value\n0,1\n\u00a0\n1,2\n2,4\n",
+    "em_space_line": "t,value\n0,1\n\u2003\n1,2\n2,4\n",
+    "form_feed_line": "t,value\n0,1\n\x0c\n1,2\n2,4\n",
+    "vertical_tab_line": "t,value\n0,1\n\x0b\n1,2\n2,4\n",
+    "next_line_line": "t,value\n0,1\n\x85\n1,2\n2,4\n",
+    "line_separator_in_cell": "t,value\n0,1\u2028\n1,2\n2,4\n",
+    "spaces_and_tabs_lines": "t,value\n\n0,1\n   \n\t\n1,2\n \t \n2,4\n  ",
+    "lone_cr": "t,value\r0,1\r1,2\r2,4\r",
+    "mixed_endings": "t,value\r\n0,1\n1,2\r2,4\r\n",
+    "crlf_padded": "t,value\r\n 0 , 1 \r\n1,\t2\r\n\t2\t,4\r\n",
+    "no_final_newline": "t,value\n0,1\n1,2\n2,4",
+    "bom": "\ufefft,value\n0,1\n1,2\n2,4\n",
+    "underscore_cell": "t,value\n0,1\n1,1_0\n2,4\n",
+    "whitespace_then_malformed": "t,value\n0,1\n  \n1,2,3\n2,4\n",
+    "one_cell_rows": "t,value\n0\n1\n2\n",
+    "comment_row": "t,value\n0,1\n# note\n2,4\n",
+    "quoted_cell": "t,value\n\"0\",1\n1,2\n2,4\n",
+    "nul_line": "t,value\n0,1\n\x00\n1,2\n2,4\n",
+    "nan_value": "t,value\n0,1\n1,nan\n2,4\n",
+    "infinite_point": "t,value\n0,1\ninf,2\n2,4\n",
+    "extra_header_cells": "t,value,note\n0,1\n1,2\n2,4\n",
+    "line_breaks_of_str_in_header": "t,value,\u2028-5,0\x85-4,0\x0c-3,0\x1e-2,0\n0,1\n1,2\n2,4\n",
+    "line_breaks_of_str_in_row": "t,value\n0,1\u20281,2\n2,4\n",
+    "signs_and_exponents": "t,value\n-1,+1\n.5,1.\n2E0,-4e-3\n",
+    "header_only": "t,value\n",
+    "empty": "",
+}
+
+
+def _outcome(source):
+    """The bits read, or the exception type and message."""
+    try:
+        f = read_csv(source)
+    except Exception as err:  # the outcome, error or bits, is what is compared
+        return type(err), str(err)
+    return f.t.tobytes(), f.values.tobytes()
+
+
+def _agree(path):
+    """read_csv of a path and of an open handle on that file agree."""
+    with open(path, encoding="utf-8") as fh:
+        by_handle = _outcome(fh)
+    assert _outcome(path) == by_handle
+
+
+class TestCsvReaders:
+    """numpy's file reader, which ``read_csv`` runs on a path, against the
+    line filter, which it runs on an open handle and as the fallback."""
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_path_and_handle_agree(self, tmp_path, name):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(CORPUS[name].encode("utf-8"))
+        _agree(str(path))
+
+    def test_path_and_handle_agree_past_the_first_buffer(self, tmp_path):
+        rows = "".join(f"{i},{i * 0.5}\n" for i in range(20_000))
+        for tail, name in ((b"1,\xe9\n", "latin.csv"), (b"\xa0\n1e9,0\n", "nbsp.csv")):
+            path = tmp_path / name
+            path.write_bytes(b"t,value\n" + rows.encode() + tail)
+            _agree(str(path))
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_plain_text_with_a_compression_suffix(self, tmp_path, suffix):
+        path = tmp_path / f"x.csv{suffix}"
+        path.write_bytes(b"t,value\n0,1\n1,2\n2,4\n")
+        _agree(str(path))
+        np.testing.assert_array_equal(read_csv(path).values, [1.0, 2.0, 4.0])
+
+    def test_relative_url_like_path_is_read_locally(self, tmp_path, monkeypatch):
+        import urllib.request
+
+        def no_network(*args, **kwargs):
+            raise AssertionError("read_csv tried to fetch a URL")
+
+        monkeypatch.setattr(urllib.request, "urlopen", no_network)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "http:").mkdir()
+        (tmp_path / "http:" / "x.csv").write_bytes(b"t,value\n0,1\n1,2\n2,4\n")
+        _agree("http://x.csv")
+        np.testing.assert_array_equal(read_csv("http://x.csv").values, [1.0, 2.0, 4.0])
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_a_pipe_is_read_once(self):
+        r, w = os.pipe()
+        try:
+            os.write(w, b"t,value\n0,1\n1,2\n2,4\n")
+            os.close(w)
+            back = read_csv(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+        np.testing.assert_array_equal(back.values, [1.0, 2.0, 4.0])
+
+    def _spy(self, monkeypatch):
+        calls = []
+        real = np.loadtxt
+
+        def loadtxt(body, *args, **kwargs):
+            calls.append([body, "raised"])
+            out = real(body, *args, **kwargs)
+            calls[-1][1] = "returned"
+            return out
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        return calls
+
+    def test_a_clean_file_is_parsed_once_from_its_absolute_path(self, tmp_path, monkeypatch):
+        f = GridFunction(Z4, np.array([1.0, -2.5, 1e-300, 7.0]))
+        write_csv(f, tmp_path / "clean.csv")
+        monkeypatch.chdir(tmp_path)
+        calls = self._spy(monkeypatch)
+        for source in ("clean.csv", tmp_path / "clean.csv"):
+            calls.clear()
+            np.testing.assert_array_equal(read_csv(source).values, f.values)
+            [(body, how)] = calls
+            assert type(body) is str and os.path.isabs(body) and how == "returned"
+            assert body == str(tmp_path / "clean.csv")
+
+    def test_the_fallback_runs_only_after_the_file_reader_raises(self, tmp_path, monkeypatch):
+        path = tmp_path / "blank.csv"
+        path.write_bytes(b"t,value\n0,1\n \n1,2\n2,4\n")
+        calls = self._spy(monkeypatch)
+        np.testing.assert_array_equal(read_csv(path).values, [1.0, 2.0, 4.0])
+        assert [(type(body) is str, how) for body, how in calls] == [(True, "raised"), (False, "returned")]
+        calls.clear()
+        with open(path, encoding="utf-8") as fh:
+            read_csv(fh)
+        assert [(type(body) is str, how) for body, how in calls] == [(False, "returned")]
 
 
 def _reference_rows(t, v):

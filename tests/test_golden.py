@@ -1,6 +1,13 @@
-"""Golden outputs: `tsvar verify` stdout, and the stdout, `report.txt` and
-`trajectory.csv` of `tsvar solve` on every bundled problem, compared byte
-for byte with the files under `tests/golden/`.
+"""Golden outputs, compared byte for byte with the files under
+`tests/golden/`:
+
+- `tsvar verify` stdout;
+- the stdout, `report.txt` and `trajectory.csv` of `tsvar solve` on every
+  bundled problem;
+- the stdout of `tsvar eval`, and the stdout and `residual.csv` of
+  `tsvar residual --form el1|el2|nbc` with and without `--out`, on the
+  bundled `product_unit` trajectory and on a seeded 2,001-point one
+  (`trajectory/<name>/`).
 
 A performance change must leave these bytes alone.  To regenerate them
 after a deliberate change of output, run
@@ -12,6 +19,7 @@ and explain every changed line in `CHANGES.md`.
 
 import contextlib
 import io
+import random
 import sys
 from pathlib import Path
 
@@ -23,6 +31,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 PROBLEMS = tuple(
     case["problem"].removesuffix(".problem") for case in cli.load_bundled_manifest()["cases"]
 )
+TRAJECTORIES = ("product_unit", "seeded_2001")
+FORMS = ("el1", "el2", "nbc")
 REGENERATE = "PYTHONPATH=src python tests/test_golden.py"
 
 
@@ -38,10 +48,60 @@ def _run(argv, out=None) -> str:
     return f"{text}exit={code}\n"
 
 
+def _seeded_trajectory(tmp: Path) -> tuple[Path, Path]:
+    """A problem on a jittered explicit scale of 2,001 points with the right
+    endpoint free, and a trajectory on it with full-precision cells, both
+    drawn from a fixed seed and written below ``tmp``.
+
+    Only the stdlib generator's ``random()`` (whose stream Python keeps
+    across versions), rounding and the four arithmetic operations make the
+    inputs, and the integrands are polynomials, so no vectorised
+    transcendental function, whose last bit may differ by CPU, enters.
+    """
+    rng = random.Random(2020)
+    n = 2001
+    pts = [0.0]
+    for _ in range(n - 1):
+        pts.append(round(pts[-1] + (0.5 + rng.random()) * 1e-3, 12))
+    s = [p / pts[-1] for p in pts]
+    ys = [0.8 * x * (1 - x) * (3 - 4 * x) + 0.3 * x + 1e-3 * (rng.random() - 0.5) for x in s]
+    problem = tmp / "seeded_2001.problem"
+    problem.write_text(
+        "[timescale]\ntimescale = explicit [" + ", ".join(map(repr, pts)) + "]\n\n"
+        "[lagrangian]\ndelta = y*y*v + 0.3*v*v\nnabla = t*v*v + 0.2*y*y*y\n\n"
+        f"[boundary]\na = fixed:{ys[0]!r}\nb = free\n",
+        encoding="utf-8",
+    )
+    trajectory = tmp / "seeded_2001.csv"
+    trajectory.write_text(
+        "t,value\n" + "".join(f"{t!r},{y!r}\n" for t, y in zip(pts, ys)), encoding="utf-8"
+    )
+    return problem, trajectory
+
+
+def _trajectory_outputs(name: str, problem, trajectory, tmp: Path) -> dict[str, bytes]:
+    """`eval` and `residual` on one trajectory, keyed by golden path."""
+    inputs = ["--problem", str(problem), "--trajectory", str(trajectory)]
+    files = {f"trajectory/{name}/eval.txt": _run(["eval", *inputs]).encode()}
+    for form in FORMS:
+        argv = ["residual", *inputs, "--form", form]
+        files[f"trajectory/{name}/{form}.txt"] = _run(argv).encode()
+        out = tmp / f"{name}_{form}"
+        files[f"trajectory/{name}/{form}_out.txt"] = _run([*argv, "--out", str(out)], out).encode()
+        if (out / "residual.csv").exists():
+            files[f"trajectory/{name}/{form}_out/residual.csv"] = (out / "residual.csv").read_bytes()
+    return files
+
+
 def outputs(tmp: Path) -> dict[str, bytes]:
     """Every golden file by its path relative to ``tests/golden``, produced
-    by the library under test, with `solve` writing below ``tmp``."""
+    by the library under test, with every command writing below ``tmp``."""
     files = {"verify.txt": _run(["verify"]).encode()}
+    files.update(_trajectory_outputs(
+        "product_unit", cli._bundled_path("product_unit.problem"),
+        cli._bundled_path("product_unit_trajectory.csv"), tmp,
+    ))
+    files.update(_trajectory_outputs("seeded_2001", *_seeded_trajectory(tmp), tmp))
     for name in PROBLEMS:
         out = tmp / name
         path = cli._bundled_path(f"{name}.problem")
@@ -71,8 +131,13 @@ def test_the_same_files_exist(produced):
     )
 
 
-@pytest.mark.parametrize("name", ["verify.txt", *(f"{p}/{f}" for p in PROBLEMS
-                                  for f in ("stdout.txt", "report.txt", "trajectory.csv"))])
+@pytest.mark.parametrize("name", [
+    "verify.txt",
+    *(f"{p}/{f}" for p in PROBLEMS for f in ("stdout.txt", "report.txt", "trajectory.csv")),
+    *(f"trajectory/{t}/eval.txt" for t in TRAJECTORIES),
+    *(f"trajectory/{t}/{f}" for t in TRAJECTORIES for form in FORMS
+      for f in (f"{form}.txt", f"{form}_out.txt", f"{form}_out/residual.csv")),
+])
 def test_output_is_byte_identical(produced, name):
     if name not in produced:
         assert not (GOLDEN / name).exists()
