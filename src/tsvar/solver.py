@@ -31,8 +31,11 @@ error, so it does not crawl on at a degenerate stationary point.  Trial
 points whose value or gradient is undefined (``DomainViolation``) or not
 finite are rejected steps.  Because the product of two integral
 functionals is nonconvex, every solve multistarts from seeded smooth random
-perturbations of the straight-line interpolant between the boundary values;
-a report's ``iterations`` counts the Newton steps of the reported start.
+perturbations of the straight-line interpolant between the boundary values,
+drawn one at a time.  One loop, ``_multistart``, runs a method's per-start
+function from each and reports the end of lowest rank: the method's key
+(converged starts first), then the start's index.  A report's
+``iterations`` counts the Newton steps of the reported start.
 
 Isoperimetric problems are solved by Newton's method on the KKT system
 gradJ - lam*gradK = 0, K = k, on the same core.  The Hessian of the
@@ -572,16 +575,15 @@ def _perturb_amplitude(p: va.VariationalProblem) -> float:
 _START_MODES = 3
 
 
-def _starts(p: va.VariationalProblem, cfg: SolverConfig):
-    """The compiled problem and its multistarts: the straight-line
-    interpolant, then seeded perturbations of it, amp * sum over k = 1..3 of
-    u_k/k^2 * sin(freq_k*s + phase) with u_k uniform on [-1, 1] and
-    s = (t - a)/(b - a); freq_k <= k*pi and the phase make each mode vanish
-    at the fixed endpoints.  Their slopes are at most
+def _starts(cp: _Compiled, p: va.VariationalProblem, cfg: SolverConfig):
+    """The multistarts of cp, one at a time: the straight-line interpolant
+    (copied first, as evaluations write into cp.y), then seeded perturbations
+    of it, amp * sum over k = 1..3 of u_k/k^2 * sin(freq_k*s + phase) with u_k
+    uniform on [-1, 1] and s = (t - a)/(b - a); freq_k <= k*pi and the phase
+    make each mode vanish at the fixed endpoints.  Their slopes are at most
     pi*(1 + 1/2 + 1/3)*amp/(b - a) on any mesh."""
     rng = np.random.default_rng(cfg.seed)
-    cp = _Compiled(p, _base_trajectory(p))
-    z = cp.y[cp.lo : cp.hi]
+    z = cp.y[cp.lo : cp.hi].copy()
     pts = p.scale.points
     s = (pts[cp.lo : cp.hi] - pts[0]) / (pts[-1] - pts[0])
     k = np.arange(1, _START_MODES + 1)[:, None]
@@ -589,37 +591,63 @@ def _starts(p: va.VariationalProblem, cfg: SolverConfig):
     freq = (k - 1 + 0.5 * (a_fixed + b_fixed)) * np.pi
     modes = np.sin(freq * s + (0.0 if a_fixed else np.pi / 2))
     modes = _perturb_amplitude(p) * modes / k**2
-    out = [z.copy()]
+    yield z.copy()
     for _ in range(cfg.multistarts - 1):
-        out.append(z + rng.uniform(-1.0, 1.0, _START_MODES) @ modes)
-    return cp, out
+        yield z + rng.uniform(-1.0, 1.0, _START_MODES) @ modes
+
+
+def _multistart(p: va.VariationalProblem, cfg: SolverConfig, run):
+    """The one multistart loop: ``run(cp, z0)``, a method's per-start
+    function on the compiled problem cp, returns the end (key, z, at, it) of
+    its Newton runs from z0, or None where its merit is undefined.  A start's
+    rank is its key and then its index; a key that begins with 0 marks a
+    converged start.  Returns cp, the end of lowest rank as (rank, z, at, it)
+    and the free blocks of the converged starts by index (no other block)."""
+    cp = _Compiled(p, _base_trajectory(p))
+    best, converged = None, {}
+    for s, z0 in enumerate(_starts(cp, p, cfg)):
+        end = run(cp, z0)
+        if end is None:
+            continue
+        key, z, at, it = end
+        if key[0] == 0:
+            converged[s] = z
+        if best is None or (*key, s) < best[0]:
+            best = (*key, s), z, at, it
+    if best is None:
+        raise ex.DomainViolation("objective undefined at every multistart")
+    return cp, best, converged
 
 
 def _report(p: va.VariationalProblem, y: GridFunction, grad_norm: float | None = None,
             lambda0: float | None = None, lam: float | None = None, **fields) -> SolveReport:
     """The report of a solve that ended at y, from one sampling pass of each
     integrand pair: the L pair, and the K pair for a constrained report,
-    whose defects are those of the multiplier residual at (lambda0, lam).
-    Both residual forms are one array on two domains, so el_defect_1 and
-    el_defect_2 are one defect.  Without ``grad_norm`` (a self-consistent
-    extremal, both endpoints fixed) it is the largest interior gradient entry
-    of the same pass.  ``extension`` marks a constrained problem with a free
-    endpoint; ``fields`` are the solve's own (converged, iterations, ...)."""
+    whose defects and natural boundary residuals are those of the multiplier
+    combination lambda0*L - lam*K.  Both residual forms are one array on two
+    domains, so el_defect_1 and el_defect_2 are one defect.  Without
+    ``grad_norm`` (a self-consistent extremal, both endpoints fixed) it is
+    the largest interior gradient entry of the same pass.  ``extension``
+    marks a constrained problem with a free endpoint; ``fields`` are the
+    solve's own (converged, iterations, ...)."""
     ts = p.scale
+    c = p.constraint
     L = va._el_parts(ts, p.L_delta, p.L_nabla, y.values)
-    vals = L.residual
-    if lambda0 is not None:
-        c = p.constraint
-        vals = lambda0 * vals - lam * va._el_parts(ts, c.K_delta, c.K_nabla, y.values).residual
-    defect = va._stats(vals)[1]
+    K = None if lambda0 is None else va._el_parts(ts, c.K_delta, c.K_nabla, y.values)
+
+    def combined(name):  # a first-order quantity of J, or of lambda0*J - lam*K
+        val = getattr(L, name)
+        return val if K is None else lambda0 * val - lam * getattr(K, name)
+
+    defect = va._stats(combined("residual"))[1]
     if grad_norm is None:
         grad_norm = float(np.max(np.abs(L.gradient[1:-1]), initial=0.0))
     return SolveReport(
         trajectory=y, J_delta=L.Jd, J_nabla=L.Jn, J=L.Jd * L.Jn, el_defect_1=defect,
         el_defect_2=defect, grad_norm=grad_norm, lambda0=lambda0, lam=lam,
-        bc_residual_a=None if p.bc_a is not None else L.nbc_a,
-        bc_residual_b=None if p.bc_b is not None else L.nbc_b,
-        extension=p.constraint is not None and (p.bc_a is None or p.bc_b is None), **fields,
+        bc_residual_a=None if p.bc_a is not None else combined("nbc_a"),
+        bc_residual_b=None if p.bc_b is not None else combined("nbc_b"),
+        extension=c is not None and (p.bc_a is None or p.bc_b is None), **fields,
     )
 
 
@@ -638,34 +666,26 @@ def solve(p: va.VariationalProblem, cfg: SolverConfig = SolverConfig()) -> Solve
     """
     if p.constraint is not None:
         raise ValueError("problem is constrained; use solve_isoperimetric")
-    cp, starts = _starts(p, cfg)
-    fun, model = _merit(cp, p, cfg.grad_tol)
-    candidates = []
-    for s, z0 in enumerate(starts):
-        z, at, it = _newton(fun, model, z0)
-        if np.isfinite(at.f):
-            gn = float(np.abs(at.g).max(initial=0.0))
-            candidates.append((s, z, at.f, gn, it, at.err <= 1.0))
-    if not candidates:
-        raise ex.DomainViolation("objective undefined at every multistart")
 
-    converged = [c for c in candidates if c[5]]
-    if converged:
-        s, z, f, gn, it, _ = min(converged, key=lambda c: (c[2], c[0]))
-        ok = True
-    else:
-        s, z, f, gn, it, ok = min(candidates, key=lambda c: (c[3], c[0]))
+    def run(cp, z0):
+        z, at, it = _newton(*_merit(cp, p, cfg.grad_tol), z0)
+        if not np.isfinite(at.f):
+            return None
+        gn = float(np.abs(at.g).max(initial=0.0))
+        return ((0, at.f) if at.err <= 1.0 else (1, gn)), z, at, it
+
+    cp, ((tier, *_, s), z, at, it), converged = _multistart(p, cfg, run)
     traj = cp.trajectory(z)
-    message = "stationary point found" if ok else _stopped(f)
+    message = "stationary point found" if tier == 0 else _stopped(at.f)
     if len(converged) > 1:
         # multimodality diagnostic: how far apart the converged starts landed
-        spread = max(
-            va.weak_norm(traj, cp.trajectory(c[1])) for c in converged if c[0] != s
-        )
+        spread = max(va.weak_norm(traj, cp.trajectory(w)) for i, w in converged.items() if i != s)
         message += (
             f"; weak-norm spread across {len(converged)} converged starts: {spread:.3g}"
         )
-    return _report(p, traj, gn, converged=ok, iterations=it, multistart_index=s, message=message)
+    gn = float(np.abs(at.g).max(initial=0.0))
+    return _report(p, traj, gn, converged=tier == 0, iterations=it, multistart_index=s,
+                   message=message)
 
 
 # ---------------------------------------------------------------------------
@@ -696,47 +716,35 @@ def solve_isoperimetric(
     """
     c = va._require_constraint(p)
     reach = 1e-3 * (1.0 + abs(c.k))  # |K - k| beyond which no start meets K = k
-    cp, starts = _starts(p, cfg)
-    fun, model = _kkt(cp, p, cfg.grad_tol)
-    feas_fun, feas_model = _merit(cp, p, cfg.grad_tol, feasibility=True)
-    results = []
-    for s, z0 in enumerate(starts):
-        z, at, it = _newton(fun, model, z0)
+
+    def run(cp, z0):
+        kkt = _kkt(cp, p, cfg.grad_tol)
+        z, at, it = _newton(*kkt, z0)
         if not np.isfinite(at.f):
-            z, feas_at, it = _newton(feas_fun, feas_model, z0)
+            z, feas_at, it = _newton(*_merit(cp, p, cfg.grad_tol, feasibility=True), z0)
             feas = np.sqrt(2.0 * feas_at.f)
             # A feasibility phase that ends beyond reach stopped at, or near, a
             # nonzero minimum of (K - k)^2/2, where gradK vanishes: KKT Newton
             # from there can only crawl, so the start is recorded as unmet.
             if feas <= reach:
-                z, at, kkt_it = _newton(fun, model, z)
+                z, at, kkt_it = _newton(*kkt, z)
                 it += kkt_it
-            if not np.isfinite(at.f) and np.isfinite(feas):
-                results.append(dict(index=s, feas=feas, target=0.0,
-                                    lag_gn=np.inf, converged=False, unmet=True))
-        if np.isfinite(at.f):
-            lam, r, target, jfirst, _ = at.data
-            results.append(dict(index=s, z=z, lam=lam, J=jfirst.value, f=at.f, feas=abs(r),
-                                target=target, lag_gn=float(np.abs(at.g).max()), it=it,
-                                converged=at.err <= 1.0, unmet=False, abnormal=at.border is None))
-    if not results:
-        raise ex.DomainViolation("objective undefined at every multistart")
-    converged = [r for r in results if r["converged"]]
-    on = [r for r in results if not r["unmet"] and r["feas"] <= r["target"]]
-    if converged:
-        best = min(converged, key=lambda r: (r["J"], r["index"]))
-    elif on:
-        best = min(on, key=lambda r: (r["lag_gn"], r["index"]))
-    else:
-        best = min(results, key=lambda r: (r["feas"], r["lag_gn"], r["index"]))
-        if best["unmet"] or best["feas"] > max(reach, best["target"]):
-            raise InfeasibleConstraintError(
-                f"constraint K(y) = {c.k!r} unmet across multistarts "
-                f"(best |K - k| = {best['feas']:.3e})"
-            )
+            if not np.isfinite(at.f):  # unmet: after the other starts as near to K = k
+                return ((2, feas, np.inf), None, None, it) if np.isfinite(feas) else None
+        _, r, target, jfirst, _ = at.data
+        lag_gn = float(np.abs(at.g).max())
+        if at.err <= 1.0:
+            return (0, jfirst.value), z, at, it
+        return ((1, lag_gn) if abs(r) <= target else (2, abs(r), lag_gn)), z, at, it
 
-    feas = best["feas"]
-    if best["abnormal"]:
+    cp, (rank, z, at, it), _ = _multistart(p, cfg, run)
+    if rank[0] == 2 and (at is None or rank[1] > max(reach, at.data[2])):  # None: unmet
+        raise InfeasibleConstraintError(
+            f"constraint K(y) = {c.k!r} unmet across multistarts "
+            f"(best |K - k| = {rank[1]:.3e})"
+        )
+    feas = abs(at.data[1])
+    if at.border is None:
         if not feas <= _ABNORMAL_TOL:
             raise InfeasibleConstraintError(
                 f"constraint K(y) = {c.k!r} unmet at an extremal of K (|K - k| = {feas:.3e})"
@@ -744,11 +752,11 @@ def solve_isoperimetric(
         lambda0, lam, conv = 0.0, 1.0, True
         message = "abnormal extremal (candidate is an extremal of K)"
     else:
-        lambda0, lam, conv = 1.0, best["lam"], best["converged"]
-        message = "normal extremal" if conv else _stopped(best["f"], " along K = k")
-    return _report(p, cp.trajectory(best["z"]), best["lag_gn"], lambda0, lam, converged=conv,
-                   iterations=best["it"], multistart_index=best["index"],
-                   constraint_error=feas, message=message)
+        lambda0, lam, conv = 1.0, at.data[0], rank[0] == 0
+        message = "normal extremal" if conv else _stopped(at.f, " along K = k")
+    return _report(p, cp.trajectory(z), float(np.abs(at.g).max()), lambda0, lam, converged=conv,
+                   iterations=it, multistart_index=rank[-1], constraint_error=feas,
+                   message=message)
 
 
 def solve_auto(

@@ -214,15 +214,6 @@ def eval_K(p: VariationalProblem, y: GridFunction) -> float:
 # Euler-Lagrange residuals
 
 
-def _sample(e: ex.Expression, ts: TimeScale, yvals: np.ndarray, forward: bool):
-    """One sampling pass of the weighted sum of ``e``: its value and the
-    samples of d2 e and d3 e, at the forward samples (weights mu) or at the
-    backward ones (weights nu)."""
-    L, d2, d3 = _sampled(e, ("", "y", "v"), _samples(ts, yvals, forward))
-    w = ts.mu_values[:-1] if forward else ts.nu_values[1:]
-    return float(np.dot(w, L)), d2, d3
-
-
 class _Parts(NamedTuple):
     """One sampling pass of an integrand pair at a trajectory (``_el_parts``)
     and every first-order quantity that reduces from it."""
@@ -232,7 +223,7 @@ class _Parts(NamedTuple):
     Jn: float
     f: np.ndarray
     g: np.ndarray
-    delta: tuple  # (Jd, d2 Ld, d3 Ld) from ``_sample``
+    delta: tuple  # (Jd, d2 Ld, d3 Ld)
     nabla: tuple  # (Jn, d2 Ln, d3 Ln)
 
     @property
@@ -262,25 +253,27 @@ class _Parts(NamedTuple):
 
 
 def _el_parts(ts: TimeScale, Ld, Ln, yvals) -> _Parts:
-    """One sampling pass of an integrand pair (``_sample`` of each side) and
-    the arrays that both residual forms are built from,
+    """One sampling pass of an integrand pair, one run of its first-order
+    kernel (``_pair``), and the arrays that both residual forms are built
+    from,
       f(t) = d3 Ld (t) - integral_a^t d2 Ld   on the scale minus its maximum,
       g(t) = d3 Ln (t) - integral_a^t d2 Ln   on the scale minus its minimum,
-    all assembled from exact symbolic partials and exact prefix sums.
+    all assembled from exact symbolic partials and exact prefix sums.  The
+    forward gaps mu and the backward gaps nu are the one array w.
     """
-    mu = ts.mu_values[:-1]
-    nu = ts.nu_values[1:]
-    delta, nabla = _sample(Ld, ts, yvals, True), _sample(Ln, ts, yvals, False)
-    (Jd, d2ld, d3ld), (Jn, d2ln, d3ln) = delta, nabla
 
-    # A(t_j) = sum_{i<j} mu_i d2ld_i, indexed over 0..N-2 (the f domain)
-    acum = np.concatenate([[0.0], np.cumsum(mu * d2ld)])  # length N
-    # B(t_j) = sum_{1<=i<=j} nu_i d2ln_i, indexed over 1..N-1 (the g domain)
-    bcum = np.cumsum(nu * d2ln)  # bcum[j-1] = B(t_j)
+    def assemble(w, q, parts):
+        Lf, d2ld, d3ld, Lb, d2ln, d3ln = parts
+        Jd, Jn = float(np.dot(w, Lf)), float(np.dot(w, Lb))
+        # A(t_j) = sum_{i<j} mu_i d2ld_i, indexed over 0..N-2 (the f domain)
+        acum = np.concatenate([[0.0], np.cumsum(w * d2ld)])  # length N
+        # B(t_j) = sum_{1<=i<=j} nu_i d2ln_i, indexed over 1..N-1 (the g domain)
+        bcum = np.cumsum(w * d2ln)  # bcum[j-1] = B(t_j)
+        f = d3ld - acum[:-1]
+        g = d3ln - bcum
+        return _Parts(ts, Jd, Jn, f, g, (Jd, d2ld, d3ld), (Jn, d2ln, d3ln))
 
-    f = d3ld - acum[:-1]
-    g = d3ln - bcum
-    return _Parts(ts, Jd, Jn, f, g, delta, nabla)
+    return _pair(ts, Ld, Ln, _FIRST, np.asarray(yvals, dtype=float), None, assemble)
 
 
 def _stats(vals: np.ndarray) -> tuple[float, float]:
@@ -518,15 +511,13 @@ def first_variation(p: VariationalProblem, y: GridFunction, eta: GridFunction) -
     """
     _check_trajectory(p, y)
     _check_trajectory(p, eta)
-    ts = p.scale
-    mu = ts.mu_values[:-1]
-    nu = ts.nu_values[1:]
-    Jd, d2ld, d3ld = _sample(p.L_delta, ts, y.values, True)
-    Jn, d2ln, d3ln = _sample(p.L_nabla, ts, y.values, False)
+    parts = _el_parts(p.scale, p.L_delta, p.L_nabla, y.values)
+    (Jd, d2ld, d3ld), (Jn, d2ln, d3ln) = parts.delta, parts.nabla
+    w = p.scale.mu_values[:-1]  # the gaps mu[:-1], which are also nu[1:]
     e = eta.values
     de = np.diff(e)
-    delta_part = float(np.dot(mu, d2ld * e[1:]) + np.dot(d3ld, de))
-    nabla_part = float(np.dot(nu, d2ln * e[:-1]) + np.dot(d3ln, de))
+    delta_part = float(np.dot(w, d2ld * e[1:]) + np.dot(d3ld, de))
+    nabla_part = float(np.dot(w, d2ln * e[:-1]) + np.dot(d3ln, de))
     return Jd * nabla_part + Jn * delta_part
 
 

@@ -3,7 +3,8 @@
 
 - `tsvar verify` stdout;
 - the stdout, `report.txt` and `trajectory.csv` of `tsvar solve` on every
-  bundled problem;
+  bundled problem, and of `tsvar solve --seed 7` on the problems whose
+  reported start depends on the seed (`seed7/`);
 - the stdout of `tsvar eval`, and the stdout and `residual.csv` of
   `tsvar residual --form el1|el2|nbc` with and without `--out`, on the
   bundled `product_unit` trajectory and on a seeded 2,001-point one
@@ -31,6 +32,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 PROBLEMS = tuple(
     case["problem"].removesuffix(".problem") for case in cli.load_bundled_manifest()["cases"]
 )
+SEEDED = ("free_endpoint", "iso_M2", "iso_M3", "iso_M4")  # iso_M2, iso_M4 report start 2
 TRAJECTORIES = ("product_unit", "seeded_2001")
 FORMS = ("el1", "el2", "nbc")
 REGENERATE = "PYTHONPATH=src python tests/test_golden.py"
@@ -102,13 +104,15 @@ def outputs(tmp: Path) -> dict[str, bytes]:
         cli._bundled_path("product_unit_trajectory.csv"), tmp,
     ))
     files.update(_trajectory_outputs("seeded_2001", *_seeded_trajectory(tmp), tmp))
-    for name in PROBLEMS:
-        out = tmp / name
-        path = cli._bundled_path(f"{name}.problem")
-        files[f"{name}/stdout.txt"] = _run(["solve", "--problem", str(path), "--out", str(out)], out).encode()
+    runs = [(name, []) for name in PROBLEMS] + [(f"seed7/{name}", ["--seed", "7"]) for name in SEEDED]
+    for key, flags in runs:
+        out = tmp / key
+        path = cli._bundled_path(f"{key.removeprefix('seed7/')}.problem")
+        argv = ["solve", "--problem", str(path), *flags, "--out", str(out)]
+        files[f"{key}/stdout.txt"] = _run(argv, out).encode()
         for written in ("report.txt", "trajectory.csv"):
             if (out / written).exists():
-                files[f"{name}/{written}"] = (out / written).read_bytes()
+                files[f"{key}/{written}"] = (out / written).read_bytes()
     return files
 
 
@@ -133,7 +137,8 @@ def test_the_same_files_exist(produced):
 
 @pytest.mark.parametrize("name", [
     "verify.txt",
-    *(f"{p}/{f}" for p in PROBLEMS for f in ("stdout.txt", "report.txt", "trajectory.csv")),
+    *(f"{p}/{f}" for p in (*PROBLEMS, *(f"seed7/{s}" for s in SEEDED))
+      for f in ("stdout.txt", "report.txt", "trajectory.csv")),
     *(f"trajectory/{t}/eval.txt" for t in TRAJECTORIES),
     *(f"trajectory/{t}/{f}" for t in TRAJECTORIES for form in FORMS
       for f in (f"{form}.txt", f"{form}_out.txt", f"{form}_out/residual.csv")),

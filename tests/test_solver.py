@@ -1,4 +1,9 @@
+import dataclasses
+import gc
+import time
+import weakref
 from importlib import resources
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -634,6 +639,16 @@ class TestIsoperimetricSolve:
         assert not rep.converged and rep.J < -1e100
         assert rep.message == "objective unbounded below along K = k; best iterate"
 
+    @pytest.mark.parametrize("M", [2, 3, 4])
+    @pytest.mark.parametrize("free", ["a", "b"])
+    def test_free_endpoint_residual_is_that_of_the_multipliers(self, M, free):
+        # at the extremal the free endpoint's natural boundary condition holds
+        # for lambda0*J - lambda*K; J's own residual was 0.97 on iso_M3 with b free
+        p = cli.parse_problem_file(cli._bundled_path(f"iso_M{M}.problem"))[0]
+        rep = solve_isoperimetric(dataclasses.replace(p, **{f"bc_{free}": None}), SolverConfig())
+        assert rep.converged and rep.lambda0 == 1.0 and rep.extension
+        assert abs(getattr(rep, f"bc_residual_{free}")) <= 1e-8 * (1.0 + abs(rep.J))
+
     def test_unconverged_starts_on_the_constraint_rank_by_gradient(self, monkeypatch):
         # two starts that end unconverged, each within its own projection
         # target: |K - k| below it is rounding noise, so the smaller
@@ -683,10 +698,10 @@ class TestIsoperimetricSolve:
         # the same extremal as from the other three starts alone
         real_starts = so._starts
 
-        def start_2_as_start_0(p, cfg):
-            cp, starts = real_starts(p, cfg)
+        def start_2_as_start_0(cp, p, cfg):
+            starts = list(real_starts(cp, p, cfg))
             starts[2] = starts[0].copy()
-            return cp, starts
+            yield from starts
 
         monkeypatch.setattr(so, "_starts", start_2_as_start_0)
         other = solve_isoperimetric(p, cfg)
@@ -702,14 +717,169 @@ class TestStarts:
         ts = uniform(0, 1, 151)
         p = VariationalProblem(ts, parse("exp(0.7*v)"), parse("v^2"), bc_a, bc_b)
         amp = so._perturb_amplitude(p)
-        cp, starts = so._starts(p, SolverConfig(seed=4, multistarts=16))
-        _, again = so._starts(p, SolverConfig(seed=4, multistarts=16))
+        cp = so._Compiled(p, so._base_trajectory(p))
+        starts = list(so._starts(cp, p, SolverConfig(seed=4, multistarts=16)))
+        again = list(so._starts(cp, p, SolverConfig(seed=4, multistarts=16)))
         np.testing.assert_array_equal(starts[0], cp.y[cp.lo : cp.hi])
         for z, z2 in zip(starts, again):
             np.testing.assert_array_equal(z, z2)
             y = cp.trajectory(z).values
             assert np.max(np.abs(np.diff(y) / np.diff(ts.points))) <= 10 * amp / (ts.b - ts.a)
         assert len({float(z[0]) for z in starts}) == 16
+
+
+def direct_end(f, err, gn):
+    """A scripted end of a Newton run on J."""
+    return so._At(f, err, None, np.array([gn]), ())
+
+
+def kkt_end(J, err, r, gn, target=1e-10, abnormal=False):
+    """A scripted end of a KKT Newton run: J the objective, r = K - k."""
+    g = np.array([gn])
+    return so._At(J, err, None, g, (-26.0, r, target, SimpleNamespace(value=J), None),
+                  None if abnormal else (g, r))
+
+
+def feas_end(feas):
+    """A scripted end of a feasibility run that leaves |K - k| = feas."""
+    return so._At(0.5 * feas * feas, 1e3, None, np.array([1.0]), ())
+
+
+U = so._UNDEFINED
+NOT_CONVERGED = "did not converge; best iterate"
+INFEASIBLE = InfeasibleConstraintError
+
+
+class TestMultistart:
+    """One driver ranks the ends of both methods: converged starts first,
+    then the method's own measure, then the start's index."""
+
+    # each start's scripted ends of ``_newton``, in the order of its calls,
+    # and the report fields expected, or the exception and its message
+    DIRECT = [
+        # converged beats a lower J and a smaller gradient
+        ([[direct_end(-5.0, 2.0, 1e-12)], [direct_end(3.0, 0.5, 1e-9)]],
+         dict(multistart_index=1, converged=True, message="stationary point found")),
+        # lowest J among the converged, a tie to the earlier start
+        ([[direct_end(2.0, 0.5, 1e-10)], [direct_end(1.0, 0.5, 1e-10)],
+          [direct_end(1.0, 0.5, 1e-10)]],
+         dict(multistart_index=1, converged=True)),
+        # none converged: the smallest gradient, a tie to the earlier start,
+        # and an undefined start skipped
+        ([[U], [direct_end(0.0, 2.0, 1e-3)], [direct_end(-1.0, 3.0, 1e-5)],
+          [direct_end(-9.0, 3.0, 1e-5)]],
+         dict(multistart_index=2, converged=False, grad_norm=1e-5, message=NOT_CONVERGED)),
+        ([[direct_end(-1e101, 2.0, 1.0)]],
+         dict(converged=False, message="objective unbounded below; best iterate")),
+        ([[U], [U]], (ex.DomainViolation, "objective undefined at every multistart")),
+    ]
+    CONSTRAINED = [
+        # converged beats starts off K = k and on it with a lower J and a
+        # smaller gradient
+        ([[kkt_end(-9.0, 2.0, 1e-4, 1e-12)], [kkt_end(-9.0, 2.0, 1e-11, 1e-12)],
+          [kkt_end(5.0, 0.5, 0.0, 1e-10)]],
+         dict(multistart_index=2, converged=True, message="normal extremal")),
+        ([[kkt_end(2.0, 0.5, 0.0, 1e-10)], [kkt_end(1.0, 0.5, 0.0, 1e-10)],
+          [kkt_end(1.0, 0.5, 0.0, 1e-10)]],
+         dict(multistart_index=1, converged=True)),
+        # on K = k (|K - k| within its target) beats off it, whatever |K - k|
+        ([[kkt_end(0.0, 5.0, 1e-4, 1e-12)], [kkt_end(3.0, 5.0, 5e-11, 1e-3)]],
+         dict(multistart_index=1, converged=False, constraint_error=5e-11, grad_norm=1e-3,
+              message=NOT_CONVERGED)),
+        ([[kkt_end(0.0, 5.0, 1e-11, 1e-3)], [kkt_end(0.0, 5.0, 5e-11, 1e-6)],
+          [kkt_end(0.0, 5.0, 1e-12, 1e-6)]],
+         dict(multistart_index=1, grad_norm=1e-6, constraint_error=5e-11)),
+        # off K = k: the smallest |K - k|, then the smallest gradient
+        ([[kkt_end(0.0, 5.0, 1e-4, 1.0)], [kkt_end(0.0, 5.0, 1e-5, 2.0)],
+          [kkt_end(0.0, 5.0, 1e-5, 1.0)]],
+         dict(multistart_index=2, converged=False, constraint_error=1e-5, grad_norm=1.0)),
+        # an unmet start (its feasibility phase reached K = k within reach,
+        # but KKT Newton stayed undefined) nearer than any other is reported
+        # as infeasible with its own |K - k|
+        ([[U, feas_end(1e-4), U], [kkt_end(0.0, 5.0, 5e-4, 1.0)]],
+         (INFEASIBLE, r"unmet across multistarts \(best \|K - k\| = 1\.000e-04\)")),
+        # an unmet start beyond reach (no KKT run after its feasibility phase)
+        # loses to an off start within reach
+        ([[U, feas_end(0.5)], [kkt_end(0.0, 5.0, 1e-4, 1.0)]],
+         dict(multistart_index=1, converged=False, constraint_error=1e-4)),
+        ([[kkt_end(0.0, 5.0, 0.5, 1.0)], [kkt_end(0.0, 5.0, 0.25, 1.0)]],
+         (INFEASIBLE, r"unmet across multistarts \(best \|K - k\| = 2\.500e-01\)")),
+        # a feasibility phase, then KKT Newton: the iterations of both count
+        ([[U, feas_end(1e-12), kkt_end(1.0, 0.5, 0.0, 1e-10)]],
+         dict(multistart_index=0, converged=True, iterations=14)),
+        ([[kkt_end(1.0, 0.5, 0.0, 0.0, abnormal=True)]],
+         dict(converged=True, lambda0=0.0, lam=1.0,
+              message="abnormal extremal (candidate is an extremal of K)")),
+        ([[U, U], [U, U]], (ex.DomainViolation, "objective undefined at every multistart")),
+    ]
+
+    @staticmethod
+    def scripted(monkeypatch, starts):
+        """Replace ``_newton`` by the ends of ``starts``, one per call and
+        in order, each at the point the run started from, after 7 steps;
+        returns the ends not yet used."""
+        queue = [end for ends in starts for end in ends]
+        monkeypatch.setattr(so, "_newton", lambda fun, model, z0: (z0, queue.pop(0), 7))
+        return queue
+
+    @pytest.mark.parametrize("method", ["direct", "constrained"])
+    def test_selection_table(self, monkeypatch, method):
+        table = self.DIRECT if method == "direct" else self.CONSTRAINED
+        p = quad_double(uniform(0, 3, 4), 0.0, 3.0) if method == "direct" else iso_problem(3)
+        solver = solve if method == "direct" else solve_isoperimetric
+        for starts, want in table:
+            left = self.scripted(monkeypatch, starts)
+            cfg = SolverConfig(multistarts=len(starts))
+            if isinstance(want, tuple):
+                with pytest.raises(want[0], match=want[1]):
+                    solver(p, cfg)
+            else:
+                rep = solver(p, cfg)
+                got = {key: getattr(rep, key) for key in want}
+                if "message" in got:  # without the spread of the converged starts
+                    got["message"] = got["message"].split("; weak-norm")[0]
+                assert got == want
+            assert left == []
+
+    @pytest.mark.parametrize("name", ["free_endpoint", "iso_M3"])
+    def test_undefined_at_every_start_exits_67(self, monkeypatch, tmp_path, name):
+        monkeypatch.setattr(so, "_newton", lambda fun, model, z0: (z0, so._UNDEFINED, 0))
+        path = cli._bundled_path(f"{name}.problem")
+        assert cli.main(["solve", "--problem", str(path), "--out", str(tmp_path)]) == 67
+
+    def test_starts_are_made_lazily(self):
+        ts = uniform(0, 1, 11)
+        p = VariationalProblem(ts, parse("exp(0.7*v)"), parse("v^2"), 0.0, None)
+        cp = so._Compiled(p, so._base_trajectory(p))
+        base = cp.y[cp.lo : cp.hi].copy()
+        other = so._Compiled(p, so._base_trajectory(p))
+        fresh = list(so._starts(other, p, SolverConfig(multistarts=3)))
+        started = time.perf_counter()
+        starts = so._starts(cp, p, SolverConfig(multistarts=10**9))
+        z0 = next(starts)
+        assert time.perf_counter() - started < 1.0
+        # evaluating a start writes it into cp.y, which the later starts
+        # must not see: the generator copied the base block at its first start
+        cp._at(z0 + 1.0)
+        np.testing.assert_array_equal(z0, base)
+        for want in fresh[1:]:
+            np.testing.assert_array_equal(next(starts), want)
+
+    def test_only_the_converged_blocks_are_kept(self):
+        p = quad_double(uniform(0, 3, 4), 0.0, 3.0)
+        refs = []
+
+        def run(cp, z0):  # odd starts converge, with falling J; even ones do not
+            s = len(refs)
+            refs.append(weakref.ref(z0))
+            return ((0, -s) if s % 2 else (1, s)), z0, None, s
+
+        _, best, converged = so._multistart(p, SolverConfig(multistarts=6), run)
+        gc.collect()
+        assert best[0] == (0, -5, 5) and best[3] == 5
+        assert sorted(converged) == [1, 3, 5]
+        assert all(converged[s] is refs[s]() for s in converged)
+        assert [ref() is None for ref in refs] == [True, False, True, False, True, False]
 
 
 def dense_hessian(p, y):
@@ -812,26 +982,35 @@ class TestReport:
 
     @staticmethod
     def count_evaluations(monkeypatch, fn):
-        """fn() and its number of ``ex.Program`` runs."""
-        calls = []
-        real = ex.Program.__call__
+        """fn(), the slots of its kernel runs and its number of ``ex.Program``
+        runs (the fallback of a kernel run)."""
+        runs, programs = [], []
+        real_kernel, real_program = va._kernel, ex.Program.__call__
 
-        def counted(self, t, y, v):
-            calls.append(self.exprs)
-            return real(self, t, y, v)
+        def kernel(Ld, Ln, slots):
+            run = real_kernel(Ld, Ln, slots)
+            return lambda *samples: runs.append(slots) or run(*samples)
 
-        monkeypatch.setattr(ex.Program, "__call__", counted)
+        def program(self, t, y, v):
+            programs.append(self.exprs)
+            return real_program(self, t, y, v)
+
+        monkeypatch.setattr(va, "_kernel", kernel)
+        monkeypatch.setattr(ex.Program, "__call__", program)
         out = fn()
-        monkeypatch.setattr(ex.Program, "__call__", real)
-        return out, len(calls)
+        monkeypatch.setattr(va, "_kernel", real_kernel)
+        monkeypatch.setattr(ex.Program, "__call__", real_program)
+        return out, runs, len(programs)
 
     @pytest.mark.parametrize("bc_a, bc_b", [(0.0, 1.0), (None, 1.0), (0.0, None), (None, None)])
     def test_direct_report_samples_once(self, monkeypatch, bc_a, bc_b):
         ts = uniform(0, 1, 6)
         p = VariationalProblem(ts, parse("v^2 + sin(y)^2"), parse("exp(0.5*v) + y^2"), bc_a, bc_b)
         y = GridFunction(ts, np.linspace(0.1, 0.9, 6))
-        rep, n = self.count_evaluations(monkeypatch, lambda: so._report(p, y, 1.0, **self.FIELDS))
-        assert n == 2  # one program of L, d2 L and d3 L per integrand
+        rep, runs, n = self.count_evaluations(
+            monkeypatch, lambda: so._report(p, y, 1.0, **self.FIELDS)
+        )
+        assert runs == [("", "y", "v")] and n == 0  # one first-order kernel run of the pair
         assert rep.el_defect_1 == rep.el_defect_2 == va.el_residual_2(p, y).defect
         assert rep.J == va.eval_J(p, y)
         assert rep.bc_residual_a == (None if bc_a is not None else va.natural_bc_residual_a(p, y))
@@ -841,8 +1020,8 @@ class TestReport:
     def test_consistency_report_samples_once(self, monkeypatch):
         p = quad_double(uniform(0, 1, 6), 0.0, 1.0)
         y = GridFunction(p.scale, np.array([0.0, 0.3, 0.35, 0.6, 0.8, 1.0]))
-        rep, n = self.count_evaluations(monkeypatch, lambda: so._report(p, y, **self.FIELDS))
-        assert n == 2
+        rep, runs, n = self.count_evaluations(monkeypatch, lambda: so._report(p, y, **self.FIELDS))
+        assert runs == [("", "y", "v")] and n == 0
         grad = functional_gradient(p.scale, p.L_delta, p.L_nabla, y.values)[1]
         assert rep.grad_norm == float(np.max(np.abs(grad[1:-1])))
 
@@ -852,12 +1031,32 @@ class TestReport:
         c = IsoperimetricConstraint(parse("t*v + y^2"), parse("1 + v^2"), 1.0)
         p = VariationalProblem(ts, parse("v^2 + sin(y)^2"), parse("exp(0.5*v) + y^2"), 0.0, bc_b, c)
         y = GridFunction(ts, np.linspace(0.0, 1.0, 6) ** 2)
-        rep, n = self.count_evaluations(
+        rep, runs, n = self.count_evaluations(
             monkeypatch, lambda: so._report(p, y, 1.0, 1.0, -0.7, **self.FIELDS)
         )
-        assert n == 4
+        assert runs == [("", "y", "v")] * 2 and n == 0
         assert rep.el_defect_1 == rep.el_defect_2 == va.iso_residual(p, y, 1.0, -0.7, "el1").defect
         assert rep.extension == (bc_b is None)
+
+    @pytest.mark.parametrize("bc_a, bc_b", [(None, 1.0), (0.0, None), (None, None)])
+    @pytest.mark.parametrize("lambda0, lam", [(1.0, -0.7), (0.0, 1.0)])
+    def test_constrained_bc_residual_is_the_multiplier_combination(self, bc_a, bc_b, lambda0, lam):
+        # at a free endpoint of a constrained problem the natural boundary
+        # condition is that of lambda0*J - lam*K, not of J alone
+        ts = uniform(0, 1, 6)
+        c = IsoperimetricConstraint(parse("t*v + y^2"), parse("1 + v^2"), 1.0)
+        p = VariationalProblem(ts, parse("v^2 + sin(y)^2"), parse("exp(0.5*v) + y^2"),
+                               bc_a, bc_b, c)
+        y = GridFunction(ts, np.linspace(0.2, 1.0, 6) ** 2)
+        rep = so._report(p, y, 1.0, lambda0, lam, **self.FIELDS)
+        pk = va._as_constraint_problem(p)
+        for end, got in (("a", rep.bc_residual_a), ("b", rep.bc_residual_b)):
+            if getattr(p, f"bc_{end}") is not None:
+                assert got is None
+                continue
+            nbc = getattr(va, f"natural_bc_residual_{end}")
+            want = lambda0 * nbc(p, y) - lam * nbc(pk, y)
+            assert want != 0.0 and got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_solve_auto_selects_the_method(self):
         ts = uniform(0, 2, 3)
