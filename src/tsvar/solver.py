@@ -51,11 +51,16 @@ For problems whose stationarity equation is affine in the derivative slot
 (state-independent integrands), ``consistency_solve`` instead solves the
 stationarity equation exactly for a given pair (A, B) of functional values
 and then closes the loop A = J_nabla(y), B = J_delta(y).  The trajectory
-depends only on the ratio A:B, so the loop reduces to the zeros of one
-function of the ray angle, which a fixed grid brackets and multisection
-refines, all brackets at once: each call of that function samples every
-bracket on a grid of equally spaced points and keeps one or two of its
-cells.  Deterministic, with no random starts and no finite differences.
+depends only on the ratio A:B.  Where the curvatures of the two integrands
+are proportional on every interval (an exact test), the slopes are affine
+in the position of that ratio on a line, both functionals are quadratics
+in it, and the loop is one cubic, whose real roots are every solution.
+Elsewhere the loop reduces to the zeros of one function of the ray angle,
+which a fixed grid brackets and multisection refines, all brackets at
+once: each call of that function samples every bracket on a grid of
+equally spaced points and keeps one or two of its cells; there the roots
+are those the grid resolves.  Deterministic, with no random starts and no
+finite differences.
 
 ``solve_auto`` selects the method by the problem's shape (constrained,
 derivative-affine with both endpoints fixed, or otherwise direct), and every
@@ -803,25 +808,28 @@ _MIN_WIDTH = 1e-10  # a minimum's bracket is refined until narrower than this
 
 
 def _affine_pieces(p: va.VariationalProblem):
-    """Coefficients of the stationarity equation on each interval,
-    A*(pd + qd*v) + B*(pn + qn*v) = C: the v-partial of L_delta at the left
-    point and of L_nabla at the right point, each affine in the slope v.
-    Each integrand is sampled at v = 0 too, so one undefined at a point of
-    the scale raises ``DomainViolation`` there."""
+    """Each integrand on each interval as a quadratic in the slope v,
+    L = c + p*v + q*v^2/2: (cd, pd, qd) for L_delta at the left point and
+    (cn, pn, qn) for L_nabla at the right point, from one sample at v = 0 of
+    L and its first and second v-partials (a state-independent integrand
+    with a v-affine v-partial is exactly this quadratic).  The stationarity
+    equation reads A*(pd + qd*v) + B*(pn + qn*v) = C on each interval.  An
+    integrand undefined at a point of the scale raises ``DomainViolation``
+    there."""
     ts = p.scale
     zeros = np.zeros(len(ts) - 1)
 
-    def affine(L, t):
-        return va._sampled(L, ("", "v", "vv"), (t, zeros, zeros))[1:]
+    def quadratic(L, t):
+        return va._sampled(L, ("", "v", "vv"), (t, zeros, zeros))
 
-    return affine(p.L_delta, ts.points[:-1]) + affine(p.L_nabla, ts.points[1:])
+    return quadratic(p.L_delta, ts.points[:-1]) + quadratic(p.L_nabla, ts.points[1:])
 
 
 def _trajectories(p, pieces, A, B):
     """Rows y_{A,B} and their slopes for 1-D arrays A, B: the stationarity
     equation solved with C pinned by the right boundary value.  The mask is
     False for rows where that linear solve degenerates."""
-    pd, qd, pn, qn = pieces
+    _, pd, qd, _, pn, qn = pieces
     mu = p.scale.mu_values[:-1]
     A, B = A[:, None], B[:, None]
     with np.errstate(all="ignore"):
@@ -954,56 +962,107 @@ def _root_search(G, a, b, neg_a, n):
     return a
 
 
-def consistency_scan(
-    p: va.VariationalProblem,
-) -> tuple[list[ConsistencyRoot], ClosestApproach | None]:
-    """Every real solution (A, B) of the self-consistency system
+def _split(x):
+    """Veltkamp's split of x into a high half and the exact low remainder."""
+    c = (2.0**27 + 1.0) * x
+    hi = c - (c - x)
+    return hi, x - hi
 
-        A = J_nabla(y_{A,B}),   B = J_delta(y_{A,B}),
 
-    where y_{A,B} solves the derivative-affine stationarity equation with the
-    problem's boundary values, and the closest approach to a solution.
+def _two_product(x, y):
+    """(p, e) with p = fl(x*y) and x*y = p + e exactly (Dekker's product):
+    exact for factors that are 0 or of magnitude in _EXACT_RANGE, where no
+    split overflows and no partial product underflows."""
+    p = x * y
+    (xh, xl), (yh, yl) = _split(x), _split(y)
+    return p, (((xh * yh - p) + xl * yh) + xh * yl) + xl * yl
 
-    y_{A,B} depends only on the ratio A:B, so with (A, B) =
-    r(sin theta, cos theta), theta in [0, pi), a solution is a zero of
-    G(theta) = sin(theta)*J_delta(y_theta) - cos(theta)*J_nabla(y_theta),
-    and then (A, B) = (J_nabla, J_delta).  |G(theta)| is the distance from
-    (J_nabla, J_delta) to the ray at theta, reached at
-    r = sin(theta)*J_nabla + cos(theta)*J_delta.
 
-    G is sampled on a fixed grid of angles, a block at a time, and the
-    brackets it finds are refined by multisection: each further call of G
-    samples every open bracket at k equally spaced interior points, k as
-    large as _LOOKAHEAD_SAMPLES trajectory samples allow (see _multisect).
-    A sign change keeps its first cell that still holds one, down to
-    adjacent floating-point numbers or 2^-64 of its first width.  A local
-    minimum of |G| keeps the two cells around its smallest sample (at least
-    3 per call) until narrower than 1e-10: a minimum through which G
-    changes sign holds two close roots, whose sign changes are then
-    refined, and one that touches zero is a tangent root.  A refined point
-    is a root only when the system residual at the pair (A, B) on its ray
-    is at most 1e-10*(1 + max(|A|, |B|)) and, for a sign change, |G| there
-    is below |G| at the bracket's ends.  The second test rejects a sign change through
-    a pole, where y_theta degenerates: (A, B) grows without bound there, and
-    the first tolerance grows with it, faster than |G|.  Roots are
-    deduplicated at distance 1e-6 and sorted by (A, B).  The closest approach
-    is the refined point with the smallest |G| (None if G is undefined at
-    every refined point).  No random numbers and no finite differences.
-    """
-    if p.constraint is not None:
-        raise ValueError("consistency_solve handles unconstrained problems only")
-    if p.bc_a is None or p.bc_b is None:
-        raise ValueError("consistency_solve needs both endpoint values fixed")
-    if not is_affine_class(p):
-        raise ValueError(
-            "problem is not in the affine class "
-            "(state-independent integrands, derivative-affine slopes)"
-        )
-    pieces = _affine_pieces(p)
+_EXACT_RANGE = (2.0**-480, 2.0**480)
+
+
+def _proportional(qd, qn):
+    """(kappa, lam, w) with (qd, qn) = (kappa, lam)*w on every interval and
+    no w zero, or None.  w is the side of larger magnitude itself, with
+    factor exactly 1, and the other factor is one rounded quotient, so a
+    side that is zero everywhere has factor exactly 0.  The test is exact:
+    each interval's cross product with a reference interval r, qd*qn[r]
+    against qn*qd[r], is compared as an error-free pair (``_two_product``),
+    which needs every curvature to be 0 or of magnitude in _EXACT_RANGE;
+    outside that range the answer is None."""
+    swap = np.max(np.abs(qn)) > np.max(np.abs(qd))
+    w, other = (qn, qd) if swap else (qd, qn)
+    mag = np.abs(np.concatenate([qd, qn]))
+    exact = (mag == 0.0) | ((mag >= _EXACT_RANGE[0]) & (mag <= _EXACT_RANGE[1]))
+    if not (np.all(w != 0.0) and np.all(exact)):
+        return None
+    r = int(np.argmax(np.abs(w)))
+    cross = zip(_two_product(other, w[r]), _two_product(w, other[r]))
+    if not all(np.array_equal(x, y) for x, y in cross):
+        return None
+    ratio = other[r] / w[r]
+    return (ratio, 1.0, w) if swap else (1.0, ratio, w)
+
+
+def _side(weights, c, p1, q, alpha, beta):
+    """Coefficients (highest first) of the quadratic in tau
+    sum(weights*(c + p1*v + q*v^2/2)) at the slopes v = alpha + beta*tau."""
+    return np.array([
+        np.dot(weights, q * beta * beta) / 2.0,
+        np.dot(weights, (p1 + q * alpha) * beta),
+        np.dot(weights, c + p1 * alpha + q * alpha * alpha / 2.0),
+    ])
+
+
+def _cubic(p, pieces):
+    """The roots and the closest approach of the self-consistency system
+    when the curvatures are proportional, from the real roots of a cubic
+    and a quartic (see ``consistency_scan``); None outside that class, and
+    where the cubic is not finite or vanishes identically."""
+    cd, pd, qd, cn, pn, qn = pieces
+    ray = _proportional(qd, qn)
+    if ray is None:
+        return None
+    kappa, lam, w = ray
+    s = kappa * kappa + lam * lam
+    # (a, b) = (A, B)/D on the line kappa*a + lam*b = 1, as polynomials in tau
+    a, b = np.array([-lam, kappa / s]), np.array([kappa, lam / s])
+    mu, nu = p.scale.mu_values[:-1], p.scale.nu_values[1:]
+    with np.errstate(all="ignore"):
+        m = mu / w
+        sm = np.sum(m)
+        # slopes (C/D - a*pd - b*pn)/w with C/D pinned by the right boundary value
+        ga, gb = (np.dot(m, pd) / sm - pd) / w, (np.dot(m, pn) / sm - pn) / w
+        alpha = (p.bc_b - p.bc_a) / (sm * w) + a[1] * ga + b[1] * gb
+        beta = a[0] * ga + b[0] * gb
+        jd, jn = _side(mu, cd, pd, qd, alpha, beta), _side(nu, cn, pn, qn, alpha, beta)
+        # kappa is exactly 0 where qd is (lam where qn is), so a side without
+        # v^2 leaves the leading coefficient of P exactly 0
+        P = np.convolve(jn, b) - np.convolve(jd, a)
+        Q = np.convolve(a, a) + np.convolve(b, b)
+        # |G| = |P|/sqrt(Q): its minimum is at a root of P or of R = P'Q - PQ'/2
+        R = np.convolve(P[:-1] * [3.0, 2.0, 1.0], Q) - np.convolve(P, Q[:-1] * [1.0, 0.5])
+    if not (np.isfinite(P).all() and np.isfinite(R).all() and P.any()):
+        return None
+    # a near-double root may come back as a complex pair: its real part is
+    # a candidate, and the residual test decides
+    tau = np.roots(P).real
+    t = np.concatenate([tau, np.roots(R).real])
+    theta = np.mod(np.arctan2(np.polyval(a, t), np.polyval(b, t)), np.pi)
+    _, _, closest = _ray_pairs(p, pieces, theta)
+    return _roots(p, pieces, np.polyval(jn, tau), np.polyval(jd, tau)), closest
+
+
+def _scan(p, pieces):
+    """The roots and the closest approach of the self-consistency system
+    from the angle scan (see ``consistency_scan``)."""
     n = len(p.scale)
+    seen = []  # every angle G is taken at, and G there
 
     def G(theta):
-        return _on_rays(p, pieces, theta)[0]
+        g = _on_rays(p, pieces, theta)[0]
+        seen.append((np.array(theta), g))
+        return g
 
     # the grid runs from -h so that the angle 0 has a neighbour on each side;
     # G(theta + pi) = -G(theta), so the pair (-h, 0) repeats (pi - h, pi)
@@ -1034,23 +1093,53 @@ def consistency_scan(
         np.full(np.count_nonzero(~split), np.inf),
     ])
     cand = np.concatenate([_root_search(G, a, b, neg_a, n), t_min[~split]])
-    g, jn, jd = _on_rays(p, pieces, cand)
-    keep = np.isfinite(g)
-    if not keep.any():
-        return [], None
-    cand, g, jn, jd, ends = cand[keep], g[keep], jn[keep], jd[keep], ends[keep]
-    r = np.sin(cand) * jn + np.cos(cand) * jd
-    A, B = r * np.sin(cand), r * np.cos(cand)
-    i = int(np.argmin(np.abs(g)))
-    closest = ClosestApproach(
-        float(np.mod(cand[i], np.pi)), float(A[i]), float(B[i]), float(abs(g[i]))
+    # a minimum bracket whose samples, its searches' included, change sign
+    # more than twice holds more than the one pair of roots refined above:
+    # every one of its sign-change cells is refined too
+    x, gx = (np.concatenate(z) for z in zip(*seen))
+    order = np.argsort(x, kind="stable")
+    x, gx = x[order], gx[order]
+    cell = np.isfinite(gx[:-1]) & np.isfinite(gx[1:]) & ((gx[:-1] <= 0.0) != (gx[1:] <= 0.0))
+    first = np.searchsorted(x, theta[k - 1])
+    last = np.searchsorted(x, theta[k + 1], "right") - 1
+    crowded = [lo + np.flatnonzero(cell[lo:hi]) for lo, hi in zip(first, last)]
+    crowded = [c for c in crowded if c.size > 2]
+    if crowded:
+        i = np.concatenate(crowded)
+        cand = np.concatenate([cand, _root_search(G, x[i], x[i + 1], gx[i] <= 0.0, n)])
+        ends = np.concatenate([ends, np.maximum(np.abs(gx[i]), np.abs(gx[i + 1]))])
+    g, (A, B), closest = _ray_pairs(p, pieces, cand)
+    near = np.abs(g) < ends
+    return _roots(p, pieces, A[near], B[near]), closest
+
+
+def _ray_pairs(p, pieces, theta):
+    """G at each angle, the pair (A, B) on its ray nearest (J_nabla, J_delta),
+    r(sin theta, cos theta) with r = sin(theta)*J_nabla + cos(theta)*J_delta,
+    and the closest approach: the angle (mod pi) with the smallest |G|,
+    None if G is undefined at every angle."""
+    g, jn, jd = _on_rays(p, pieces, theta)
+    sin, cos = np.sin(theta), np.cos(theta)
+    r = sin * jn + cos * jd
+    A, B = r * sin, r * cos
+    fin = np.flatnonzero(np.isfinite(g))
+    if fin.size == 0:
+        return g, (A, B), None
+    i = fin[np.argmin(np.abs(g[fin]))]
+    return g, (A, B), ClosestApproach(
+        float(np.mod(theta[i], np.pi)), float(A[i]), float(B[i]), float(abs(g[i]))
     )
 
+
+def _roots(p, pieces, A, B):
+    """The candidate pairs (A, B) that solve the system, as ConsistencyRoots:
+    the residual max(|J_nabla - A|, |J_delta - B|) at y_{A,B} is at most
+    1e-10*(1 + max(|A|, |B|)); deduplicated at distance 1e-6, the first
+    candidate kept, and sorted by (A, B)."""
     jn, jd = _ray_integrals(p, pieces, A, B)
     resid = np.maximum(np.abs(jn - A), np.abs(jd - B))
-    ok = (resid <= 1e-10 * (1.0 + np.maximum(np.abs(A), np.abs(B)))) & (np.abs(g) < ends)
     roots: list[int] = []
-    for i in np.flatnonzero(ok):
+    for i in np.flatnonzero(resid <= 1e-10 * (1.0 + np.maximum(np.abs(A), np.abs(B)))):
         if all(np.hypot(A[i] - A[q], B[i] - B[q]) > 1e-6 for q in roots):
             roots.append(i)
     roots.sort(key=lambda i: (A[i], B[i]))
@@ -1058,16 +1147,93 @@ def consistency_scan(
     return [
         ConsistencyRoot(float(A[i]), float(B[i]), GridFunction(p.scale, row))
         for i, row in zip(roots, y)
-    ], closest
+    ]
+
+
+def consistency_scan(
+    p: va.VariationalProblem,
+) -> tuple[list[ConsistencyRoot], ClosestApproach | None]:
+    """The real solutions (A, B) of the self-consistency system
+
+        A = J_nabla(y_{A,B}),   B = J_delta(y_{A,B}),
+
+    where y_{A,B} solves the derivative-affine stationarity equation with the
+    problem's boundary values, and the closest approach to a solution:
+    every solution where the curvatures are proportional, and every one the
+    angle grid resolves elsewhere.
+
+    y_{A,B} depends only on the ratio A:B, so with (A, B) =
+    r(sin theta, cos theta), theta in [0, pi), a solution is a zero of
+    G(theta) = sin(theta)*J_delta(y_theta) - cos(theta)*J_nabla(y_theta),
+    and then (A, B) = (J_nabla, J_delta).  |G(theta)| is the distance from
+    (J_nabla, J_delta) to the ray at theta, reached at
+    r = sin(theta)*J_nabla + cos(theta)*J_delta.
+
+    *Proportional curvatures.*  Each integrand is c + p*v + q*v^2/2 on each
+    interval.  When (qd, qn) = (kappa, lam)*w on every interval, with no w
+    zero (``_proportional``, an exact test), the slope denominators are
+    D*w with D = kappa*A + lam*B, and on the line kappa*a + lam*b = 1 of
+    (a, b) = (A, B)/D, a = a0 - lam*tau and b = b0 + kappa*tau, each slope
+    is affine in tau: with C/D = (Delta + a*sum(mu*pd/w) + b*sum(mu*pn/w))
+    / sum(mu/w) and Delta = y(b) - y(a), J_delta and J_nabla are quadratics
+    in tau, from the same sample of the integrands as the scan's.  The
+    solutions are the real roots of the cubic P = J_nabla*b - J_delta*a, at
+    which (A, B) = (J_nabla, J_delta); only the pole ray D = 0 is left out,
+    where y_{A,B} degenerates.  A side without v^2 makes the leading
+    coefficient exactly 0.  |G| = |P|/sqrt(a^2 + b^2), so its minimum is at
+    a root of P or of the quartic P'*(a^2 + b^2) - P*(a*a' + b*b'), and the
+    closest approach is the smallest |G| at the angles atan2(a, b) of their
+    roots.  Both polynomials are solved as companion-matrix eigenvalues
+    (``np.roots``), and the real part of every root is a candidate.
+
+    *Otherwise* (or if that cubic is not finite, or vanishes identically),
+    G is sampled on a fixed grid of angles, a block at a time, and the
+    brackets it finds are refined by multisection: each further call of G
+    samples every open bracket at k equally spaced interior points, k as
+    large as _LOOKAHEAD_SAMPLES trajectory samples allow (see _multisect).
+    A sign change keeps its first cell that still holds one, down to
+    adjacent floating-point numbers or 2^-64 of its first width.  A local
+    minimum of |G| keeps the two cells around its smallest sample (at least
+    3 per call) until narrower than 1e-10: a minimum through which G
+    changes sign holds two close roots, whose sign changes are then
+    refined, and one that touches zero is a tangent root.  Where the
+    samples of one minimum's bracket, its searches' included, change sign
+    more than twice, every sign-change cell among them is refined too.  A
+    root between the grid angles that none of these leads to is missed.  A
+    refined point is a candidate only when, for a sign change, |G| there is
+    below |G| at the bracket's ends, which rejects a sign change through a
+    pole, where y_theta degenerates: (A, B) grows without bound there, and
+    the residual tolerance grows with it, faster than |G|.  The closest
+    approach is the refined point with the smallest |G| (None if G is
+    undefined at every refined point).
+
+    Either way a candidate is a root only when the system residual at
+    (A, B) is at most 1e-10*(1 + max(|A|, |B|)); roots are deduplicated at
+    distance 1e-6 and sorted by (A, B).  No random numbers and no finite
+    differences.
+    """
+    if p.constraint is not None:
+        raise ValueError("consistency_solve handles unconstrained problems only")
+    if p.bc_a is None or p.bc_b is None:
+        raise ValueError("consistency_solve needs both endpoint values fixed")
+    if not is_affine_class(p):
+        raise ValueError(
+            "problem is not in the affine class "
+            "(state-independent integrands, derivative-affine slopes)"
+        )
+    pieces = _affine_pieces(p)
+    out = _cubic(p, pieces)
+    return _scan(p, pieces) if out is None else out
 
 
 def consistency_solve(
     p: va.VariationalProblem, cfg: SolverConfig = SolverConfig()
 ) -> list[ConsistencyRoot]:
-    """All distinct real solutions (A, B) of the self-consistency system,
-    sorted by (A, B); an empty list means no self-consistent extremal exists.
-    The solutions are found by the deterministic scan of ``consistency_scan``,
-    so ``cfg`` has no effect on them."""
+    """The distinct real solutions (A, B) of the self-consistency system,
+    sorted by (A, B): all of them where the curvatures are proportional,
+    and those the angle grid resolves elsewhere (see ``consistency_scan``).
+    An empty list means none was found.  The search is deterministic, so
+    ``cfg`` has no effect on it."""
     return consistency_scan(p)[0]
 
 

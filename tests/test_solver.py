@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import time
 import weakref
+from fractions import Fraction
 from importlib import resources
 from types import SimpleNamespace
 
@@ -197,12 +198,45 @@ def near_zero_problem():
     )
 
 
+def scan(p):
+    """The angle scan of ``consistency_scan``, also where the cubic of the
+    proportional class would take its place."""
+    return so._scan(p, so._affine_pieces(p))
+
+
 def reference_scan(p):
-    """``consistency_scan(p)`` by the one-step reference searches."""
+    """``scan(p)`` by the one-step reference searches."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(so, "_root_search", helpers.bisect)
         m.setattr(so, "_min_search", helpers.golden_min)
-        return consistency_scan(p)
+        return scan(p)
+
+
+def assert_tangent_roots(shift, solver):
+    """The roots and near miss that ``solver`` reports for
+    ``tangent_problem(shift)``.  t*v + c / v^2 on {0, 1/2, 1}: with
+    u = A/(8B) the system reads 3u^2 - (2 + 8c)u + 1 = 0, A = 1 + u^2,
+    B = (1 - u)/4 + c, with a double root u = 1/sqrt(3) at
+    c* = (sqrt(3) - 1)/4.  Just above c* both roots lie inside one grid cell
+    of the scan, where G keeps its sign at the grid angles; just below, there
+    is no root but a near miss."""
+    c = (np.sqrt(3.0) - 1.0) / 4.0 + shift
+    p = tangent_problem(shift)
+    roots, near = solver(p)
+    assert_roots_solve_system(p, roots)
+    if shift == 0.0:  # rounding leaves a double root or a pair within 1e-8
+        assert len(roots) == 1
+        assert abs(roots[0].A - 4 / 3) + abs(roots[0].B - np.sqrt(3) / 6) <= 1e-7
+    elif shift > 0.0:
+        disc = np.sqrt((2 + 8 * c) ** 2 - 12)
+        u = np.array([(2 + 8 * c - disc) / 6, (2 + 8 * c + disc) / 6])
+        want = sorted(zip(1 + u * u, (1 - u) / 4 + c))
+        assert len(roots) == 2
+        np.testing.assert_allclose([(r.A, r.B) for r in roots], want, atol=1e-10)
+    else:
+        assert roots == []
+        assert near.gap < 1e-5
+        assert abs(near.A - 4 / 3) + abs(near.B - np.sqrt(3) / 6) <= 1e-5
 
 
 def assert_sign_changes_at_adjacent_floats(G, x):
@@ -266,7 +300,7 @@ class TestConsistencySolve:
         h = np.pi / (so._THETA_POINTS - 1)
         g, _, _ = so._on_rays(p, so._affine_pieces(p), np.pi / 2 + np.array([-h / 2, h / 2]))
         assert g[0] < -10.0 and g[1] > 10.0
-        roots, near = consistency_scan(p)
+        roots, near = scan(p)
         assert roots == []
         assert near.gap == pytest.approx(0.17879, abs=1e-5)
         assert abs(near.theta - np.pi / 2) > 0.1
@@ -293,28 +327,9 @@ class TestConsistencySolve:
 
     @pytest.mark.parametrize("shift", [0.0, 1e-6, 1e-9, -1e-6])
     def test_tangent_and_close_roots(self, shift):
-        # t*v + c / v^2 on {0, 1/2, 1}: with u = A/(8B) the system reads
-        # 3u^2 - (2 + 8c)u + 1 = 0, A = 1 + u^2, B = (1 - u)/4 + c, with a
-        # double root u = 1/sqrt(3) at c* = (sqrt(3) - 1)/4.  Just above c*
-        # both roots lie inside one grid cell, where G keeps its sign at the
-        # grid angles; just below, there is no root but a near miss.
-        c = (np.sqrt(3.0) - 1.0) / 4.0 + shift
-        p = tangent_problem(shift)
-        roots, near = consistency_scan(p)
-        assert_roots_solve_system(p, roots)
-        if shift == 0.0:  # rounding leaves a double root or a pair within 1e-8
-            assert len(roots) == 1
-            assert abs(roots[0].A - 4 / 3) + abs(roots[0].B - np.sqrt(3) / 6) <= 1e-7
-        elif shift > 0.0:
-            disc = np.sqrt((2 + 8 * c) ** 2 - 12)
-            u = np.array([(2 + 8 * c - disc) / 6, (2 + 8 * c + disc) / 6])
-            want = sorted(zip(1 + u * u, (1 - u) / 4 + c))
-            assert len(roots) == 2
-            np.testing.assert_allclose([(r.A, r.B) for r in roots], want, atol=1e-10)
-        else:
-            assert roots == []
-            assert near.gap < 1e-5
-            assert abs(near.A - 4 / 3) + abs(near.B - np.sqrt(3) / 6) <= 1e-5
+        # the cubic's near-double root: a complex pair with a tiny imaginary
+        # part at shift 0, whose real part is the root
+        assert_tangent_roots(shift, consistency_scan)
 
     def test_undefined_integrand_drops_only_its_row(self):
         # a DomainViolation in one row of a block leaves the other rows
@@ -356,7 +371,7 @@ class TestLookaheadSearch:
         + [("near_zero", near_zero_problem())],
     )
     def test_scan_matches_one_step_searches(self, name, p):
-        roots, _ = consistency_scan(p)
+        roots, _ = scan(p)
         want = reference_scan(p)[0]
         assert len(roots) == len(want)
         assert_roots_solve_system(p, roots)
@@ -378,7 +393,7 @@ class TestLookaheadSearch:
         for _ in range(25):
             p = helpers.random_affine_problem(rng, nmax=1001 if seed == 0 else 101)
             sizes.append(len(p.scale))
-            roots, _ = consistency_scan(p)
+            roots, _ = scan(p)
             assert len(roots) >= len(reference_scan(p)[0]), len(p.scale)
             assert_roots_solve_system(p, roots)
         assert min(sizes) <= 5 and max(sizes) >= (300 if seed == 0 else 50)
@@ -399,7 +414,7 @@ class TestLookaheadSearch:
             return out
 
         monkeypatch.setattr(so, "_root_search", search)
-        roots, _ = consistency_scan(p)
+        roots, _ = scan(p)
         ((a, b, out, sizes),) = seen
         assert sizes == [3 * 85] * 7 + [256] * 3
         assert out[0] == a[0] == 0.0
@@ -433,7 +448,7 @@ class TestLookaheadSearch:
         real = so._min_search
         with pytest.MonkeyPatch.context() as m:
             m.setattr(so, "_min_search", lambda *args: seen.append(args[1:4]) or real(*args))
-            consistency_scan(p)
+            scan(p)
         ((sign, lo, hi),) = seen
         assert lo.size >= 1
         G = ray_values(p)
@@ -459,7 +474,7 @@ class TestLookaheadSearch:
             return real(lambda t: seen.append(t.copy()) or G(t), *args)
 
         monkeypatch.setattr(so, "_min_search", search)
-        consistency_scan(product_problem(uniform(0, 1, n)))
+        scan(product_problem(uniform(0, 1, n)))
         theta = np.concatenate(seen)
         assert theta.size == samples and np.unique(theta).size == theta.size
 
@@ -487,7 +502,7 @@ class TestLookaheadSearch:
         calls = []
         real = so._on_rays
         monkeypatch.setattr(so, "_on_rays", lambda *args: calls.append(0) or real(*args))
-        consistency_scan(p)
+        scan(p)
         return len(calls)
 
     @pytest.mark.parametrize("name, most", [("ex1", 9), ("ex1_q", 9), ("product_3pt", 15)])
@@ -518,6 +533,139 @@ class TestLookaheadSearch:
         found = np.array([(r.A, r.B) for r in roots])
         for A, B in pair:
             assert np.min(np.hypot(found[:, 0] - A, found[:, 1] - B)) <= 1e-5
+
+
+    @pytest.mark.parametrize("shift", [0.0, 1e-6, 1e-9, -1e-6])
+    def test_scan_tangent_and_close_roots(self, shift):
+        assert_tangent_roots(shift, scan)
+
+    def test_every_sign_change_cell_of_a_crowded_minimum_bracket(self):
+        # one minimum bracket of the grid holds three dips of G through zero
+        # between poles; its searches' samples show two of them, four sign
+        # changes, and each sign-change cell is refined.  Splitting at the
+        # minimum alone found one root of each of the two dips: multisection
+        # reported the first pair below and golden section the second
+        rng = np.random.default_rng(9000)
+        for _ in range(77):
+            p = helpers.random_affine_problem(rng, nmax=1001)
+        assert len(p.scale) == 857
+        assert so._proportional(*so._affine_pieces(p)[2::3]) is None
+        roots, _ = consistency_scan(p)
+        assert_roots_solve_system(p, roots)
+        found = np.array([(r.A, r.B) for r in roots])
+        for A, B in [(0.22782, -15.1087), (0.22959, -11.6286)]:
+            assert np.min(np.hypot(found[:, 0] - A, found[:, 1] - B)) <= 1e-4
+
+
+def proportional_draws():
+    """The random problems of seeds 9000 and 9001 (160 each, up to 1001
+    points) whose curvatures are proportional, by (seed, draw)."""
+    out = {}
+    for seed in (9000, 9001):
+        rng = np.random.default_rng(seed)
+        for i in range(160):
+            p = helpers.random_affine_problem(rng, nmax=1001)
+            if so._proportional(*so._affine_pieces(p)[2::3]) is not None:
+                out[seed, i] = p
+    return out
+
+
+class TestProportionalCubic:
+    """Where (qd, qn) = (kappa, lam)*w on every interval, the system is one
+    cubic in the position tau on the line kappa*a + lam*b = 1."""
+
+    def test_cubic_reports_every_root_of_the_scan(self):
+        # one more root only next to the pole ray, where the scan's grid
+        # cell holds the pole too: |A| or |B| >= 306
+        near_pole = {
+            (9000, 112): (-1.11808, 447.431),
+            (9000, 128): (0.62476, -8678.21),
+            (9000, 130): (0.80385, -306.525),
+            (9001, 50): (0.38994, 1185.10),
+            (9001, 77): (-1095150.5, -0.14634),
+        }
+        draws = proportional_draws()
+        assert len(draws) == 141
+        extra = {}
+        for key, p in draws.items():
+            roots, near = consistency_scan(p)
+            assert_roots_solve_system(p, roots)
+            assert near is not None and np.isfinite(near.gap)
+            got = np.array([(r.A, r.B) for r in roots]).reshape(-1, 2)
+            want = scan(p)[0]
+            for r in want:
+                assert np.min(np.hypot(*(got - (r.A, r.B)).T)) <= 1e-11 * (
+                    1.0 + max(abs(r.A), abs(r.B))
+                ), key
+            if len(roots) > len(want):
+                (extra[key],) = [(r.A, r.B) for r in roots if max(abs(r.A), abs(r.B)) >= 306]
+        assert extra.keys() == near_pole.keys()
+        for key, (A, B) in near_pole.items():
+            np.testing.assert_allclose(extra[key], (A, B), rtol=1e-5)
+
+    @pytest.mark.parametrize("n", [3, 11, 101, 1001])
+    def test_product_problem_has_no_root_and_a_finite_closest_approach(self, monkeypatch, n):
+        # L_delta = t*v has no v^2: the leading coefficients of the cubic P
+        # and of the quartic of the closest approach are exactly 0, and
+        # numpy's polynomials drop them
+        coefficients = []
+        real = np.roots
+        monkeypatch.setattr(np, "roots", lambda c: coefficients.append(c) or real(c))
+        p = product_problem(uniform(0, 1, n))
+        roots, near = consistency_scan(p)
+        assert roots == []
+        assert np.isfinite([near.theta, near.A, near.B, near.gap]).all()
+        assert 0.0 <= near.theta < np.pi and near.gap > 0.0
+        assert near.gap <= scan(p)[1].gap * (1.0 + 1e-12)
+        P, R = (np.trim_zeros(c, "f") for c in coefficients)
+        assert (len(P), len(R)) == (3, 4)
+
+    def test_class_test_is_exact(self):
+        # Dekker's product is error-free across the range the test admits
+        rng = np.random.default_rng(31)
+        x = rng.uniform(1.0, 2.0, 400) * 2.0 ** rng.integers(-480, 480, 400)
+        y = rng.uniform(-2.0, 2.0, 400) * 2.0 ** rng.integers(-480, 480, 400)
+        for xi, yi, pi, ei in zip(x, y, *so._two_product(x, y)):
+            assert Fraction(pi) + Fraction(ei) == Fraction(xi) * Fraction(yi)
+        w = np.array([3.0, 1.0])
+        assert so._proportional(w, np.array([1.5, 0.5])) == (1.0, 0.5, w)
+        # 3 * fl(1/3) rounds to 1, but is not 1
+        assert so._proportional(w, np.array([1.0, 1.0 / 3.0])) is None
+        assert so._proportional(np.zeros(2), np.zeros(2)) is None
+        assert so._proportional(np.array([2.0, 0.0]), np.array([1.0, 0.0])) is None
+
+    def test_curvature_moved_by_one_ulp_goes_to_the_scan(self, monkeypatch):
+        p = bundled_affine_problems()["ex1"]
+        pieces = so._affine_pieces(p)
+        assert so._proportional(pieces[2], pieces[5]) is not None
+        qn = pieces[5].copy()
+        qn[1] = np.nextafter(qn[1], np.inf)
+        moved = pieces[:5] + (qn,)
+        assert so._proportional(pieces[2], qn) is None
+        calls = []
+        real = so._scan
+        monkeypatch.setattr(so, "_affine_pieces", lambda p: moved)
+        monkeypatch.setattr(so, "_scan", lambda *args: calls.append(args) or real(*args))
+        roots, _ = consistency_scan(p)
+        assert len(calls) == 1 and calls[0][1] is moved
+        assert len(roots) == 1
+        assert max(abs(roots[0].A - 4.0), abs(roots[0].B - 4.0)) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["ex1", "ex1_q", "product_3pt"])
+    def test_bundled_problems_never_multisect(self, monkeypatch, name):
+        def refuse(*args):
+            raise AssertionError("_multisect called")
+
+        monkeypatch.setattr(so, "_multisect", refuse)
+        roots, near = consistency_scan(bundled_affine_problems()[name])
+        assert len(roots) == (0 if name == "product_3pt" else 1)
+        assert near is not None
+
+    def test_straight_line_root_is_exact(self):
+        # tau = 0 is a root of P = 8*tau exactly, where J_nabla = J_delta = 4
+        (root,) = consistency_scan(bundled_affine_problems()["ex1"])[0]
+        assert (root.A, root.B) == (4.0, 4.0)
+        np.testing.assert_array_equal(root.trajectory.values, [0.0, 1.0, 2.0, 3.0, 4.0])
 
 
 class TestIsoperimetricSolve:
