@@ -394,9 +394,11 @@ def _case_context(case: dict, cfg: so.SolverConfig) -> dict:
     elif mode == "trajectory":
         with resources.as_file(_bundled_path(case["trajectory"])) as path:
             y = ca.read_csv(path, problem.scale)
-        jd, jn = va.eval_J_delta(problem, y), va.eval_J_nabla(problem, y)
-        defect = va.el_residual_1(problem, y).defect  # both residual forms share it
-        ctx.update(J_delta=jd, J_nabla=jn, J=jd * jn, el_defect_1=defect, el_defect_2=defect)
+        # one sampling pass: both functionals, and the residual both forms share
+        L = va._el_parts(problem.scale, problem.L_delta, problem.L_nabla, y.values)
+        defect = va._report(problem.scale, L.residual, range(1, len(y.values)), "el1").defect
+        ctx.update(J_delta=L.Jd, J_nabla=L.Jn, J=L.Jd * L.Jn,
+                   el_defect_1=defect, el_defect_2=defect)
     else:
         raise ValueError(f"unknown verify mode {mode!r}")
     return ctx

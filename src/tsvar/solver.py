@@ -9,9 +9,10 @@ from the exact second partials of the integrands
 value and gradient are one run of the integrand pair's compiled kernel, and
 its Newton model one run of the pair's second-order kernel on the samples
 that the evaluation keeps, each with one fault check (see ``variational``).
-A Newton step is an LDL^T factorization of the tridiagonal part and a
-Woodbury correction for the low-rank part, O(n) time and memory; no n x n
-array is ever formed.
+A Newton step is one call of ``_tridiag``, one LDL^T factorization of the
+tridiagonal part that solves the right-hand side and the low-rank rows
+together, and a Woodbury correction for the low-rank part, O(n) time and
+memory; no n x n array is ever formed.
 
 One globalisation keeps every step a descent step:
 
@@ -72,9 +73,9 @@ that one pass.
 ``probe_extremal_type`` classifies a stationary point by the exact inertia
 of the Newton model of J on the free block: the signs of the LDL^T pivots
 of the tridiagonal part (Sylvester's law of inertia), corrected for the
-rank-2 part by a 2 x 2 Schur complement (Haynsworth additivity).  It uses
-the same evaluator and factorization as a Newton step, and no random
-numbers or finite differences.
+rank-2 part by a 2 x 2 Schur complement (Haynsworth additivity).  It takes
+the model a Newton step uses (``_merit``) and the same factorization, and
+no random numbers or finite differences.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ import numpy as np
 
 from . import expr as ex
 from . import variational as va
-from .calculus import GridFunction
+from .calculus import GridFunction, _split
 
 __all__ = [
     "SolverConfig",
@@ -169,11 +170,14 @@ class ClosestApproach:
 # Structured linear algebra: tridiagonal LDL^T plus a low-rank correction
 
 
-def _ldl(diag, off):
-    """LDL^T factors (pivots, multipliers) of the symmetric tridiagonal
-    matrix with main diagonal ``diag`` and off-diagonal ``off`` (sequences
-    of Python floats), or None at a zero pivot.  By Sylvester's law of
-    inertia the pivots have the signs of the matrix's eigenvalues."""
+def _tridiag(diag, off, B):
+    """(X, pivots): T x = b solved for every row b of the 2-D array B, one
+    row of X each, by one LDL^T factorization of the symmetric tridiagonal
+    matrix T with main diagonal ``diag`` and off-diagonal ``off``, and the
+    list of pivots; None at an exact zero pivot, the last one included.  By
+    Sylvester's law of inertia the pivots have the signs of T's eigenvalues
+    (Golub & Van Loan, Matrix Computations, 4.3)."""
+    diag, off = diag.tolist(), off.tolist()
     d = diag[0]
     piv, mult = [d], []
     for a, b in zip(diag[1:], off):
@@ -183,34 +187,33 @@ def _ldl(diag, off):
         d = a - m * b
         mult.append(m)
         piv.append(d)
-    return piv, mult
-
-
-def _ldl_solve(fac, b):
-    """Solve L D L^T x = b for one right-hand side (a list of floats)."""
-    piv, mult = fac
-    y = [b[0]]
-    for bi, m in zip(b[1:], mult):
-        y.append(bi - m * y[-1])
-    x = [y[-1] / piv[-1]]
-    for yi, p, m in zip(reversed(y[:-1]), reversed(piv[:-1]), reversed(mult)):
-        x.append(yi / p - m * x[-1])
-    x.reverse()
-    return x
+    if d == 0.0:
+        return None
+    X = []
+    for row in B.tolist():
+        y = [row[0]]
+        for bi, m in zip(row[1:], mult):
+            y.append(bi - m * y[-1])
+        x = [y[-1] / piv[-1]]
+        for yi, p, m in zip(reversed(y[:-1]), reversed(piv[:-1]), reversed(mult)):
+            x.append(yi / p - m * x[-1])
+        x.reverse()
+        X.append(x)
+    return np.array(X).reshape(B.shape), piv
 
 
 def _structured_solve(diag, off, U, C, b):
     """Solve (T + U^T C U) x = b, T the tridiagonal matrix (diag, off), U a
-    k x n array of rows and C a k x k array, by LDL^T of T and the Woodbury
-    identity; b is one right-hand side or an array of them, one per row,
-    which share the factorization.  Returns None when T has a non-positive
-    pivot or the k x k capacitance system is singular."""
-    fac = _ldl(diag.tolist(), off.tolist())
-    if fac is None or not all(p > 0.0 for p in fac[0]):
+    k x n array of rows and C a k x k array, by ``_tridiag`` and the
+    Woodbury identity; b is one right-hand side or an array of them, one
+    per row, solved with the rows of U in one call.  Returns None when T has
+    a non-positive pivot or the k x k capacitance system is singular."""
+    rhs = np.atleast_2d(b)
+    out = _tridiag(diag, off, np.concatenate([rhs, U]))
+    if out is None or not all(p > 0.0 for p in out[1]):
         return None
-    x = np.array([_ldl_solve(fac, row) for row in np.atleast_2d(b).tolist()])
+    x, Z = out[0][: len(rhs)], out[0][len(rhs) :]
     if len(U):
-        Z = np.array([_ldl_solve(fac, u) for u in U.tolist()])
         try:
             w = np.linalg.solve(np.eye(len(U)) + C @ (U @ Z.T), C @ (U @ x.T))
         except np.linalg.LinAlgError:
@@ -225,12 +228,11 @@ def _inertia(diag, off, U, C):
     In(S) - In(-C^-1), S = -C^-1 - U T^-1 U^T (Haynsworth additivity).  None
     when a pivot or an eigenvalue of S is within n*eps of the largest pivot
     or entry of |C^-1| + |U| |T^-1 U^T| (which S is summed from)."""
-    fac = _ldl(diag.tolist(), off.tolist())
-    if fac is None:
+    out = _tridiag(diag, off, U)
+    if out is None:
         return None
-    Ci = np.linalg.inv(C)
-    Z = np.array([_ldl_solve(fac, u) for u in U.tolist()]).reshape(U.shape)
-    piv, s, c = np.array(fac[0]), np.linalg.eigvalsh(-Ci - U @ Z.T), np.linalg.eigvalsh(-Ci)
+    Z, piv, Ci = out[0], np.array(out[1]), np.linalg.inv(C)
+    s, c = np.linalg.eigvalsh(-Ci - U @ Z.T), np.linalg.eigvalsh(-Ci)
     scale = np.max(np.abs(Ci) + np.abs(U) @ np.abs(Z).T, initial=0.0)
     tol = len(piv) * _EPS
     if not (np.all(np.abs(piv) > tol * np.max(np.abs(piv))) and np.all(np.abs(s) > tol * scale)):
@@ -962,13 +964,6 @@ def _root_search(G, a, b, neg_a, n):
     return a
 
 
-def _split(x):
-    """Veltkamp's split of x into a high half and the exact low remainder."""
-    c = (2.0**27 + 1.0) * x
-    hi = c - (c - x)
-    return hi, x - hi
-
-
 def _two_product(x, y):
     """(p, e) with p = fl(x*y) and x*y = p + e exactly (Dekker's product):
     exact for factors that are 0 or of magnitude in _EXACT_RANGE, where no
@@ -1245,7 +1240,7 @@ def probe_extremal_type(
     p: va.VariationalProblem, y: GridFunction, cfg: SolverConfig = SolverConfig()
 ) -> str:
     """Classify a stationary trajectory by the ``_inertia`` of the exact
-    Hessian of J on the free block (its Newton ``_model``): positive definite
+    Hessian of J on the free block (the model of ``_merit``): positive definite
     is 'local-min-indication', negative definite 'local-max-indication', both
     signs 'saddle-indication', and singular to rounding or undefined
     'inconclusive'.  ``cfg`` supplies only grad_tol, for the stationarity check."""
@@ -1254,10 +1249,11 @@ def probe_extremal_type(
     if defect > 10.0 * cfg.grad_tol * (1.0 + abs(Jval)):
         raise ValueError(f"trajectory is not stationary (defect {defect:.3e})")
     cp = _Compiled(p, y.values)
+    fun, model = _merit(cp, p, cfg.grad_tol)
     with np.errstate(all="ignore"):
-        first = cp.value_grad(cp.y[cp.lo : cp.hi].copy(), p.L_delta, p.L_nabla)[2]
-        model = None if first is None else _model([(1.0, cp.hessian(p.L_delta, p.L_nabla, first))])
-    counts = None if model is None else _inertia(*model)
+        at = fun(cp.y[cp.lo : cp.hi].copy())
+        H = None if at.g is None else model(at)
+    counts = None if H is None else _inertia(*H)
     if counts is None:
         return "inconclusive"
     if counts[0] == 0:

@@ -630,6 +630,18 @@ class TestVerifyCommand:
         failed = [r for r in rows if not r[-1]]
         assert any(r[1] == "J_delta" for r in failed)
 
+    def test_trajectory_case_samples_once(self, monkeypatch):
+        calls = []
+        real = va._el_parts
+        monkeypatch.setattr(va, "_el_parts", lambda *a: calls.append(a) or real(*a))
+        monkeypatch.setattr(va, "_sampled", None)  # the checked fallback is not reached
+        rows, ok = run_verify_cases(load_bundled_manifest(), SolverConfig(), "product_unit")
+        assert ok and len(rows) == 3 and len(calls) == 1
+        # a residual that is not finite fails every check of the case
+        monkeypatch.setattr(va, "_el_parts", lambda *a: real(*a)._replace(g=np.full(100, np.inf)))
+        rows, ok = run_verify_cases(load_bundled_manifest(), SolverConfig(), "product_unit")
+        assert not ok and {r[3] for r in rows} == {"error: el1 residual not finite at t=0.01"}
+
     def test_deterministic_under_seed(self):
         manifest = load_bundled_manifest()
         r1, ok1 = run_verify_cases(manifest, SolverConfig(seed=9), "iso_M3")

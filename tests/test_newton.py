@@ -22,8 +22,8 @@ from tsvar.variational import (
     functional_hessian,
 )
 
-def random_smooth_problem(rng, bc_a, bc_b, constraint=None):
-    n = int(rng.integers(3, 13))
+def random_smooth_problem(rng, bc_a, bc_b, constraint=None, nmax=12):
+    n = int(rng.integers(3, nmax + 1))
     ts = from_points(np.cumsum(rng.uniform(0.1, 0.6, n)))
     return VariationalProblem(
         ts, random_integrand(rng), random_integrand(rng), bc_a, bc_b, constraint
@@ -165,22 +165,38 @@ class TestStructuredSolve:
          ([float("nan"), 1.0], [0.0])],
     )
     def test_non_positive_pivot_is_reported(self, diag, off):
-        # _ldl stops only at a zero pivot and otherwise returns every pivot,
-        # NaN included; the solve refuses any pivot that is not positive
-        assert so._structured_solve(np.array(diag), np.array(off), np.zeros((0, 2)),
-                                    np.zeros((0, 0)), np.ones(len(diag))) is None
-        fac = so._ldl(diag, off)
+        # _tridiag stops only at a zero pivot and otherwise returns every
+        # pivot, NaN included; the solve refuses any pivot that is not positive
+        n = len(diag)
+        assert so._structured_solve(np.array(diag), np.array(off), np.zeros((0, n)),
+                                    np.zeros((0, 0)), np.ones(n)) is None
+        fac = so._tridiag(np.array(diag), np.array(off), np.zeros((0, n)))
         assert (fac is None) == (diag[0] == 0.0)
         if fac is not None and np.isfinite(diag).all():
             T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-            assert np.array_equal(np.sign(sorted(fac[0])), np.sign(np.linalg.eigvalsh(T)))
+            assert np.array_equal(np.sign(sorted(fac[1])), np.sign(np.linalg.eigvalsh(T)))
+
+    def test_one_factorization_per_solve(self, monkeypatch):
+        calls = []
+        real = so._tridiag
+        monkeypatch.setattr(so, "_tridiag", lambda *args: calls.append(args[2].shape) or real(*args))
+        rng = np.random.default_rng(23)
+        n = 6
+        diag, off = rng.uniform(3.0, 4.0, n), rng.uniform(-1, 1, n - 1)
+        U, C = rng.standard_normal((2, n)), np.array([[0.0, 1.0], [1.0, 0.0]])
+        g, b = rng.standard_normal(n), rng.standard_normal(n)
+        so._structured_solve(diag, off, U, C, b)
+        so._bordered_solve(diag, off, U, C, (g, 1.0), b)
+        so._inertia(diag, off, U, C)
+        # b and the rows of U; b, g and the rows of U; the rows of U
+        assert calls == [(3, n), (4, n), (2, n)]
 
     def test_pivot_signs_are_the_inertia_of_indefinite_tridiagonals(self):
         rng = np.random.default_rng(17)
         for _ in range(200):
             n = int(rng.integers(1, 60))
             diag, off = rng.uniform(-2, 2, n), rng.uniform(-2, 2, n - 1)
-            piv = so._ldl(diag.tolist(), off.tolist())[0]
+            piv = so._tridiag(diag, off, np.zeros((0, n)))[1]
             ev = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
             assert np.min(np.abs(ev)) > 1e-9  # no eigenvalue near zero in this set
             assert np.count_nonzero(np.array(piv) < 0) == np.count_nonzero(ev < 0)
@@ -208,6 +224,8 @@ class TestStructuredSolve:
         assert corrected >= 50  # the rank-k term changes the inertia of T
         assert so._inertia(np.array([0.0, 1.0]), np.array([1.0]), np.zeros((0, 2)),
                            np.zeros((0, 0))) is None  # a zero pivot
+        assert so._inertia(np.array([1.0, 1.0]), np.array([1.0]), np.ones((2, 2)),
+                           np.array([[0.0, 1.0], [1.0, 0.0]])) is None  # a zero last pivot
         assert so._inertia(np.zeros(3), np.zeros(2), np.ones((2, 3)), np.eye(2)) is None
         # singular to rounding: a tiny pivot, and 1 - 100*0.1^2 (-2e-16 in floats)
         assert so._inertia(np.array([1.0, 1e-17]), np.zeros(1), np.zeros((0, 2)),
@@ -302,6 +320,30 @@ class TestConvergence:
         assert max(rep.el_defect_1, rep.el_defect_2) <= 1e-8 * (1.0 + abs(rep.J))
         if free:
             assert abs(rep.bc_residual_b) <= 1e-8
+
+    def test_constrained_free_endpoint_residual_on_random_solves(self, monkeypatch):
+        # the natural boundary condition of lambda0*J - lambda*K holds at the
+        # free endpoints of 50 converged random solves; Newton is capped at
+        # 50 steps (a start can crawl), and only converged solves count
+        monkeypatch.setattr(so, "_MAX_STEPS", 50)
+        rng = np.random.default_rng(2041)
+        bcs = [(0.0, None), (None, 1.0), (None, None)]
+        converged = 0
+        for i in range(300):
+            c = IsoperimetricConstraint(random_integrand(rng), random_integrand(rng), 0.3)
+            p = random_smooth_problem(rng, *bcs[i % 3], c, nmax=3)
+            try:
+                rep = so.solve_isoperimetric(p, SolverConfig(multistarts=1, seed=i))
+            except (so.InfeasibleConstraintError, ex.DomainViolation):
+                continue
+            if not rep.converged:
+                continue
+            for r in (rep.bc_residual_a, rep.bc_residual_b):
+                assert r is None or abs(r) <= 1e-8 * (1.0 + abs(rep.J))
+            converged += 1
+            if converged == 50:
+                break
+        assert converged == 50
 
     def test_large_scale_solve_has_linear_memory(self):
         # a dense n x n matrix at this size would take 3.2 GB

@@ -345,6 +345,27 @@ class TestConsistencySolve:
             alone = so._integrals(p, y[i : i + 1], d[i : i + 1])
             np.testing.assert_array_equal(alone, [jn[i : i + 1], jd[i : i + 1]], strict=True)
 
+    def test_g_has_no_pole_where_one_slope_denominator_vanishes(self):
+        # at theta_i = atan2(-qn_i, qd_i) the denominator A*qd_i + B*qn_i of
+        # interval i vanishes, but then s1 = sum(mu/denominator) grows without
+        # bound, C tends to A*pd_i + B*pn_i and every slope stays finite.  The
+        # poles of G are the zeros of s1, which lie between the theta_i
+        ts = from_points([0, 0.4, 1.1, 1.5, 2.3, 3.0])
+        p = VariationalProblem(ts, parse("(1 + t)*v^2 + t*v"), parse("(2 - t*t/3)*v^2 - v"),
+                               0.5, 1.5)
+        pieces = so._affine_pieces(p)
+        _, _, qd, _, _, qn = pieces
+        assert so._proportional(qd, qn) is None
+        theta = np.mod(np.arctan2(-qn, qd), np.pi)
+        left, right = (so._on_rays(p, pieces, theta + h)[0] for h in (-1e-9, 1e-9))
+        np.testing.assert_allclose(left, right, rtol=1e-7)
+        mu = ts.mu_values[:-1]
+        for zero in (0.19013, 2.11082, 2.48128, 2.81251):
+            x = zero + np.array([-1e-4, 1e-4])
+            s1 = np.sum(mu / (np.sin(x)[:, None] * qd + np.cos(x)[:, None] * qn), axis=1)
+            assert s1[0] * s1[1] < 0.0 and np.min(np.abs(theta - zero)) > 1e-2
+            assert np.all(np.abs(so._on_rays(p, pieces, x)[0]) >= 8e5)
+
     def test_non_affine_rejected(self):
         ts = uniform(0, 1, 11)
         p = VariationalProblem(ts, parse("y*v"), parse("v^2"), 0.0, 1.0)
@@ -1054,6 +1075,23 @@ class TestProbe:
         rep = solve(p, CFG)
         assert np.array_equal(rep.trajectory.values, np.zeros(3))
         assert probe_extremal_type(p, rep.trajectory, CFG) == "inconclusive"
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_zero_hessian_with_both_ends_fixed(self, n):
+        # y = 1 makes J_delta = J_nabla = 0 and the exact Hessian 0: with
+        # n = 3 the only free node's pivot, the last one, is 0
+        p = quad_double(uniform(0, 1, n), 1.0, 1.0)
+        y = GridFunction(p.scale, np.ones(n))
+        assert probe_extremal_type(p, y, CFG) == "inconclusive"
+
+    def test_model_comes_from_the_newton_merit(self, monkeypatch):
+        calls = []
+        real = so._merit
+        monkeypatch.setattr(so, "_merit", lambda *a, **k: calls.append(k) or real(*a, **k))
+        ts = uniform(0, 4, 5)
+        p = quad_double(ts, 0.0, 4.0)
+        assert probe_extremal_type(p, GridFunction(ts, ts.points.copy()), CFG) == "local-min-indication"
+        assert calls == [{}]
 
     def test_sign_indefinite_product(self):
         # J = -J_delta^2 at the straight line, which minimizes J_delta > 0
