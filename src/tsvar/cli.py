@@ -394,10 +394,10 @@ def _case_context(case: dict, cfg: so.SolverConfig) -> dict:
     elif mode == "trajectory":
         with resources.as_file(_bundled_path(case["trajectory"])) as path:
             y = ca.read_csv(path, problem.scale)
-        # one sampling pass: both functionals, and the residual both forms share
-        L = va._el_parts(problem.scale, problem.L_delta, problem.L_nabla, y.values)
-        defect = va._report(problem.scale, L.residual, range(1, len(y.values)), "el1").defect
-        ctx.update(J_delta=L.Jd, J_nabla=L.Jn, J=L.Jd * L.Jn,
+        # one first-order record: both functionals, and the residual both forms share
+        L = va._record(problem, y)
+        defect = va._report(problem.scale, L.gradient, "el1").defect
+        ctx.update(J_delta=L.J_delta, J_nabla=L.J_nabla, J=L.value,
                    el_defect_1=defect, el_defect_2=defect)
     else:
         raise ValueError(f"unknown verify mode {mode!r}")

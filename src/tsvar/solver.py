@@ -65,17 +65,18 @@ finite differences.
 
 ``solve_auto`` selects the method by the problem's shape (constrained,
 derivative-affine with both endpoints fixed, or otherwise direct), and every
-method's ``SolveReport`` comes from one builder, ``_report``, which samples
-each integrand pair once at the final trajectory and reduces J_delta,
-J_nabla, both residual defects and the natural boundary residuals from
-that one pass.
+method's ``SolveReport`` comes from one builder, ``_report``, which takes
+one first-order record of each integrand pair at the final trajectory and
+reduces J_delta, J_nabla, both residual defects and the natural boundary
+residuals from its node gradient.
 
 ``probe_extremal_type`` classifies a stationary point by the exact inertia
 of the Newton model of J on the free block: the signs of the LDL^T pivots
 of the tridiagonal part (Sylvester's law of inertia), corrected for the
 rank-2 part by a 2 x 2 Schur complement (Haynsworth additivity).  It takes
-the model a Newton step uses (``_merit``) and the same factorization, and
-no random numbers or finite differences.
+the model a Newton step uses (``_merit``), built on the first-order record
+from which it also checks stationarity, and the same factorization, and no
+random numbers or finite differences.
 """
 
 from __future__ import annotations
@@ -170,24 +171,25 @@ class ClosestApproach:
 # Structured linear algebra: tridiagonal LDL^T plus a low-rank correction
 
 
-def _tridiag(diag, off, B):
+def _tridiag(diag, off, B, definite=False):
     """(X, pivots): T x = b solved for every row b of the 2-D array B, one
     row of X each, by one LDL^T factorization of the symmetric tridiagonal
     matrix T with main diagonal ``diag`` and off-diagonal ``off``, and the
-    list of pivots; None at an exact zero pivot, the last one included.  By
-    Sylvester's law of inertia the pivots have the signs of T's eigenvalues
-    (Golub & Van Loan, Matrix Computations, 4.3)."""
+    list of pivots; None at an exact zero pivot, the last one included, and
+    with ``definite`` at the first pivot that is not positive, before any
+    row of B is solved.  By Sylvester's law of inertia the pivots have the
+    signs of T's eigenvalues (Golub & Van Loan, Matrix Computations, 4.3)."""
     diag, off = diag.tolist(), off.tolist()
     d = diag[0]
     piv, mult = [d], []
     for a, b in zip(diag[1:], off):
-        if d == 0.0:
+        if not d > 0.0 and (definite or d == 0.0):
             return None
         m = b / d
         d = a - m * b
         mult.append(m)
         piv.append(d)
-    if d == 0.0:
+    if not d > 0.0 and (definite or d == 0.0):
         return None
     X = []
     for row in B.tolist():
@@ -207,10 +209,11 @@ def _structured_solve(diag, off, U, C, b):
     k x n array of rows and C a k x k array, by ``_tridiag`` and the
     Woodbury identity; b is one right-hand side or an array of them, one
     per row, solved with the rows of U in one call.  Returns None when T has
-    a non-positive pivot or the k x k capacitance system is singular."""
+    a non-positive pivot, which is found before any row is solved, or the
+    k x k capacitance system is singular."""
     rhs = np.atleast_2d(b)
-    out = _tridiag(diag, off, np.concatenate([rhs, U]))
-    if out is None or not all(p > 0.0 for p in out[1]):
+    out = _tridiag(diag, off, np.concatenate([rhs, U]), True)
+    if out is None:
         return None
     x, Z = out[0][: len(rhs)], out[0][len(rhs) :]
     if len(U):
@@ -628,32 +631,31 @@ def _multistart(p: va.VariationalProblem, cfg: SolverConfig, run):
 
 def _report(p: va.VariationalProblem, y: GridFunction, grad_norm: float | None = None,
             lambda0: float | None = None, lam: float | None = None, **fields) -> SolveReport:
-    """The report of a solve that ended at y, from one sampling pass of each
-    integrand pair: the L pair, and the K pair for a constrained report,
-    whose defects and natural boundary residuals are those of the multiplier
-    combination lambda0*L - lam*K.  Both residual forms are one array on two
-    domains, so el_defect_1 and el_defect_2 are one defect.  Without
-    ``grad_norm`` (a self-consistent extremal, both endpoints fixed) it is
-    the largest interior gradient entry of the same pass.  ``extension``
-    marks a constrained problem with a free endpoint; ``fields`` are the
-    solve's own (converged, iterations, ...)."""
-    ts = p.scale
-    c = p.constraint
-    L = va._el_parts(ts, p.L_delta, p.L_nabla, y.values)
-    K = None if lambda0 is None else va._el_parts(ts, c.K_delta, c.K_nabla, y.values)
-
-    def combined(name):  # a first-order quantity of J, or of lambda0*J - lam*K
-        val = getattr(L, name)
-        return val if K is None else lambda0 * val - lam * getattr(K, name)
-
-    defect = va._stats(combined("residual"))[1]
+    """The report of a solve that ended at y, from one first-order record
+    (``va.ProductGradient``) of each integrand pair: the L pair, and the K
+    pair for a constrained report, whose defects and natural boundary
+    residuals are those of the node gradient lambda0*gradJ - lam*gradK,
+    combined as ``va.iso_residual`` combines it.  Both residual forms are
+    one array on two domains, the negated running sum of that gradient, so
+    el_defect_1 and el_defect_2 are one defect, and the natural boundary
+    residuals are its entries -g(a) and g(b).  Without ``grad_norm`` (a
+    self-consistent extremal, both endpoints fixed) it is the largest
+    interior entry of gradJ.  ``extension`` marks a constrained problem with
+    a free endpoint; ``fields`` are the solve's own (converged, iterations,
+    ...)."""
+    ts, c = p.scale, p.constraint
+    L = va._first(ts, p.L_delta, p.L_nabla, y.values)
+    g = L.gradient
+    if lambda0 is not None:
+        g = lambda0 * g - lam * va._first(ts, c.K_delta, c.K_nabla, y.values).gradient
+    defect = va._stats(va._el_residual(g))[1]
     if grad_norm is None:
         grad_norm = float(np.max(np.abs(L.gradient[1:-1]), initial=0.0))
     return SolveReport(
-        trajectory=y, J_delta=L.Jd, J_nabla=L.Jn, J=L.Jd * L.Jn, el_defect_1=defect,
+        trajectory=y, J_delta=L.J_delta, J_nabla=L.J_nabla, J=L.value, el_defect_1=defect,
         el_defect_2=defect, grad_norm=grad_norm, lambda0=lambda0, lam=lam,
-        bc_residual_a=None if p.bc_a is not None else combined("nbc_a"),
-        bc_residual_b=None if p.bc_b is not None else combined("nbc_b"),
+        bc_residual_a=None if p.bc_a is not None else float(-g[0]),
+        bc_residual_b=None if p.bc_b is not None else float(g[-1]),
         extension=c is not None and (p.bc_a is None or p.bc_b is None), **fields,
     )
 
@@ -1243,16 +1245,19 @@ def probe_extremal_type(
     Hessian of J on the free block (the model of ``_merit``): positive definite
     is 'local-min-indication', negative definite 'local-max-indication', both
     signs 'saddle-indication', and singular to rounding or undefined
-    'inconclusive'.  ``cfg`` supplies only grad_tol, for the stationarity check."""
-    defect = va.el_residual_1(p, y).defect  # both residual forms share it
-    Jval = va.eval_J(p, y)
-    if defect > 10.0 * cfg.grad_tol * (1.0 + abs(Jval)):
+    'inconclusive'.  ``cfg`` supplies only grad_tol, for the stationarity check.
+    The defect and J of that check come from the first-order record whose
+    samples the Hessian reuses: one first-order and one second-order kernel
+    run in all."""
+    first = va._record(p, y)
+    defect = va._report(p.scale, first.gradient, "el1").defect  # both residual forms share it
+    if defect > 10.0 * cfg.grad_tol * (1.0 + abs(first.value)):
         raise ValueError(f"trajectory is not stationary (defect {defect:.3e})")
     cp = _Compiled(p, y.values)
-    fun, model = _merit(cp, p, cfg.grad_tol)
+    model = _merit(cp, p, cfg.grad_tol)[1]
+    val, grad = _finite(first.value, first.gradient[cp.lo : cp.hi])
     with np.errstate(all="ignore"):
-        at = fun(cp.y[cp.lo : cp.hi].copy())
-        H = None if at.g is None else model(at)
+        H = None if grad is None else model(_At(val, 0.0, None, grad, first))
     counts = None if H is None else _inertia(*H)
     if counts is None:
         return "inconclusive"

@@ -20,6 +20,14 @@ residual is constant, which is the first-order condition in integral form.
 A residual that overflows raises ``DomainViolation``, as an integrand that
 is undefined along the trajectory does.
 
+Every first-order quantity reduces from one record, the ``ProductGradient``
+of a first-order kernel run (``_first``).  By summation by parts, both
+integral Euler-Lagrange forms are one array, the negated running sum of the
+node gradient (``_el_residual``); the natural boundary residuals are
+-dJ/dy(a) and dJ/dy(b), and the first variation in a direction eta is the
+gradient dotted with eta.  A multiplier residual is the same running sum of
+lambda0 * gradJ - lambda * gradK.
+
 The exact gradient and structured Hessian of J, which every solver step
 evaluates, come from one compiled kernel per integrand pair and order
 (``_kernel``): one straight-line program of the forward and the backward
@@ -214,66 +222,22 @@ def eval_K(p: VariationalProblem, y: GridFunction) -> float:
 # Euler-Lagrange residuals
 
 
-class _Parts(NamedTuple):
-    """One sampling pass of an integrand pair at a trajectory (``_el_parts``)
-    and every first-order quantity that reduces from it."""
-
-    ts: TimeScale
-    Jd: float
-    Jn: float
-    f: np.ndarray
-    g: np.ndarray
-    delta: tuple  # (Jd, d2 Ld, d3 Ld)
-    nabla: tuple  # (Jn, d2 Ln, d3 Ln)
-
-    @property
-    def residual(self) -> np.ndarray:
-        # Jn * f(rho(t)) + Jd * g(t) over the scale minus its minimum point, and
-        # equally Jd * g(sigma(t)) + Jn * f(t) over the scale minus its maximum:
-        # both forms are this one array, only their domains differ
-        return self.Jn * self.f + self.Jd * self.g
-
-    @property
-    def nbc_a(self) -> float:
-        # f(a) = d3 Ld(a) because the running integral vanishes at a;
-        # g(sigma(a)) is the first entry of the g array.
-        return float(self.Jn * self.f[0] + self.Jd * self.g[0])
-
-    @property
-    def nbc_b(self) -> float:
-        a_full = float(np.dot(self.ts.mu_values[:-1], self.delta[1]))
-        b_full = float(np.dot(self.ts.nu_values[1:], self.nabla[1]))
-        return float(self.Jn * (self.f[-1] + a_full) + self.Jd * (self.g[-1] + b_full))
-
-    @property
-    def gradient(self) -> np.ndarray:
-        """Node gradient of J, as ``functional_gradient`` assembles it."""
-        gd, gn = _grads(self.ts.mu_values[:-1], len(self.ts), *self.delta[1:], *self.nabla[1:])
-        return self.Jn * gd + self.Jd * gn
+def _record(p: VariationalProblem, y: GridFunction) -> ProductGradient:
+    """The first-order record of J at the trajectory y, from which every
+    first-order quantity reduces: one run of the pair's first-order kernel
+    (``_first``)."""
+    _check_trajectory(p, y)
+    return _first(p.scale, p.L_delta, p.L_nabla, y.values)
 
 
-def _el_parts(ts: TimeScale, Ld, Ln, yvals) -> _Parts:
-    """One sampling pass of an integrand pair, one run of its first-order
-    kernel (``_pair``), and the arrays that both residual forms are built
-    from,
+def _el_residual(gradient: np.ndarray) -> np.ndarray:
+    """Both integral Euler-Lagrange residual forms of the functional whose
+    node gradient is ``gradient``, one array over k = 0..N-2.  With
       f(t) = d3 Ld (t) - integral_a^t d2 Ld   on the scale minus its maximum,
       g(t) = d3 Ln (t) - integral_a^t d2 Ln   on the scale minus its minimum,
-    all assembled from exact symbolic partials and exact prefix sums.  The
-    forward gaps mu and the backward gaps nu are the one array w.
-    """
-
-    def assemble(w, q, parts):
-        Lf, d2ld, d3ld, Lb, d2ln, d3ln = parts
-        Jd, Jn = float(np.dot(w, Lf)), float(np.dot(w, Lb))
-        # A(t_j) = sum_{i<j} mu_i d2ld_i, indexed over 0..N-2 (the f domain)
-        acum = np.concatenate([[0.0], np.cumsum(w * d2ld)])  # length N
-        # B(t_j) = sum_{1<=i<=j} nu_i d2ln_i, indexed over 1..N-1 (the g domain)
-        bcum = np.cumsum(w * d2ln)  # bcum[j-1] = B(t_j)
-        f = d3ld - acum[:-1]
-        g = d3ln - bcum
-        return _Parts(ts, Jd, Jn, f, g, (Jd, d2ld, d3ld), (Jn, d2ln, d3ln))
-
-    return _pair(ts, Ld, Ln, _FIRST, np.asarray(yvals, dtype=float), None, assemble)
+    summation by parts gives Jn * f(t_k) + Jd * g(t_{k+1}) = -sum_{j<=k}
+    dJ/dy_j: the residual is the negated running sum of the gradient."""
+    return -np.cumsum(gradient[:-1])
 
 
 def _stats(vals: np.ndarray) -> tuple[float, float]:
@@ -291,33 +255,36 @@ def _finite(vals, t: np.ndarray, what: str):
     return vals
 
 
-def _report(ts: TimeScale, vals: np.ndarray, domain: range, form: str) -> ResidualReport:
+def _report(ts: TimeScale, gradient: np.ndarray, form: str) -> ResidualReport:
+    """The residual report of the functional whose node gradient is
+    ``gradient``: 'el1' and 'iso1' on the scale minus its minimum, 'el2' and
+    'iso2' minus its maximum."""
+    vals = _el_residual(gradient)
+    domain = range(1, len(ts)) if form.endswith("1") else range(0, len(ts) - 1)
     _finite(vals, ts.points[domain.start :], f"{form} residual")
     mean, defect = _stats(vals)
     return ResidualReport(GridFunction(ts, vals, domain), defect, mean, form)
-
-
-def _el_residual(p: VariationalProblem, y: GridFunction) -> np.ndarray:
-    _check_trajectory(p, y)
-    return _el_parts(p.scale, p.L_delta, p.L_nabla, y.values).residual
 
 
 def el_residual_1(p: VariationalProblem, y: GridFunction) -> ResidualReport:
     """Integral Euler-Lagrange residual on the scale minus its minimum:
 
         Jn * (d3 Ld(rho(t)) - int_a^rho(t) d2 Ld)
-      + Jd * (d3 Ln(t)      - int_a^t      d2 Ln)
-    """
-    return _report(p.scale, _el_residual(p, y), range(1, len(p.scale)), "el1")
+      + Jd * (d3 Ln(t)      - int_a^t      d2 Ln),
+
+    which is -sum over s < t of dJ/dy(s) (``_el_residual``)."""
+    return _report(p.scale, _record(p, y).gradient, "el1")
 
 
 def el_residual_2(p: VariationalProblem, y: GridFunction) -> ResidualReport:
     """Integral Euler-Lagrange residual on the scale minus its maximum:
 
         Jd * (d3 Ln(sigma(t)) - int_a^sigma(t) d2 Ln)
-      + Jn * (d3 Ld(t)        - int_a^t        d2 Ld)
-    """
-    return _report(p.scale, _el_residual(p, y), range(0, len(p.scale) - 1), "el2")
+      + Jn * (d3 Ld(t)        - int_a^t        d2 Ld),
+
+    which is -sum over s <= t of dJ/dy(s): the array of ``el_residual_1``
+    on the other domain."""
+    return _report(p.scale, _record(p, y).gradient, "el2")
 
 
 def _pure_kind(p: VariationalProblem) -> str:
@@ -372,12 +339,14 @@ def natural_bc_residual_a(p: VariationalProblem, y: GridFunction) -> float:
     """Residual that vanishes at an extremal when y(a) is free:
 
         Jd * (d3 Ln(sigma(a)) - int_a^sigma(a) d2 Ln) + Jn * d3 Ld(a)
+
+    which equals -dJ/dy(a), the first entry of ``el_residual_2``.
     """
     _check_trajectory(p, y)
     if p.bc_a is not None:
         raise ValueError("endpoint a is not free")
-    nbc = _el_parts(p.scale, p.L_delta, p.L_nabla, y.values).nbc_a
-    return _finite(nbc, p.scale.points[:1], "natural boundary residual")
+    nbc = -_record(p, y).gradient[0]
+    return _finite(float(nbc), p.scale.points[:1], "natural boundary residual")
 
 
 def natural_bc_residual_b(p: VariationalProblem, y: GridFunction) -> float:
@@ -391,8 +360,8 @@ def natural_bc_residual_b(p: VariationalProblem, y: GridFunction) -> float:
     _check_trajectory(p, y)
     if p.bc_b is not None:
         raise ValueError("endpoint b is not free")
-    nbc = _el_parts(p.scale, p.L_delta, p.L_nabla, y.values).nbc_b
-    return _finite(nbc, p.scale.points[-1:], "natural boundary residual")
+    nbc = _record(p, y).gradient[-1]
+    return _finite(float(nbc), p.scale.points[-1:], "natural boundary residual")
 
 
 def natural_bc_reduced(
@@ -446,32 +415,29 @@ def iso_residual(
     lam: float,
     form: str,
 ) -> ResidualReport:
-    """Multiplier residual lambda0 * (J terms) - lambda * (K terms).
+    """Multiplier residual lambda0 * (J terms) - lambda * (K terms): the
+    residual (``_el_residual``) of the node gradient lambda0 * gradJ -
+    lambda * gradK, from one first-order record of each integrand pair.
 
     ``form`` selects which integral Euler-Lagrange shape is used for both
     terms ('el1' on the scale minus its minimum, 'el2' minus its maximum).
     The pair (lambda0, lambda) must not be (0, 0).
     """
     _check_trajectory(p, y)
-    c = _require_constraint(p)
+    _require_constraint(p)
     if lambda0 == 0.0 and lam == 0.0:
         raise ValueError("multipliers lambda0 and lambda must not both be zero")
     if form not in ("el1", "el2"):
         raise ValueError("form must be 'el1' or 'el2'")
-    ts = p.scale
-    L = _el_parts(ts, p.L_delta, p.L_nabla, y.values)
-    K = _el_parts(ts, c.K_delta, c.K_nabla, y.values)
-    vals = lambda0 * L.residual - lam * K.residual
-    if form == "el1":
-        return _report(ts, vals, range(1, len(ts)), "iso1")
-    return _report(ts, vals, range(0, len(ts) - 1), "iso2")
+    gradJ, gradK = _record(p, y).gradient, _record(_as_constraint_problem(p), y).gradient
+    return _report(p.scale, lambda0 * gradJ - lam * gradK, "iso1" if form == "el1" else "iso2")
 
 
 def is_K_extremal(p: VariationalProblem, y: GridFunction, tol: float) -> bool:
     """True when both residual forms of the constraint functional are constant
     to within ``tol`` (such trajectories admit only abnormal multipliers).
     The two forms are one array on two domains, so they share one defect."""
-    return _stats(_el_residual(_as_constraint_problem(p), y))[1] <= tol
+    return _stats(_el_residual(_record(_as_constraint_problem(p), y).gradient))[1] <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -507,18 +473,13 @@ def first_variation(p: VariationalProblem, y: GridFunction, eta: GridFunction) -
     """Exact directional derivative of J at y in direction eta:
 
         Jd * sum nu * (d2 Ln * eta^rho + d3 Ln * N eta)
-      + Jn * sum mu * (d2 Ld * eta^sigma + d3 Ld * D eta)
+      + Jn * sum mu * (d2 Ld * eta^sigma + d3 Ld * D eta),
+
+    which is the node gradient of J dotted with eta.
     """
-    _check_trajectory(p, y)
+    gradient = _record(p, y).gradient
     _check_trajectory(p, eta)
-    parts = _el_parts(p.scale, p.L_delta, p.L_nabla, y.values)
-    (Jd, d2ld, d3ld), (Jn, d2ln, d3ln) = parts.delta, parts.nabla
-    w = p.scale.mu_values[:-1]  # the gaps mu[:-1], which are also nu[1:]
-    e = eta.values
-    de = np.diff(e)
-    delta_part = float(np.dot(w, d2ld * e[1:]) + np.dot(d3ld, de))
-    nabla_part = float(np.dot(w, d2ln * e[:-1]) + np.dot(d3ln, de))
-    return Jd * nabla_part + Jn * delta_part
+    return float(gradient @ eta.values)
 
 
 def _grads(w: np.ndarray, n: int, d2f, d3f, d2b, d3b):

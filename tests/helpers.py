@@ -1,7 +1,8 @@
 """Shared generators for randomized tests (all seeded by the caller), the
 dense matrix of a solver model, a reference walker for expressions,
-one-step reference searches for the consistency scan, and the per-side
-assembly of the product functional's gradient and Hessian."""
+one-step reference searches for the consistency scan, the per-side
+assembly of the product functional's gradient and Hessian, the f/g
+assembly of its first-order residuals, and a counter of kernel runs."""
 
 import numpy as np
 
@@ -261,3 +262,57 @@ def pair_hessian(ts, Ld, Ln, yvals):
     hd, od = side_hessian(Ld, ts, yvals, True)
     hn, on = side_hessian(Ln, ts, yvals, False)
     return Jn * hd + Jd * hn, Jn * od + Jd * on
+
+
+# The f/g assembly of every first-order residual, from the per-side samples:
+# an oracle for their reduction from the node gradient (``va._el_residual``).
+
+
+def reference_first_order(ts, Ld, Ln, yvals, eta):
+    """(residual, nbc_a, nbc_b, first variation along eta, scale) of the pair
+    at yvals, assembled from
+      f(t) = d3 Ld (t) - integral_a^t d2 Ld   on the scale minus its maximum,
+      g(t) = d3 Ln (t) - integral_a^t d2 Ln   on the scale minus its minimum,
+    as residual = Jn * f + Jd * g.  ``scale`` is the sum of the magnitudes
+    of every term either assembly adds, Jn's and Jd's included, which bounds
+    the rounding error of a running sum of them."""
+    Jd, d2ld, d3ld = side_sum(Ld, ts, yvals, True)
+    Jn, d2ln, d3ln = side_sum(Ln, ts, yvals, False)
+    w = ts.mu_values[:-1]
+    acum = np.concatenate([[0.0], np.cumsum(w * d2ld)])  # A(t_j) = sum_{i<j} mu_i d2ld_i
+    bcum = np.cumsum(w * d2ln)  # bcum[j-1] = B(t_j) = sum_{1<=i<=j} nu_i d2ln_i
+    f = d3ld - acum[:-1]
+    g = d3ln - bcum
+    residual = Jn * f + Jd * g
+    nbc_a = float(Jn * f[0] + Jd * g[0])
+    a_full, b_full = float(np.dot(w, d2ld)), float(np.dot(w, d2ln))
+    nbc_b = float(Jn * (f[-1] + a_full) + Jd * (g[-1] + b_full))
+    de = np.diff(eta)
+    delta_part = float(np.dot(w, d2ld * eta[1:]) + np.dot(d3ld, de))
+    nabla_part = float(np.dot(w, d2ln * eta[:-1]) + np.dot(d3ln, de))
+    variation = Jd * nabla_part + Jn * delta_part
+    scale = (abs(Jn) * float(np.sum(np.abs(w * d2ld)) + 2.0 * np.sum(np.abs(d3ld)))
+             + abs(Jd) * float(np.sum(np.abs(w * d2ln)) + 2.0 * np.sum(np.abs(d3ln))))
+    return residual, nbc_a, nbc_b, variation, scale
+
+
+def count_evaluations(monkeypatch, fn):
+    """fn(), the slots of its kernel runs and its number of ``ex.Program``
+    runs (the fallback of a kernel run)."""
+    runs, programs = [], []
+    real_kernel, real_program = va._kernel, ex.Program.__call__
+
+    def kernel(Ld, Ln, slots):
+        run = real_kernel(Ld, Ln, slots)
+        return lambda *samples: runs.append(slots) or run(*samples)
+
+    def program(self, t, y, v):
+        programs.append(self.exprs)
+        return real_program(self, t, y, v)
+
+    monkeypatch.setattr(va, "_kernel", kernel)
+    monkeypatch.setattr(ex.Program, "__call__", program)
+    out = fn()
+    monkeypatch.setattr(va, "_kernel", real_kernel)
+    monkeypatch.setattr(ex.Program, "__call__", real_program)
+    return out, runs, len(programs)

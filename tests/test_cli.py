@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import count_evaluations
 from tsvar import cli
 from tsvar import variational as va
 from tsvar.calculus import read_csv
@@ -631,15 +632,19 @@ class TestVerifyCommand:
         assert any(r[1] == "J_delta" for r in failed)
 
     def test_trajectory_case_samples_once(self, monkeypatch):
-        calls = []
-        real = va._el_parts
-        monkeypatch.setattr(va, "_el_parts", lambda *a: calls.append(a) or real(*a))
-        monkeypatch.setattr(va, "_sampled", None)  # the checked fallback is not reached
-        rows, ok = run_verify_cases(load_bundled_manifest(), SolverConfig(), "product_unit")
-        assert ok and len(rows) == 3 and len(calls) == 1
+        manifest = load_bundled_manifest()
+        (rows, ok), runs, n = count_evaluations(
+            monkeypatch, lambda: run_verify_cases(manifest, SolverConfig(), "product_unit"))
+        assert ok and len(rows) == 3 and runs == [va._FIRST] and n == 0
         # a residual that is not finite fails every check of the case
-        monkeypatch.setattr(va, "_el_parts", lambda *a: real(*a)._replace(g=np.full(100, np.inf)))
-        rows, ok = run_verify_cases(load_bundled_manifest(), SolverConfig(), "product_unit")
+        real = va._first
+
+        def unbounded(*args):
+            first = real(*args)
+            return first._replace(gradient=first.gradient + np.inf)
+
+        monkeypatch.setattr(va, "_first", unbounded)
+        rows, ok = run_verify_cases(manifest, SolverConfig(), "product_unit")
         assert not ok and {r[3] for r in rows} == {"error: el1 residual not finite at t=0.01"}
 
     def test_deterministic_under_seed(self):

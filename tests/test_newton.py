@@ -191,6 +191,35 @@ class TestStructuredSolve:
         # b and the rows of U; b, g and the rows of U; the rows of U
         assert calls == [(3, n), (4, n), (2, n)]
 
+    def test_a_refused_try_solves_no_row(self, monkeypatch):
+        # the Levenberg ladder refuses a shift at the first pivot that is not
+        # positive, before any right-hand side or row of U is read
+        class Rows(np.ndarray):
+            def tolist(self):
+                read.append(len(self))
+                return np.asarray(self).tolist()
+
+        read, tries = [], []
+        real = so._tridiag
+
+        def spy(diag, off, B, *definite):
+            before = len(read)
+            out = real(diag, off, B.view(Rows), *definite)
+            tries.append((out is None, sum(read[before:])))
+            return out
+
+        monkeypatch.setattr(so, "_tridiag", spy)
+        rng = np.random.default_rng(29)
+        n = 40
+        diag, off = rng.uniform(-2, 2, n), rng.uniform(-1, 1, n - 1)
+        U, C = rng.standard_normal((2, n)), np.array([[0.0, 1.0], [1.0, 0.0]])
+        d, gd, shift = so._direction((diag, off, U, C), rng.standard_normal(n), 0.0)
+        assert gd < 0.0 and 0.0 < shift < np.inf
+        assert sum(refused for refused, _ in tries) >= 2 and tries[-1] == (False, 3)
+        assert all(rows == 0 for refused, rows in tries if refused)
+        # without ``definite`` the same factorization returns every pivot
+        assert min(real(diag, off, np.zeros((0, n)))[1]) < 0.0
+
     def test_pivot_signs_are_the_inertia_of_indefinite_tridiagonals(self):
         rng = np.random.default_rng(17)
         for _ in range(200):

@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 import helpers
-from helpers import dense, random_gridfn, random_integrand, random_quadratic_problem
+from helpers import (
+    count_evaluations,
+    dense,
+    random_gridfn,
+    random_integrand,
+    random_quadratic_problem,
+)
 from tsvar import cli
 from tsvar import expr as ex
 from tsvar import solver as so
@@ -1093,6 +1099,24 @@ class TestProbe:
         assert probe_extremal_type(p, GridFunction(ts, ts.points.copy()), CFG) == "local-min-indication"
         assert calls == [{}]
 
+    def test_reads_one_first_and_one_second_order_kernel_run(self, monkeypatch):
+        # the stationarity defect and J come from the record the Hessian reuses
+        ts = uniform(0, 4, 5)
+        p = VariationalProblem(ts, parse("v^2 + 0.1*y^2"), parse("exp(0.5*v) + y^2"), 0.0, None)
+        y = solve(p, CFG).trajectory
+        label, runs, n = count_evaluations(monkeypatch, lambda: probe_extremal_type(p, y, CFG))
+        assert label == "local-min-indication"
+        assert runs == [va._FIRST, va._SECOND] and n == 0
+
+    def test_raises_for_a_foreign_or_undefined_trajectory(self):
+        ts = uniform(0, 3, 4)
+        p = quad_double(ts, 0.0, 3.0)
+        with pytest.raises(ValueError, match="different time scale"):
+            probe_extremal_type(p, GridFunction(uniform(0, 3, 5), np.zeros(5)), CFG)
+        q = VariationalProblem(ts, parse("ln(y) + v^2"), parse("v^2"), 0.0, 3.0)
+        with pytest.raises(ex.DomainViolation, match="at t="):
+            probe_extremal_type(q, from_callable(ts, lambda t: t - 1.5), CFG)
+
     def test_sign_indefinite_product(self):
         # J = -J_delta^2 at the straight line, which minimizes J_delta > 0
         ts = uniform(0, 2, 3)
@@ -1166,34 +1190,12 @@ class TestReport:
 
     FIELDS = dict(converged=True, iterations=0, multistart_index=0)
 
-    @staticmethod
-    def count_evaluations(monkeypatch, fn):
-        """fn(), the slots of its kernel runs and its number of ``ex.Program``
-        runs (the fallback of a kernel run)."""
-        runs, programs = [], []
-        real_kernel, real_program = va._kernel, ex.Program.__call__
-
-        def kernel(Ld, Ln, slots):
-            run = real_kernel(Ld, Ln, slots)
-            return lambda *samples: runs.append(slots) or run(*samples)
-
-        def program(self, t, y, v):
-            programs.append(self.exprs)
-            return real_program(self, t, y, v)
-
-        monkeypatch.setattr(va, "_kernel", kernel)
-        monkeypatch.setattr(ex.Program, "__call__", program)
-        out = fn()
-        monkeypatch.setattr(va, "_kernel", real_kernel)
-        monkeypatch.setattr(ex.Program, "__call__", real_program)
-        return out, runs, len(programs)
-
     @pytest.mark.parametrize("bc_a, bc_b", [(0.0, 1.0), (None, 1.0), (0.0, None), (None, None)])
     def test_direct_report_samples_once(self, monkeypatch, bc_a, bc_b):
         ts = uniform(0, 1, 6)
         p = VariationalProblem(ts, parse("v^2 + sin(y)^2"), parse("exp(0.5*v) + y^2"), bc_a, bc_b)
         y = GridFunction(ts, np.linspace(0.1, 0.9, 6))
-        rep, runs, n = self.count_evaluations(
+        rep, runs, n = count_evaluations(
             monkeypatch, lambda: so._report(p, y, 1.0, **self.FIELDS)
         )
         assert runs == [("", "y", "v")] and n == 0  # one first-order kernel run of the pair
@@ -1206,7 +1208,7 @@ class TestReport:
     def test_consistency_report_samples_once(self, monkeypatch):
         p = quad_double(uniform(0, 1, 6), 0.0, 1.0)
         y = GridFunction(p.scale, np.array([0.0, 0.3, 0.35, 0.6, 0.8, 1.0]))
-        rep, runs, n = self.count_evaluations(monkeypatch, lambda: so._report(p, y, **self.FIELDS))
+        rep, runs, n = count_evaluations(monkeypatch, lambda: so._report(p, y, **self.FIELDS))
         assert runs == [("", "y", "v")] and n == 0
         grad = functional_gradient(p.scale, p.L_delta, p.L_nabla, y.values)[1]
         assert rep.grad_norm == float(np.max(np.abs(grad[1:-1])))
@@ -1217,7 +1219,7 @@ class TestReport:
         c = IsoperimetricConstraint(parse("t*v + y^2"), parse("1 + v^2"), 1.0)
         p = VariationalProblem(ts, parse("v^2 + sin(y)^2"), parse("exp(0.5*v) + y^2"), 0.0, bc_b, c)
         y = GridFunction(ts, np.linspace(0.0, 1.0, 6) ** 2)
-        rep, runs, n = self.count_evaluations(
+        rep, runs, n = count_evaluations(
             monkeypatch, lambda: so._report(p, y, 1.0, 1.0, -0.7, **self.FIELDS)
         )
         assert runs == [("", "y", "v")] * 2 and n == 0

@@ -3,11 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import helpers
 from helpers import quadratic_expr, random_gridfn, random_quadratic_problem, random_scale
 from tsvar import expr as ex
 from tsvar.calculus import GridFunction, cumulative_delta, cumulative_nabla, from_callable
 from tsvar.expr import DomainViolation, parse
-from tsvar.timescale import from_points, uniform
+from tsvar.timescale import from_points, h_integers, q_scale, uniform
 from tsvar.variational import (
     IsoperimetricConstraint,
     VariationalProblem,
@@ -485,6 +486,63 @@ class TestFirstVariation:
             assert first_variation(p, y, GridFunction(ts, ev)) == pytest.approx(
                 grad[j], rel=1e-12, abs=1e-12
             )
+
+
+class TestFirstOrderRecord:
+    """Every first-order quantity reduces from the node gradient of one
+    first-order record: checked against the f/g assembly of each residual
+    (``helpers.reference_first_order``) on random problems."""
+
+    EPS = float(np.finfo(float).eps)
+
+    @staticmethod
+    def random_problem(rng, kind, n, bc):
+        if kind == "uniform":
+            ts = uniform(-1.0, float(rng.uniform(0.5, 3.0)), n)
+        elif kind == "hz":
+            ts = h_integers(0.0, 0.25 * (n - 1), 0.25)
+        elif kind == "qscale":
+            ts = q_scale(float(rng.uniform(1.0005, 1.01)), -2, n - 3)
+        else:
+            ts = random_scale(rng, nmin=n, nmax=n, span=2.0)
+        Ld, Ln = helpers.random_integrand(rng), helpers.random_integrand(rng)
+        # slopes of at most 2, so no integrand overflows on a fine scale
+        y = rng.uniform(-1, 1) + np.concatenate(
+            [[0.0], np.cumsum(rng.uniform(-2, 2, n - 1) * np.diff(ts.points))])
+        return VariationalProblem(ts, Ld, Ln, *bc), GridFunction(ts, y)
+
+    @pytest.mark.parametrize("kind", ["uniform", "hz", "qscale", "explicit"])
+    def test_agrees_with_the_f_g_assembly_to_rounding(self, kind):
+        # Each of the two computations of a residual entry is a running sum
+        # of at most n terms, each term a few operations on the samples, so
+        # each is within gamma_{n+6} * scale of the exact value, gamma_m =
+        # m*u/(1 - m*u) and u = eps/2 (Higham, Accuracy and Stability of
+        # Numerical Algorithms, 3.1 and 4.2); scale sums the magnitudes of
+        # every term, and times max|eta| for the first variation.
+        rng = np.random.default_rng(2026)
+        ends = [(0.0, 1.0), (None, 1.0), (0.5, None), (None, None)]
+        for i in range(12):
+            n = 2001 if i == 0 else int(np.exp(rng.uniform(np.log(3), np.log(2001))))
+            p, y = self.random_problem(rng, kind, n, ends[i % 4])
+            ts = p.scale
+            eta = rng.uniform(-1, 1, n)
+            res, nbc_a, nbc_b, variation, scale = helpers.reference_first_order(
+                ts, p.L_delta, p.L_nabla, y.values, eta)
+            m, u = n + 6, self.EPS / 2
+            bound = 2.0 * m * u / (1.0 - m * u) * scale
+            grad = functional_gradient(ts, p.L_delta, p.L_nabla, y.values)[1]
+            r1, r2 = el_residual_1(p, y), el_residual_2(p, y)
+            assert np.array_equal(r1.residual.values, r2.residual.values)
+            assert np.max(np.abs(r2.residual.values - res)) <= bound
+            if p.bc_a is None:
+                assert natural_bc_residual_a(p, y) == -grad[0]
+                assert abs(natural_bc_residual_a(p, y) - nbc_a) <= bound
+            if p.bc_b is None:
+                assert natural_bc_residual_b(p, y) == grad[-1]
+                assert abs(natural_bc_residual_b(p, y) - nbc_b) <= bound
+            got = first_variation(p, y, GridFunction(ts, eta))
+            assert got == grad @ eta
+            assert abs(got - variation) <= bound * np.max(np.abs(eta))
 
 
 class TestReductionInvariants:
