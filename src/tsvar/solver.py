@@ -25,7 +25,10 @@ One globalisation keeps every step a descent step:
 - step expansion: a full step that was shifted, or that fell by more than
   the quadratic model predicted, is doubled while the value keeps falling,
   which ends unbounded searches (value below -1e100) quickly and crosses
-  the exp(c*v) regime, where a pure Newton step moves v by only about 1/c.
+  the exp(c*v) regime, where a pure Newton step moves v by only about 1/c;
+  it ends with one parabolic trial through its last three points, which
+  reaches the degenerate minimum of a homogeneous quartic, such as J where
+  both factors vanish, in one step.
 
 A run that has converged stops at the first step that does not lower its
 error, so it does not crawl on at a degenerate stationary point.  Trial
@@ -345,6 +348,15 @@ class _At(NamedTuple):
 _UNDEFINED = _At(np.inf, np.inf, None, None, ())
 
 
+def _vertex(alpha, f_half, f_alpha, f_double):
+    """Abscissa of the vertex of the parabola through the values f_half,
+    f_alpha and f_double at alpha/2, alpha and 2*alpha; NaN where f_double
+    is not finite.  With f_alpha below f_half and not above f_double it lies
+    in (3*alpha/4, 3*alpha/2]."""
+    a, b = f_half - f_alpha, f_double - f_alpha
+    return alpha * (1.0 + (4.0 * a - b) / (8.0 * a + 4.0 * b))
+
+
 def _newton(fun, model, w0):
     """Minimize a merit from w0 by structured Newton steps.
 
@@ -352,10 +364,13 @@ def _newton(fun, model, w0):
     undefined or not finite, and ``model(at)`` the ``_model`` form of its
     Hessian there, for ``_direction``.  Steps are globalised by Armijo
     backtracking from alpha = 1, and a full step that may be too short is
-    expanded.  Iterates until err <= 1e-3 when possible, so the error ends
-    well inside the tolerance, for at most _MAX_STEPS steps; stops once the
-    value falls below _UNBOUNDED, or once a run with err <= 1 takes a step
-    that does not lower err, which is not taken; returns (w, at, iterations).
+    expanded: doubled while the value falls and, once a doubling is taken
+    and the next one refused, tried once at the vertex of the parabola
+    through the last three points, kept if it is lower still.  Iterates
+    until err <= 1e-3 when possible, so the error ends well inside the
+    tolerance, for at most _MAX_STEPS steps; stops once the value falls
+    below _UNBOUNDED, or once a run with err <= 1 takes a step that does
+    not lower err, which is not taken; returns (w, at, iterations).
     """
     w = np.asarray(w0, dtype=float)
     with np.errstate(all="ignore"):
@@ -391,12 +406,21 @@ def _newton(fun, model, w0):
             # predicts (as in the exp(c*v) regime, where it moves v by 1/c),
             # keep doubling it while the value keeps falling.
             if alpha == 1.0 and (shift > 0.0 or f - an.f > -0.6 * gd):
+                f_half = None  # the value at alpha/2, once a doubling is taken
                 while an.f >= _UNBOUNDED and alpha < _MAX_EXPANSION:
-                    wt = w + 2.0 * alpha * d
-                    at_t = fun(wt)
+                    at_t = fun(w + 2.0 * alpha * d)
                     if not at_t.f < an.f:
+                        # alpha/2, alpha and 2*alpha bracket a minimum along
+                        # d: one trial at the vertex of the parabola through
+                        # them, exact on a homogeneous quartic, where a
+                        # Newton step goes only a third of the way to 0
+                        t = np.nan if f_half is None else _vertex(alpha, f_half, an.f, at_t.f)
+                        if 0.5 * alpha < t < 2.0 * alpha and t != alpha:
+                            at_t = fun(w + t * d)
+                            if at_t.f < an.f:
+                                alpha, an = t, at_t
                         break
-                    alpha, an = 2.0 * alpha, at_t
+                    f_half, alpha, an = an.f, 2.0 * alpha, at_t
             # Converged already and the step did not lower the error: at a
             # degenerate stationary point further steps only crawl.
             if at.err <= 1.0 and an.err >= at.err:
@@ -710,16 +734,18 @@ def solve_isoperimetric(
     same Newton core, and counts as unmet if that ends with |K - k| above
     1e-3*(1 + |k|).
 
-    A start converges when max|gradJ - lambda*gradK| <= grad_tol and |K - k|
-    is within its projection target (``_kkt``), and the converged start with
-    the lowest J is reported.  Otherwise a start within its target is on the
-    constraint, and the one with the smallest Lagrangian gradient is
-    reported, as unbounded below if it ended below -1e100; with none on it,
-    the start nearest to K = k is, and InfeasibleConstraintError is raised if
-    its |K - k| exceeds max(1e-3*(1 + |k|), its target).  Where gradK
-    vanishes on the free block at the reported point, it is an extremal of K
-    and admits only the abnormal pair (lambda0, lambda) = (0, 1), and
-    InfeasibleConstraintError is raised if |K - k| exceeds 1e-8 there.
+    A start is on the constraint when |K - k| is within its projection
+    target (``_kkt``), which grows with |y|, and within the reach
+    1e-3*(1 + |k|), or its merit fell below -1e100 within that target.  A
+    start on it converges when max|gradJ - lambda*gradK| <= grad_tol, and
+    the converged start with the lowest J is reported.  Otherwise the start
+    on it with the smallest Lagrangian gradient is reported, as unbounded
+    below if it ended below -1e100; with none on it, the start nearest to
+    K = k is, and InfeasibleConstraintError is raised if its |K - k|
+    exceeds the reach.  Where gradK vanishes on the free block at the
+    reported point, it is an extremal of K and admits only the abnormal
+    pair (lambda0, lambda) = (0, 1), and InfeasibleConstraintError is
+    raised if |K - k| exceeds 1e-8 there.
     Constrained reports hold the defects of the multiplier residual at the
     reported (lambda0, lambda) in el_defect_1/2.
     """
@@ -742,12 +768,15 @@ def solve_isoperimetric(
                 return ((2, feas, np.inf), None, None, it) if np.isfinite(feas) else None
         _, r, target, jfirst, _ = at.data
         lag_gn = float(np.abs(at.g).max())
-        if at.err <= 1.0:
-            return (0, jfirst.value), z, at, it
-        return ((1, lag_gn) if abs(r) <= target else (2, abs(r), lag_gn)), z, at, it
+        # on K = k: within the projection target, which grows with |y|
+        # (``_rounding``), and within reach, unless the merit fell below the
+        # unbounded cut-off, at a |y| where K resolves no finer than that
+        if not (abs(r) <= target and (abs(r) <= reach or at.f < _UNBOUNDED)):
+            return (2, abs(r), lag_gn), z, at, it
+        return ((0, jfirst.value) if at.err <= 1.0 else (1, lag_gn)), z, at, it
 
     cp, (rank, z, at, it), _ = _multistart(p, cfg, run)
-    if rank[0] == 2 and (at is None or rank[1] > max(reach, at.data[2])):  # None: unmet
+    if rank[0] == 2 and (at is None or rank[1] > reach):  # None: unmet
         raise InfeasibleConstraintError(
             f"constraint K(y) = {c.k!r} unmet across multistarts "
             f"(best |K - k| = {rank[1]:.3e})"

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import dense, random_integrand
+from tsvar import cli
 from tsvar import expr as ex
 from tsvar import solver as so
 from tsvar import variational as va
@@ -388,6 +389,116 @@ class TestConvergence:
         assert rep.converged
         assert peak < 64 * 2**20
         assert max(rep.el_defect_1, rep.el_defect_2) <= 1e-8
+
+
+def power_merit(k, diag, off, c=None, s=0.0):
+    """(fun, model) for ``so._newton`` on f = (w^T A w)^k + c.w + s*sum(cos w),
+    A the symmetric tridiagonal matrix (diag, off), by hand: its Hessian is
+    2k q^(k-1) A - s*diag(cos w) + k(k-1) q^(k-2) (2Aw)(2Aw)^T, q = w^T A w."""
+    c = np.zeros(len(diag)) if c is None else c
+
+    def matvec(w):
+        return diag * w + np.concatenate([off * w[1:], [0.0]]) + np.concatenate([[0.0], off * w[:-1]])
+
+    def fun(w):
+        Aw = matvec(w)
+        q = float(w @ Aw)
+        g = 2.0 * k * q ** (k - 1) * Aw + c - s * np.sin(w)
+        f = q**k + float(c @ w) + s * float(np.sum(np.cos(w)))
+        return so._At(f, float(np.abs(g).max()) / 1e-9, w, g, (q, Aw))
+
+    def model(at):
+        q, Aw = at.data
+        scale = 2.0 * k * q ** (k - 1)
+        return (scale * diag - s * np.cos(at.w), scale * off, 2.0 * Aw[None, :],
+                np.array([[k * (k - 1) * q ** (k - 2)]]))
+
+    return fun, model
+
+
+class TestStepExpansion:
+    """The step expansion ends with one trial at the vertex of the parabola
+    through its last three points.  On a homogeneous f of degree m a Newton
+    step goes 1/(m - 1) of the way to 0, and the expansion's three points
+    bracket 0 so that the vertex is 0 itself for m = 4 and m = 6."""
+
+    DIAG, OFF = np.array([2.0, 2.5, 3.0, 2.2, 1.8]), np.array([-0.7, 0.4, -0.9, 0.6])
+    W0 = np.array([0.3, -0.5, 0.8, 0.1, -0.4])
+
+    def test_quartic_reaches_zero_in_one_step(self):
+        w, at, it = so._newton(*power_merit(2, self.DIAG, self.OFF), self.W0)
+        assert it <= 2 and np.abs(w).max() <= 1e-12
+
+    @pytest.mark.parametrize("k, steps", [(3, 1), (6, 2)])
+    def test_vertex_trial_saves_steps(self, monkeypatch, k, steps):
+        # k = 6: samples at 4, 8 and 16 times the Newton step bracket the
+        # minimum at 7, and the vertex, at 6, is not exact
+        it = so._newton(*power_merit(k, self.DIAG, self.OFF), self.W0)[2]
+        monkeypatch.setattr(so, "_vertex", lambda *a: np.nan)
+        without = so._newton(*power_merit(k, self.DIAG, self.OFF), self.W0)[2]
+        assert it == steps < without
+
+    def test_vertex_not_below_the_last_doubling_is_refused(self, monkeypatch):
+        # f = -x + 1000*max(0, x - 3)^2 from 0 with model 1: the step 1 is
+        # doubled to 2 and refused at 4; the vertex through 1, 2 and 4 is at
+        # about 1.5, above f(2), so the step ends at 2
+        def fun(w):
+            x = float(w[0])
+            f, g = -x + 1000.0 * max(0.0, x - 3.0) ** 2, -1.0 + 2000.0 * max(0.0, x - 3.0)
+            return so._At(f, abs(g) / 1e-9, w, np.array([g]), ())
+
+        def model(at):
+            return np.ones(1), np.zeros(0), np.zeros((0, 1)), np.zeros((0, 0))
+
+        real, trials = so._vertex, []
+        monkeypatch.setattr(so, "_vertex", lambda *a: trials.append(real(*a)) or trials[-1])
+        monkeypatch.setattr(so, "_MAX_STEPS", 1)
+        w, at, it = so._newton(fun, model, np.zeros(1))
+        assert it == 1 and w.tolist() == [2.0] and at.f == -2.0
+        assert len(trials) == 1 and 1.0 < trials[0] < 2.0
+
+    def test_accepted_values_never_rise(self, monkeypatch):
+        # a model is built at every accepted iterate: their values, and the
+        # end's, never rise on random convex and nonconvex merits, beyond
+        # the rounding of f, where a smaller gradient also accepts a step
+        rng = np.random.default_rng(27)
+        real, trials = so._vertex, []
+        monkeypatch.setattr(so, "_vertex", lambda *a: trials.append(real(*a)) or trials[-1])
+        for _ in range(60):
+            diag = rng.uniform(1.0, 3.0, 5)
+            off = rng.uniform(-0.45, 0.45, 4) * np.sqrt(diag[1:] * diag[:-1])
+            fun, model = power_merit(rng.uniform(1.5, 6.0), diag, off, rng.normal(0.0, 0.3, 5),
+                                     rng.choice([0.0, 2.0]))
+            values = []
+            at = so._newton(fun, lambda at: values.append(at.f) or model(at),
+                            rng.uniform(-2.0, 2.0, 5))[1]
+            values.append(at.f)
+            assert all(b <= a + 1e-14 * (1.0 + abs(a)) for a, b in zip(values, values[1:]))
+        assert len(trials) >= 20, len(trials)
+
+    def test_free_endpoint_takes_one_step_per_start(self, monkeypatch):
+        # J = (sum of mu*v^2)^2: its Hessian vanishes at the minimum y = 0,
+        # where Newton alone converged linearly, 7-9 steps and 27-35
+        # evaluations per start, and stopped about 1e-4 short of 0
+        p = cli.parse_problem_file(cli._bundled_path("free_endpoint.problem"))[0]
+        runs, real_newton, real_merit = [], so._newton, so._merit
+
+        def merit(*a, **k):
+            fun, model = real_merit(*a, **k)
+            return (lambda z: runs[-1].append(z) or fun(z)), model
+
+        def newton(fun, model, z0):
+            runs.append([])
+            out = real_newton(fun, model, z0)
+            runs[-1] = (len(runs[-1]), out[2])
+            return out
+
+        monkeypatch.setattr(so, "_merit", merit)
+        monkeypatch.setattr(so, "_newton", newton)
+        rep = solve(p, SolverConfig(seed=0))
+        assert len(runs) == 8 and all(steps <= 2 for _, steps in runs)
+        assert sum(evals for evals, _ in runs) <= 45
+        assert rep.converged and float(rep.message.rsplit(": ", 1)[1]) < 1e-8
 
 
 class TestNoFloatingPointWarnings:

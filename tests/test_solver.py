@@ -698,7 +698,9 @@ class TestProportionalCubic:
 class TestIsoperimetricSolve:
     def test_feasibility_phase_hands_over_to_kkt_newton(self, monkeypatch):
         # the straight line cannot be projected onto K = k, so the start first
-        # minimizes (K - k)^2/2 and then reruns KKT Newton from where that ends
+        # minimizes (K - k)^2/2 and then reruns KKT Newton from where that ends;
+        # the feasibility phase takes 6 steps, one of them ended by the
+        # parabolic trial after the step expansion
         p = VariationalProblem(
             from_points([0.234, 0.791, 1.05]),
             parse("0.7529*v^2 + y^2 + t*v*y"), parse("0.4961*v^2 + y^2 + t*v*y"), 0.5, -0.5,
@@ -712,7 +714,7 @@ class TestIsoperimetricSolve:
         assert [np.isfinite(at.f) for _, at, _ in runs] == [False, True, True]
         assert rep.converged and rep.message == "normal extremal"
         assert abs(rep.J - 1.43823802776) <= 1e-10
-        assert rep.iterations == 7 and rep.constraint_error <= 1e-10
+        assert rep.iterations == 6 and rep.constraint_error <= 1e-10
 
     def test_converged_start_stops_at_a_degenerate_stationary_point(self, monkeypatch):
         # J = (y(b) - y(a))^2 with both endpoints free, so its minima along
@@ -813,6 +815,22 @@ class TestIsoperimetricSolve:
         assert calls and len(calls) <= 10000 and rep.iterations <= 20
         assert not rep.converged and rep.J < -1e100
         assert rep.message == "objective unbounded below along K = k; best iterate"
+
+    def test_start_diverging_along_the_constraint_is_not_on_it(self):
+        # the start runs off along K = k to y ~ -3e9, where J ~ -3.7e33 and
+        # |K - k| ~ 1e13 is within its projection target (the rounding size
+        # of K, which grows with |y|) but far beyond reach: it was reported
+        # as a best iterate on the constraint, and is now unmet (exit 3).
+        # Ending it early needs a divergence test; it still runs ~1,400 steps
+        p = VariationalProblem(
+            from_points([0.53271, 0.81186, 1.05835]),
+            parse("ln(2 + y^2) * v^2 + 0.203 * y"), parse("sqrt(1 + v^2) + 0.4425 * y^2 * v^2"),
+            None, None,
+            IsoperimetricConstraint(parse("exp(0.8826 * v) + sin(y) * v"),
+                                    parse("0.5654 * v^2 + y^2 + t * v * y"), 0.3),
+        )
+        with pytest.raises(InfeasibleConstraintError, match=r"best \|K - k\| = [0-9.]+e\+1[0-9]"):
+            solve_isoperimetric(p, SolverConfig(multistarts=1))
 
     @pytest.mark.parametrize("M", [2, 3, 4])
     @pytest.mark.parametrize("free", ["a", "b"])
