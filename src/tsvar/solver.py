@@ -36,10 +36,16 @@ points whose value or gradient is undefined (``DomainViolation``) or not
 finite are rejected steps.  Because the product of two integral
 functionals is nonconvex, every solve multistarts from seeded smooth random
 perturbations of the straight-line interpolant between the boundary values,
-drawn one at a time.  One loop, ``_multistart``, runs a method's per-start
-function from each and reports the end of lowest rank: the method's key
-(converged starts first), then the start's index.  A report's
-``iterations`` counts the Newton steps of the reported start.
+drawn a group at a time, as many as fit in _BLOCK_ELEMENTS node values.
+One loop, ``_multistart``, runs a method's per-start generator from each
+start of a group in lockstep (``_lockstep``): a Newton run yields the
+first-order records and Newton models it needs, and each round serves the
+largest group of pending requests of one kind and integrand pair with one
+kernel run on their stacked node rows.  A row gets the bits it gets alone,
+so each start ends exactly where it would alone.  The loop reports
+the end of lowest rank: the method's key (converged starts first), then
+the start's index.  A report's ``iterations`` counts the Newton steps of
+the reported start.
 
 Isoperimetric problems are solved by Newton's method on the KKT system
 gradJ - lam*gradK = 0, K = k, on the same core.  The Hessian of the
@@ -69,7 +75,8 @@ finite differences.
 ``solve_auto`` selects the method by the problem's shape (constrained,
 derivative-affine with both endpoints fixed, or otherwise direct), and every
 method's ``SolveReport`` comes from one builder, ``_report``, which takes
-one first-order record of each integrand pair at the final trajectory and
+one first-order record of each integrand pair at the final trajectory (the
+reported start's own, from its last iterate, after a Newton solve) and
 reduces J_delta, J_nabla, both residual defects and the natural boundary
 residuals from its node gradient.
 
@@ -84,6 +91,7 @@ random numbers or finite differences.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -291,6 +299,7 @@ _PROJECTION_STEPS = 8
 _FEAS_TOL = 1e-10  # projection target |K - k|, unless K rounds coarser
 _ABNORMAL_TOL = 1e-8  # |K - k| accepted at an extremal of K
 _EPS = float(np.finfo(float).eps)
+_BLOCK_ELEMENTS = 1 << 16  # node values per group of multistarts, samples per block of angles
 
 
 def _direction(model, g, shift_prev, border=None, f=0.0):
@@ -358,11 +367,13 @@ def _vertex(alpha, f_half, f_alpha, f_double):
 
 
 def _newton(fun, model, w0):
-    """Minimize a merit from w0 by structured Newton steps.
+    """Minimize a merit from w0 by structured Newton steps: a generator, run
+    by ``_lockstep``, that returns (w, at, iterations).
 
     ``fun(w)`` returns the ``_At`` of w, or ``_UNDEFINED`` where the merit is
     undefined or not finite, and ``model(at)`` the ``_model`` form of its
-    Hessian there, for ``_direction``.  Steps are globalised by Armijo
+    Hessian there, for ``_direction``; both are generators that yield the
+    kernel runs they need (see ``_Compiled``).  Steps are globalised by Armijo
     backtracking from alpha = 1, and a full step that may be too short is
     expanded: doubled while the value falls and, once a doubling is taken
     and the next one refused, tried once at the vertex of the parabola
@@ -370,68 +381,67 @@ def _newton(fun, model, w0):
     until err <= 1e-3 when possible, so the error ends well inside the
     tolerance, for at most _MAX_STEPS steps; stops once the value falls
     below _UNBOUNDED, or once a run with err <= 1 takes a step that does
-    not lower err, which is not taken; returns (w, at, iterations).
+    not lower err, which is not taken.
     """
     w = np.asarray(w0, dtype=float)
-    with np.errstate(all="ignore"):
-        at = fun(w)
-        it = 0
-        if not np.isfinite(at.f):
-            return w, at, it
-        w = at.w
-        shift = 0.0
-        while it < _MAX_STEPS and at.err > 1e-3:
-            if at.f < _UNBOUNDED:
+    at = yield from fun(w)
+    it = 0
+    if not np.isfinite(at.f):
+        return w, at, it
+    w = at.w
+    shift = 0.0
+    while it < _MAX_STEPS and at.err > 1e-3:
+        if at.f < _UNBOUNDED:
+            break
+        f = at.f
+        d, gd, shift = _direction((yield from model(at)), at.g, shift, at.border, f)
+        # Once the predicted decrease is below what f resolves in double
+        # precision, a smaller error also accepts the step: comparing
+        # values alone would stall at about |g| ~ 1e-8.
+        flat = -gd <= 1e-12 * (1.0 + abs(f))
+        alpha, accepted = 1.0, False
+        while alpha >= 1e-20:
+            wn = w + alpha * d
+            an = yield from fun(wn)
+            if an.f <= f + 1e-4 * alpha * gd or (
+                flat and np.isfinite(an.f) and an.err < at.err
+            ):
+                accepted = True
                 break
-            f = at.f
-            d, gd, shift = _direction(model(at), at.g, shift, at.border, f)
-            # Once the predicted decrease is below what f resolves in double
-            # precision, a smaller error also accepts the step: comparing
-            # values alone would stall at about |g| ~ 1e-8.
-            flat = -gd <= 1e-12 * (1.0 + abs(f))
-            alpha, accepted = 1.0, False
-            while alpha >= 1e-20:
-                wn = w + alpha * d
-                an = fun(wn)
-                if an.f <= f + 1e-4 * alpha * gd or (
-                    flat and np.isfinite(an.f) and an.err < at.err
-                ):
-                    accepted = True
+            alpha *= 0.5
+        if not accepted:
+            break
+        # A full step may be too short: when it was shifted, or when it
+        # fell by over 1.2 times the -gd/2 that the quadratic model
+        # predicts (as in the exp(c*v) regime, where it moves v by 1/c),
+        # keep doubling it while the value keeps falling.
+        if alpha == 1.0 and (shift > 0.0 or f - an.f > -0.6 * gd):
+            f_half = None  # the value at alpha/2, once a doubling is taken
+            while an.f >= _UNBOUNDED and alpha < _MAX_EXPANSION:
+                at_t = yield from fun(w + 2.0 * alpha * d)
+                if not at_t.f < an.f:
+                    # alpha/2, alpha and 2*alpha bracket a minimum along
+                    # d: one trial at the vertex of the parabola through
+                    # them, exact on a homogeneous quartic, where a
+                    # Newton step goes only a third of the way to 0
+                    t = np.nan if f_half is None else _vertex(alpha, f_half, an.f, at_t.f)
+                    if 0.5 * alpha < t < 2.0 * alpha and t != alpha:
+                        at_t = yield from fun(w + t * d)
+                        if at_t.f < an.f:
+                            alpha, an = t, at_t
                     break
-                alpha *= 0.5
-            if not accepted:
-                break
-            # A full step may be too short: when it was shifted, or when it
-            # fell by over 1.2 times the -gd/2 that the quadratic model
-            # predicts (as in the exp(c*v) regime, where it moves v by 1/c),
-            # keep doubling it while the value keeps falling.
-            if alpha == 1.0 and (shift > 0.0 or f - an.f > -0.6 * gd):
-                f_half = None  # the value at alpha/2, once a doubling is taken
-                while an.f >= _UNBOUNDED and alpha < _MAX_EXPANSION:
-                    at_t = fun(w + 2.0 * alpha * d)
-                    if not at_t.f < an.f:
-                        # alpha/2, alpha and 2*alpha bracket a minimum along
-                        # d: one trial at the vertex of the parabola through
-                        # them, exact on a homogeneous quartic, where a
-                        # Newton step goes only a third of the way to 0
-                        t = np.nan if f_half is None else _vertex(alpha, f_half, an.f, at_t.f)
-                        if 0.5 * alpha < t < 2.0 * alpha and t != alpha:
-                            at_t = fun(w + t * d)
-                            if at_t.f < an.f:
-                                alpha, an = t, at_t
-                        break
-                    f_half, alpha, an = an.f, 2.0 * alpha, at_t
-            # Converged already and the step did not lower the error: at a
-            # degenerate stationary point further steps only crawl.
-            if at.err <= 1.0 and an.err >= at.err:
-                break
-            stalled = an.f >= f - 1e-16 * (1.0 + abs(f)) and float(
-                np.abs(an.w - w).max()
-            ) <= 1e-14 * (1.0 + float(np.abs(w).max()))
-            w, at = an.w, an
-            it += 1
-            if stalled:
-                break
+                f_half, alpha, an = an.f, 2.0 * alpha, at_t
+        # Converged already and the step did not lower the error: at a
+        # degenerate stationary point further steps only crawl.
+        if at.err <= 1.0 and an.err >= at.err:
+            break
+        stalled = an.f >= f - 1e-16 * (1.0 + abs(f)) and float(
+            np.abs(an.w - w).max()
+        ) <= 1e-14 * (1.0 + float(np.abs(w).max()))
+        w, at = an.w, an
+        it += 1
+        if stalled:
+            break
     return w, at, it
 
 
@@ -449,14 +459,15 @@ def _finite(val, grad):
 
 class _Compiled:
     """A problem compiled once for the solvers: its free nodes, which always
-    form one contiguous block [lo, hi), and a work trajectory that carries
-    the fixed values.  Every trial point is evaluated through
-    ``va.functional_gradient`` and every Newton model through
-    ``va.functional_hessian``: one run each of the integrand pair's compiled
-    kernel, the second on the samples that the evaluation keeps, with
-    partials differentiated once.  Callers run them under
-    ``np.errstate(all="ignore")``, as ``_newton`` does, since a value that
-    overflows is a rejected trial point, not a warning."""
+    form one contiguous block [lo, hi), and the base trajectory y, which
+    carries the fixed values and is never written: each trial point is a
+    node row of its own (``_at``).  ``value_grad`` and ``hessian`` are steps
+    of a Newton run, generators like it: each yields one request, for the
+    first-order record of an integrand pair at a node row or for the Newton
+    model on the samples of such a record, which ``_lockstep`` serves
+    through ``va.functional_gradient`` and ``va.functional_hessian``: one
+    run of the pair's compiled kernel per round, on the stacked rows of
+    every run that asks, with partials differentiated once."""
 
     def __init__(self, p: va.VariationalProblem, base: np.ndarray):
         n = len(p.scale)
@@ -466,20 +477,19 @@ class _Compiled:
         self.y = base.copy()
 
     def trajectory(self, z) -> GridFunction:
-        y = self.y.copy()
-        y[self.lo : self.hi] = z
-        return GridFunction(self.scale, y)
+        return GridFunction(self.scale, self._at(z))
 
     def _at(self, z) -> np.ndarray:
-        self.y[self.lo : self.hi] = z
-        return self.y
+        y = self.y.copy()
+        y[self.lo : self.hi] = z
+        return y
 
     def value_grad(self, z, Ld, Ln):
         """Value, free-block gradient and ``va.ProductGradient`` of the
         product functional of (Ld, Ln) at z; (inf, None, None) where it is
         undefined or not finite."""
         try:
-            first = va.functional_gradient(self.scale, Ld, Ln, self._at(z), factors=True)
+            first = yield _gradient, self.scale, Ld, Ln, self._at(z)
         except ex.DomainViolation:
             return np.inf, None, None
         val, grad = first.value, first.gradient[self.lo : self.hi]
@@ -493,20 +503,79 @@ class _Compiled:
         whose own samples it reuses; None where it is undefined or not
         finite."""
         try:
-            H = va.functional_hessian(self.scale, Ld, Ln, first.samples[0], first)
+            H = yield _hessian, self.scale, Ld, Ln, first
         except ex.DomainViolation:
             return None
         lo, hi = self.lo, self.hi
-        H = H._replace(grad_delta=H.grad_delta[lo:hi], grad_nabla=H.grad_nabla[lo:hi],
-                       diag=H.diag[lo:hi], off=H.off[lo : hi - 1])
+        H = va.ProductHessian(H.J_delta, H.J_nabla, H.grad_delta[lo:hi], H.grad_nabla[lo:hi],
+                              H.diag[lo:hi], H.off[lo : hi - 1])
         if not (math.isfinite(H.J_delta) and math.isfinite(H.J_nabla)
                 and np.isfinite(np.concatenate(H[2:])).all()):
             return None
         return H
 
 
+def _gradient(ts, Ld, Ln, rows):
+    """A request of a Newton run: the ``va.ProductGradient`` of the pair at
+    a node row, or the list of them for a stack of rows."""
+    return va.functional_gradient(ts, Ld, Ln, rows, factors=True)
+
+
+def _hessian(ts, Ld, Ln, firsts):
+    """A request of a Newton run: the ``va.ProductHessian`` on the samples
+    of a first-order record, or the list of them for a list of records."""
+    return va.functional_hessian(ts, Ld, Ln, None, firsts)
+
+
+def _lockstep(runs) -> list:
+    """Run the generators ``runs`` side by side and return what each one
+    returns, in order.  A run yields a request (kind, scale, Ld, Ln, arg),
+    kind ``_gradient`` or ``_hessian``, and is sent kind(scale, Ld, Ln,
+    arg), or thrown the DomainViolation that it raises.  Each round groups
+    the pending requests of the live runs by kind and integrand pair and
+    serves the largest group (the first of equals) with one call of its
+    kind on the stacked args, one kernel run, which gives every row the
+    bits it gets alone (``va._pair``).  The other requests wait, so the
+    runs behind catch up and later groups are larger.  Floating-point
+    faults are ignored while the runs run, since a value that overflows is
+    a rejected trial point, not a warning; the state is set here, so no run
+    holds it across a yield."""
+    runs = list(runs)
+    ends = [None] * len(runs)
+    asks, replies = {}, [(i, None) for i in range(len(runs))]
+    with np.errstate(all="ignore"):
+        while True:
+            for i, reply in replies:
+                try:
+                    if isinstance(reply, ex.DomainViolation):
+                        asks[i] = runs[i].throw(reply)
+                    else:
+                        asks[i] = runs[i].send(reply)
+                except StopIteration as stop:
+                    ends[i] = stop.value
+            if not asks:
+                break
+            if len(asks) == 1:
+                rows = list(asks)
+            else:
+                groups: dict = {}
+                for i, (kind, ts, Ld, Ln, _) in asks.items():
+                    groups.setdefault((kind, id(ts), id(Ld), id(Ln)), []).append(i)
+                rows = max(groups.values(), key=len)
+            kind, ts, Ld, Ln, _ = asks[rows[0]]
+            if len(rows) > 1:
+                replies = list(zip(rows, kind(ts, Ld, Ln, [asks.pop(i)[4] for i in rows])))
+                continue
+            (i,) = rows  # a stack of one row is that row alone, which may raise
+            try:
+                replies = [(i, kind(ts, Ld, Ln, asks.pop(i)[4]))]
+            except ex.DomainViolation as err:
+                replies = [(i, err)]
+    return ends
+
+
 def _merit(cp: _Compiled, p: va.VariationalProblem, grad_tol: float, feasibility=False):
-    """(fun, model) for ``_newton``: J on the free block, or with
+    """(fun, model), generators for ``_newton``: J on the free block, or with
     ``feasibility`` r^2/2, r = K - k, whose gradient is r*gradK and whose
     Hessian is r*HK + gradK gradK^T.  err scales the largest gradient entry
     by grad_tol.  ``solve`` minimizes J, and ``solve_isoperimetric`` reaches
@@ -515,7 +584,7 @@ def _merit(cp: _Compiled, p: va.VariationalProblem, grad_tol: float, feasibility
     pair = (c.K_delta, c.K_nabla) if feasibility else (p.L_delta, p.L_nabla)
 
     def fun(z):
-        val, grad, first = cp.value_grad(z, *pair)
+        val, grad, first = yield from cp.value_grad(z, *pair)
         if grad is not None and feasibility:
             r = val - c.k
             val, grad = _finite(0.5 * r * r, r * grad)
@@ -524,7 +593,7 @@ def _merit(cp: _Compiled, p: va.VariationalProblem, grad_tol: float, feasibility
         return _At(val, float(np.abs(grad).max()) / grad_tol, z, grad, first)
 
     def model(at):
-        H = cp.hessian(*pair, at.data)
+        H = yield from cp.hessian(*pair, at.data)
         if H is None or not feasibility:
             return _model([(1.0, H)])
         return _model([(H.J_delta * H.J_nabla - c.k, H)], [(1.0, H.gradient)])
@@ -532,15 +601,16 @@ def _merit(cp: _Compiled, p: va.VariationalProblem, grad_tol: float, feasibility
     return fun, model
 
 
-def _rounding(first: va.ProductGradient, y: np.ndarray) -> float:
-    """Rounding size of a product functional at the nodes y: what it changes
-    by when every node moves by its own rounding, 16 * eps * sum |dK/dy_i|
-    |y_i|.  Below it, |K - k| is noise that no projection step resolves."""
-    return 16.0 * _EPS * float(np.abs(first.gradient) @ np.abs(y))
+def _rounding(first: va.ProductGradient) -> float:
+    """Rounding size of a product functional at the nodes y of its record:
+    what it changes by when every node moves by its own rounding, 16 * eps *
+    sum |dK/dy_i| |y_i|.  Below it, |K - k| is noise that no projection step
+    resolves."""
+    return 16.0 * _EPS * float(np.abs(first.gradient) @ np.abs(first.samples[0]))
 
 
 def _kkt(cp: _Compiled, p: va.VariationalProblem, grad_tol: float):
-    """(fun, model) for ``_newton`` on the KKT system gradJ - lam*gradK = 0,
+    """(fun, model), generators for ``_newton``, on the KKT system gradJ - lam*gradK = 0,
     r = K - k = 0, along the constraint.
 
     ``fun`` moves the free block z onto K = k by Gauss-Newton steps
@@ -559,11 +629,11 @@ def _kkt(cp: _Compiled, p: va.VariationalProblem, grad_tol: float):
 
     def fun(z):
         for i in range(_PROJECTION_STEPS + 1):
-            kval, kgrad, kfirst = cp.value_grad(z, Kd, Kn)
+            kval, kgrad, kfirst = yield from cp.value_grad(z, Kd, Kn)
             if kgrad is None:
                 return _UNDEFINED
             r = kval - c.k
-            feas_target = max(_FEAS_TOL, _rounding(kfirst, cp.y))
+            feas_target = max(_FEAS_TOL, _rounding(kfirst))
             # gradK negligible on the free block against all nodes: an
             # extremal of K, which no projection can move off
             vanished = np.abs(kgrad).max() <= 1e-6 * (1.0 + np.abs(kfirst.gradient).max())
@@ -572,7 +642,7 @@ def _kkt(cp: _Compiled, p: va.VariationalProblem, grad_tol: float):
             z = z - (r / float(kgrad @ kgrad)) * kgrad
         if not (abs(r) <= feas_target or vanished):
             return _UNDEFINED
-        jval, jgrad, jfirst = cp.value_grad(z, Ld, Ln)
+        jval, jgrad, jfirst = yield from cp.value_grad(z, Ld, Ln)
         if jgrad is None:
             return _UNDEFINED
         lam = 0.0 if vanished else float(jgrad @ kgrad) / float(kgrad @ kgrad)
@@ -583,7 +653,9 @@ def _kkt(cp: _Compiled, p: va.VariationalProblem, grad_tol: float):
 
     def model(at):
         lam, _, _, jfirst, kfirst = at.data
-        return _model([(1.0, cp.hessian(Ld, Ln, jfirst)), (-lam, cp.hessian(Kd, Kn, kfirst))])
+        HJ = yield from cp.hessian(Ld, Ln, jfirst)
+        HK = yield from cp.hessian(Kd, Kn, kfirst)
+        return _model([(1.0, HJ), (-lam, HK)])
 
     return fun, model
 
@@ -610,8 +682,8 @@ _START_MODES = 3
 
 
 def _starts(cp: _Compiled, p: va.VariationalProblem, cfg: SolverConfig):
-    """The multistarts of cp, one at a time: the straight-line interpolant
-    (copied first, as evaluations write into cp.y), then seeded perturbations
+    """The multistarts of cp, one at a time: the straight-line interpolant,
+    then seeded perturbations
     of it, amp * sum over k = 1..3 of u_k/k^2 * sin(freq_k*s + phase) with u_k
     uniform on [-1, 1] and s = (t - a)/(b - a); freq_k <= k*pi and the phase
     make each mode vanish at the fixed endpoints.  Their slopes are at most
@@ -632,32 +704,39 @@ def _starts(cp: _Compiled, p: va.VariationalProblem, cfg: SolverConfig):
 
 def _multistart(p: va.VariationalProblem, cfg: SolverConfig, run):
     """The one multistart loop: ``run(cp, z0)``, a method's per-start
-    function on the compiled problem cp, returns the end (key, z, at, it) of
-    its Newton runs from z0, or None where its merit is undefined.  A start's
-    rank is its key and then its index; a key that begins with 0 marks a
-    converged start.  Returns cp, the end of lowest rank as (rank, z, at, it)
-    and the free blocks of the converged starts by index (no other block)."""
+    generator on the compiled problem cp, returns the end (key, z, at, it)
+    of its Newton runs from z0, or None where its merit is undefined.  The
+    starts are drawn a group at a time, as many as fit in _BLOCK_ELEMENTS
+    node values (at least one), and each group runs in ``_lockstep``.  A
+    start's rank is its key and then its index; a key that begins with 0
+    marks a converged start.  Returns cp, the end of lowest rank as (rank,
+    z, at, it) and the free blocks of the converged starts by index (no
+    other block)."""
     cp = _Compiled(p, _base_trajectory(p))
     best, converged = None, {}
-    for s, z0 in enumerate(_starts(cp, p, cfg)):
-        end = run(cp, z0)
-        if end is None:
-            continue
-        key, z, at, it = end
-        if key[0] == 0:
-            converged[s] = z
-        if best is None or (*key, s) < best[0]:
-            best = (*key, s), z, at, it
+    starts, group = _starts(cp, p, cfg), max(1, _BLOCK_ELEMENTS // len(p.scale))
+    for first in range(0, cfg.multistarts, group):
+        ends = _lockstep(run(cp, z0) for z0 in itertools.islice(starts, group))
+        for s, end in enumerate(ends, first):
+            if end is None:
+                continue
+            key, z, at, it = end
+            if key[0] == 0:
+                converged[s] = z
+            if best is None or (*key, s) < best[0]:
+                best = (*key, s), z, at, it
     if best is None:
         raise ex.DomainViolation("objective undefined at every multistart")
     return cp, best, converged
 
 
 def _report(p: va.VariationalProblem, y: GridFunction, grad_norm: float | None = None,
-            lambda0: float | None = None, lam: float | None = None, **fields) -> SolveReport:
+            lambda0: float | None = None, lam: float | None = None, records: tuple = (),
+            **fields) -> SolveReport:
     """The report of a solve that ended at y, from one first-order record
-    (``va.ProductGradient``) of each integrand pair: the L pair, and the K
-    pair for a constrained report, whose defects and natural boundary
+    (``va.ProductGradient``) of each integrand pair, the solve's own
+    ``records`` at y where it has them and otherwise sampled here: the L
+    pair, and the K pair for a constrained report, whose defects and natural boundary
     residuals are those of the node gradient lambda0*gradJ - lam*gradK,
     combined as ``va.iso_residual`` combines it.  Both residual forms are
     one array on two domains, the negated running sum of that gradient, so
@@ -668,10 +747,11 @@ def _report(p: va.VariationalProblem, y: GridFunction, grad_norm: float | None =
     a free endpoint; ``fields`` are the solve's own (converged, iterations,
     ...)."""
     ts, c = p.scale, p.constraint
-    L = va._first(ts, p.L_delta, p.L_nabla, y.values)
+    L = records[0] if records else va._first(ts, p.L_delta, p.L_nabla, y.values)
     g = L.gradient
     if lambda0 is not None:
-        g = lambda0 * g - lam * va._first(ts, c.K_delta, c.K_nabla, y.values).gradient
+        K = records[1] if records else va._first(ts, c.K_delta, c.K_nabla, y.values)
+        g = lambda0 * g - lam * K.gradient
     defect = va._stats(va._el_residual(g))[1]
     if grad_norm is None:
         grad_norm = float(np.max(np.abs(L.gradient[1:-1]), initial=0.0))
@@ -701,7 +781,7 @@ def solve(p: va.VariationalProblem, cfg: SolverConfig = SolverConfig()) -> Solve
         raise ValueError("problem is constrained; use solve_isoperimetric")
 
     def run(cp, z0):
-        z, at, it = _newton(*_merit(cp, p, cfg.grad_tol), z0)
+        z, at, it = yield from _newton(*_merit(cp, p, cfg.grad_tol), z0)
         if not np.isfinite(at.f):
             return None
         gn = float(np.abs(at.g).max(initial=0.0))
@@ -717,8 +797,8 @@ def solve(p: va.VariationalProblem, cfg: SolverConfig = SolverConfig()) -> Solve
             f"; weak-norm spread across {len(converged)} converged starts: {spread:.3g}"
         )
     gn = float(np.abs(at.g).max(initial=0.0))
-    return _report(p, traj, gn, converged=tier == 0, iterations=it, multistart_index=s,
-                   message=message)
+    return _report(p, traj, gn, records=(at.data,), converged=tier == 0, iterations=it,
+                   multistart_index=s, message=message)
 
 
 # ---------------------------------------------------------------------------
@@ -754,15 +834,15 @@ def solve_isoperimetric(
 
     def run(cp, z0):
         kkt = _kkt(cp, p, cfg.grad_tol)
-        z, at, it = _newton(*kkt, z0)
+        z, at, it = yield from _newton(*kkt, z0)
         if not np.isfinite(at.f):
-            z, feas_at, it = _newton(*_merit(cp, p, cfg.grad_tol, feasibility=True), z0)
+            z, feas_at, it = yield from _newton(*_merit(cp, p, cfg.grad_tol, feasibility=True), z0)
             feas = np.sqrt(2.0 * feas_at.f)
             # A feasibility phase that ends beyond reach stopped at, or near, a
             # nonzero minimum of (K - k)^2/2, where gradK vanishes: KKT Newton
             # from there can only crawl, so the start is recorded as unmet.
             if feas <= reach:
-                z, at, kkt_it = _newton(*kkt, z)
+                z, at, kkt_it = yield from _newton(*kkt, z)
                 it += kkt_it
             if not np.isfinite(at.f):  # unmet: after the other starts as near to K = k
                 return ((2, feas, np.inf), None, None, it) if np.isfinite(feas) else None
@@ -792,9 +872,9 @@ def solve_isoperimetric(
     else:
         lambda0, lam, conv = 1.0, at.data[0], rank[0] == 0
         message = "normal extremal" if conv else _stopped(at.f, " along K = k")
-    return _report(p, cp.trajectory(z), float(np.abs(at.g).max()), lambda0, lam, converged=conv,
-                   iterations=it, multistart_index=rank[-1], constraint_error=feas,
-                   message=message)
+    return _report(p, cp.trajectory(z), float(np.abs(at.g).max()), lambda0, lam,
+                   records=at.data[3:], converged=conv, iterations=it,
+                   multistart_index=rank[-1], constraint_error=feas, message=message)
 
 
 def solve_auto(
@@ -835,7 +915,6 @@ def is_affine_class(p: va.VariationalProblem) -> bool:
 
 
 _THETA_POINTS = 512  # nodes of the scan grid over [0, pi]
-_BLOCK_ELEMENTS = 1 << 16  # trajectory samples per block of angles
 _LOOKAHEAD_SAMPLES = 1 << 10  # trajectory samples per call of G in a search
 _MIN_WIDTH = 1e-10  # a minimum's bracket is refined until narrower than this
 
@@ -1285,8 +1364,7 @@ def probe_extremal_type(
     cp = _Compiled(p, y.values)
     model = _merit(cp, p, cfg.grad_tol)[1]
     val, grad = _finite(first.value, first.gradient[cp.lo : cp.hi])
-    with np.errstate(all="ignore"):
-        H = None if grad is None else model(_At(val, 0.0, None, grad, first))
+    H = None if grad is None else _lockstep([model(_At(val, 0.0, None, grad, first))])[0]
     counts = None if H is None else _inertia(*H)
     if counts is None:
         return "inconclusive"

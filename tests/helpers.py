@@ -2,11 +2,13 @@
 dense matrix of a solver model, a reference walker for expressions,
 one-step reference searches for the consistency scan, the per-side
 assembly of the product functional's gradient and Hessian, the f/g
-assembly of its first-order residuals, and a counter of kernel runs."""
+assembly of its first-order residuals, a counter of kernel runs, and a
+runner of one solver generator."""
 
 import numpy as np
 
 from tsvar import expr as ex
+from tsvar import solver as so
 from tsvar import timescale as tsc
 from tsvar import variational as va
 from tsvar.calculus import GridFunction
@@ -316,3 +318,9 @@ def count_evaluations(monkeypatch, fn):
     monkeypatch.setattr(va, "_kernel", real_kernel)
     monkeypatch.setattr(ex.Program, "__call__", real_program)
     return out, runs, len(programs)
+
+
+def run_alone(gen):
+    """What a solver generator (a Newton run, a merit's ``fun`` or ``model``,
+    or a ``_Compiled`` step) returns, run on its own by ``so._lockstep``."""
+    return so._lockstep([gen])[0]

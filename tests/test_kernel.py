@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import helpers
-from helpers import random_integrand
+from helpers import random_integrand, run_alone
 from tsvar import expr as ex
 from tsvar import solver as so
 from tsvar import timescale as tsc
@@ -80,9 +80,9 @@ def test_kernel_is_the_per_side_assembly_on_random_problems():
         # the free block of every endpoint kind, as the solver evaluates it
         bc_a, bc_b = (None, 0.5, None, 0.5)[i % 4], (None, None, -0.5, -0.5)[i % 4]
         cp = so._Compiled(VariationalProblem(ts, Ld, Ln, bc_a, bc_b), y)
-        val, grad, got = cp.value_grad(y[cp.lo : cp.hi], Ld, Ln)
+        val, grad, got = run_alone(cp.value_grad(y[cp.lo : cp.hi], Ld, Ln))
         assert val == first.value and same_bits(grad, first.gradient[cp.lo : cp.hi])
-        H = cp.hessian(Ld, Ln, got)
+        H = run_alone(cp.hessian(Ld, Ln, got))
         lo, hi = cp.lo, cp.hi
         want = functional_hessian(ts, Ld, Ln, y)
         assert same_bits(H.diag, want.diag[lo:hi]) and same_bits(H.off, want.off[lo : hi - 1])
@@ -143,11 +143,79 @@ def test_the_model_uses_the_samples_of_its_evaluation():
                            parse("exp(0.5*v) + y^2*v"), 0.0, None)
     cp = so._Compiled(p, so._base_trajectory(p))
     z1 = np.linspace(0.2, 0.9, 8)
-    first = cp.value_grad(z1, p.L_delta, p.L_nabla)[2]
+    first = run_alone(cp.value_grad(z1, p.L_delta, p.L_nabla))[2]
     for step in (0.5, 0.25, 0.125):
-        cp.value_grad(z1 + step, p.L_delta, p.L_nabla)
-    H = cp.hessian(p.L_delta, p.L_nabla, first)
+        run_alone(cp.value_grad(z1 + step, p.L_delta, p.L_nabla))
+    H = run_alone(cp.hessian(p.L_delta, p.L_nabla, first))
     fresh = so._Compiled(p, so._base_trajectory(p))
-    want = fresh.hessian(p.L_delta, p.L_nabla, fresh.value_grad(z1, p.L_delta, p.L_nabla)[2])
+    want = run_alone(fresh.hessian(p.L_delta, p.L_nabla,
+                                   run_alone(fresh.value_grad(z1, p.L_delta, p.L_nabla))[2]))
     for a, b in zip(H, want):
         assert same_bits(a, b)
+
+
+def assert_same_outcome(got, want):
+    """Two outcomes of ``va._first`` or ``va.functional_hessian``, bit for
+    bit: the same factors and arrays, or the same DomainViolation."""
+    if isinstance(want, ex.DomainViolation):
+        assert isinstance(got, ex.DomainViolation)
+        assert (got.reason, got.offset, got.index) == (want.reason, want.offset, want.index)
+        return
+    assert type(got) is type(want)
+    assert (got.J_delta, got.J_nabla) == (want.J_delta, want.J_nabla)
+    assert all(same_bits(a, b) for a, b in zip(got[2:], want[2:]) if not isinstance(a, tuple))
+    if isinstance(want, va.ProductGradient):
+        assert got.clean == want.clean
+        assert all(same_bits(a, b) for a, b in zip(got.samples, want.samples) if b is not None)
+
+
+def alone(fn):
+    """fn(), or the DomainViolation it raises."""
+    try:
+        return fn()
+    except ex.DomainViolation as err:
+        return err
+
+
+# (template, how the faulting row is made from a good one): ln and sqrt of
+# a negative number, exp overflowing, and a second partial undefined at 0
+STACK_FAULTS = (
+    ("ln(y) + {c}*v^2", lambda ts, y: np.r_[y[:-2], -0.5, y[-1:]]),
+    ("sqrt(v) + y^2", lambda ts, y: np.r_[y[:1], y[0] - 0.3, y[2:]]),
+    ("exp({c}*v*800) + y^2", lambda ts, y: np.r_[y[:1], y[0] + 3.0, y[2:]]),
+    ("y^1.5 + {c}*v^2", lambda ts, y: np.r_[y[:-1], 0.0]),
+)
+
+
+def test_a_stack_gives_every_row_its_own_outcome():
+    # a stack of 1-8 rows is one kernel run whose rows are bit for bit the
+    # one-row calls; a row that faults, first, in the middle or last, sends
+    # the stack through one-row runs, and the other rows do not notice
+    rng = np.random.default_rng(2828)
+    faulted = 0
+    for i in range(96):
+        ts = random_kind_scale(rng, KINDS[i % 4])
+        template, bad_row = STACK_FAULTS[i % len(STACK_FAULTS)]
+        bad = parse(template.format(c=f"{rng.uniform(0.2, 0.9):.4f}"))
+        Ld, Ln = random_integrand(rng), random_integrand(rng)
+        if i % 3:
+            Ld, Ln = (bad, Ln) if i % 2 else (Ld, bad)
+        m = int(rng.integers(1, 9))
+        Y = rng.uniform(0.1, 1.5, (m, len(ts)))
+        if i % 3 and m > 1:
+            at = (0, m // 2, m - 1)[(i // 3) % 3]
+            Y[at] = bad_row(ts, Y[at])
+        with np.errstate(all="ignore"):  # an overflowing sum is inf, not a warning
+            firsts = va._first(ts, Ld, Ln, Y)
+            assert len(firsts) == m
+            for row, got in zip(Y, firsts):
+                assert_same_outcome(got, alone(lambda: va._first(ts, Ld, Ln, row)))
+            records = [f for f in firsts if isinstance(f, va.ProductGradient)]
+            faulted += len(records) < m
+            if not records:
+                continue
+            hessians = functional_hessian(ts, Ld, Ln, None, records)
+            assert len(hessians) == len(records)
+            for first, got in zip(records, hessians):
+                assert_same_outcome(got, alone(lambda: functional_hessian(ts, Ld, Ln, None, first)))
+    assert faulted >= 20

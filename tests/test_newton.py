@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import dense, random_integrand
+from helpers import dense, random_integrand, run_alone
 from tsvar import cli
 from tsvar import expr as ex
 from tsvar import solver as so
@@ -70,20 +70,20 @@ class TestExactHessian:
             merits = [(z, *so._merit(cp, p, cfg.grad_tol)),
                       (z, *so._merit(cp, p, cfg.grad_tol, feasibility=True))]
             kkt_fun, kkt_model = so._kkt(cp, p, cfg.grad_tol)
-            kkt = kkt_fun(z)
+            kkt = run_alone(kkt_fun(z))
             if np.isfinite(kkt.f):
                 lam = kkt.data[0]
 
                 def lagrangian(zz, lam=lam):
-                    gj, gk = (cp.value_grad(zz, *pair)[1] for pair in
-                              ((p.L_delta, p.L_nabla), (c.K_delta, c.K_nabla)))
+                    gj = (yield from cp.value_grad(zz, p.L_delta, p.L_nabla))[1]
+                    gk = (yield from cp.value_grad(zz, c.K_delta, c.K_nabla))[1]
                     return so._At(0.0, 0.0, zz, gj - lam * gk, ())
 
                 merits.append((kkt.w, lagrangian, lambda _, kkt=kkt: kkt_model(kkt)))
                 lagrangians += 1
             for zc, fun, model in merits:
-                H = dense(model(fun(zc)))
-                fd = fd_hessian_times(lambda zz: fun(zz).g, zc, x)
+                H = dense(run_alone(model(run_alone(fun(zc)))))
+                fd = fd_hessian_times(lambda zz: run_alone(fun(zz)).g, zc, x)
                 assert np.max(np.abs(H @ x - fd)) <= 1e-6 * (1.0 + np.max(np.abs(fd)))
         assert lagrangians >= 6
 
@@ -108,7 +108,7 @@ class TestExactHessian:
                                parse("exp(0.5*v) + y^2"), 0.0, 1.0)
         cp = so._Compiled(p, so._base_trajectory(p))
         fun, model = so._merit(cp, p, 1e-9)
-        at = fun(np.linspace(0.2, 0.8, 7))
+        at = run_alone(fun(np.linspace(0.2, 0.8, 7)))
         runs, programs = [], []
         real_kernel, real_program = va._kernel, ex.Program.__call__
 
@@ -122,7 +122,7 @@ class TestExactHessian:
 
         monkeypatch.setattr(va, "_kernel", kernel)
         monkeypatch.setattr(ex.Program, "__call__", program)
-        model(at)
+        run_alone(model(at))
         assert runs == [("yy", "yv", "vv")] and programs == []
         runs.clear()
         functional_hessian(p.scale, p.L_delta, p.L_nabla, cp.y)
@@ -406,12 +406,14 @@ def power_merit(k, diag, off, c=None, s=0.0):
         g = 2.0 * k * q ** (k - 1) * Aw + c - s * np.sin(w)
         f = q**k + float(c @ w) + s * float(np.sum(np.cos(w)))
         return so._At(f, float(np.abs(g).max()) / 1e-9, w, g, (q, Aw))
+        yield  # a generator, as ``so._newton`` runs it, that needs no kernel run
 
     def model(at):
         q, Aw = at.data
         scale = 2.0 * k * q ** (k - 1)
         return (scale * diag - s * np.cos(at.w), scale * off, 2.0 * Aw[None, :],
                 np.array([[k * (k - 1) * q ** (k - 2)]]))
+        yield
 
     return fun, model
 
@@ -426,16 +428,16 @@ class TestStepExpansion:
     W0 = np.array([0.3, -0.5, 0.8, 0.1, -0.4])
 
     def test_quartic_reaches_zero_in_one_step(self):
-        w, at, it = so._newton(*power_merit(2, self.DIAG, self.OFF), self.W0)
+        w, at, it = run_alone(so._newton(*power_merit(2, self.DIAG, self.OFF), self.W0))
         assert it <= 2 and np.abs(w).max() <= 1e-12
 
     @pytest.mark.parametrize("k, steps", [(3, 1), (6, 2)])
     def test_vertex_trial_saves_steps(self, monkeypatch, k, steps):
         # k = 6: samples at 4, 8 and 16 times the Newton step bracket the
         # minimum at 7, and the vertex, at 6, is not exact
-        it = so._newton(*power_merit(k, self.DIAG, self.OFF), self.W0)[2]
+        it = run_alone(so._newton(*power_merit(k, self.DIAG, self.OFF), self.W0))[2]
         monkeypatch.setattr(so, "_vertex", lambda *a: np.nan)
-        without = so._newton(*power_merit(k, self.DIAG, self.OFF), self.W0)[2]
+        without = run_alone(so._newton(*power_merit(k, self.DIAG, self.OFF), self.W0))[2]
         assert it == steps < without
 
     def test_vertex_not_below_the_last_doubling_is_refused(self, monkeypatch):
@@ -446,14 +448,16 @@ class TestStepExpansion:
             x = float(w[0])
             f, g = -x + 1000.0 * max(0.0, x - 3.0) ** 2, -1.0 + 2000.0 * max(0.0, x - 3.0)
             return so._At(f, abs(g) / 1e-9, w, np.array([g]), ())
+            yield  # no kernel run
 
         def model(at):
             return np.ones(1), np.zeros(0), np.zeros((0, 1)), np.zeros((0, 0))
+            yield
 
         real, trials = so._vertex, []
         monkeypatch.setattr(so, "_vertex", lambda *a: trials.append(real(*a)) or trials[-1])
         monkeypatch.setattr(so, "_MAX_STEPS", 1)
-        w, at, it = so._newton(fun, model, np.zeros(1))
+        w, at, it = run_alone(so._newton(fun, model, np.zeros(1)))
         assert it == 1 and w.tolist() == [2.0] and at.f == -2.0
         assert len(trials) == 1 and 1.0 < trials[0] < 2.0
 
@@ -470,8 +474,8 @@ class TestStepExpansion:
             fun, model = power_merit(rng.uniform(1.5, 6.0), diag, off, rng.normal(0.0, 0.3, 5),
                                      rng.choice([0.0, 2.0]))
             values = []
-            at = so._newton(fun, lambda at: values.append(at.f) or model(at),
-                            rng.uniform(-2.0, 2.0, 5))[1]
+            at = run_alone(so._newton(fun, lambda at: values.append(at.f) or model(at),
+                                      rng.uniform(-2.0, 2.0, 5)))[1]
             values.append(at.f)
             assert all(b <= a + 1e-14 * (1.0 + abs(a)) for a, b in zip(values, values[1:]))
         assert len(trials) >= 20, len(trials)
@@ -481,19 +485,14 @@ class TestStepExpansion:
         # where Newton alone converged linearly, 7-9 steps and 27-35
         # evaluations per start, and stopped about 1e-4 short of 0
         p = cli.parse_problem_file(cli._bundled_path("free_endpoint.problem"))[0]
-        runs, real_newton, real_merit = [], so._newton, so._merit
-
-        def merit(*a, **k):
-            fun, model = real_merit(*a, **k)
-            return (lambda z: runs[-1].append(z) or fun(z)), model
+        runs, real_newton = [], so._newton
 
         def newton(fun, model, z0):
-            runs.append([])
-            out = real_newton(fun, model, z0)
-            runs[-1] = (len(runs[-1]), out[2])
+            evals = []
+            out = yield from real_newton(lambda z: evals.append(z) or fun(z), model, z0)
+            runs.append((len(evals), out[2]))
             return out
 
-        monkeypatch.setattr(so, "_merit", merit)
         monkeypatch.setattr(so, "_newton", newton)
         rep = solve(p, SolverConfig(seed=0))
         assert len(runs) == 8 and all(steps <= 2 for _, steps in runs)

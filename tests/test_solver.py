@@ -4,7 +4,6 @@ import time
 import weakref
 from fractions import Fraction
 from importlib import resources
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from helpers import (
     random_gridfn,
     random_integrand,
     random_quadratic_problem,
+    run_alone,
 )
 from tsvar import cli
 from tsvar import expr as ex
@@ -709,7 +709,12 @@ class TestIsoperimetricSolve:
         )
         runs = []
         real = so._newton
-        monkeypatch.setattr(so, "_newton", lambda *a: runs.append(real(*a)) or runs[-1])
+
+        def newton(*a):
+            runs.append((yield from real(*a)))
+            return runs[-1]
+
+        monkeypatch.setattr(so, "_newton", newton)
         rep = solve_isoperimetric(p, SolverConfig(multistarts=1))
         assert [np.isfinite(at.f) for _, at, _ in runs] == [False, True, True]
         assert rep.converged and rep.message == "normal extremal"
@@ -726,8 +731,13 @@ class TestIsoperimetricSolve:
         )
         runs = []
         real = so._newton
+
+        def newton(*a):
+            runs.append((yield from real(*a)))
+            return runs[-1]
+
         monkeypatch.setattr(so, "_MAX_STEPS", 200)
-        monkeypatch.setattr(so, "_newton", lambda *a: runs.append(real(*a)) or runs[-1])
+        monkeypatch.setattr(so, "_newton", newton)
         rep = solve_isoperimetric(p, SolverConfig())
         assert rep.converged and len(runs) >= 8
         assert max(it for _, _, it in runs) < 200
@@ -853,9 +863,11 @@ class TestIsoperimetricSolve:
             s = len(seen)
             seen.append(s)
             r, gn = ends[s]
-            first = so._Compiled(p, so._base_trajectory(p)).value_grad(z0, p.L_delta, p.L_nabla)[2]
+            cp = so._Compiled(p, so._base_trajectory(p))
+            first = (yield from cp.value_grad(z0, p.L_delta, p.L_nabla))[2]
+            kfirst = (yield from cp.value_grad(z0, p.constraint.K_delta, p.constraint.K_nabla))[2]
             g = np.full(z0.size, gn)
-            at = so._At(first.value, 1e3, z0, g, (-26.0, r, 1e-10, first, None), (g, r))
+            at = so._At(first.value, 1e3, z0, g, (-26.0, r, 1e-10, first, kfirst), (g, r))
             return z0, at, 7
 
         seen = []
@@ -921,15 +933,22 @@ class TestStarts:
         assert len({float(z[0]) for z in starts}) == 16
 
 
+def record(J):
+    """A first-order record with value J and a zero gradient on the 4 nodes
+    of the problems that the scripted ends below are reported on."""
+    zero = np.zeros(4)
+    return va.ProductGradient(J, 1.0, zero, zero, zero, (zero, None))
+
+
 def direct_end(f, err, gn):
     """A scripted end of a Newton run on J."""
-    return so._At(f, err, None, np.array([gn]), ())
+    return so._At(f, err, None, np.array([gn]), record(f))
 
 
 def kkt_end(J, err, r, gn, target=1e-10, abnormal=False):
     """A scripted end of a KKT Newton run: J the objective, r = K - k."""
     g = np.array([gn])
-    return so._At(J, err, None, g, (-26.0, r, target, SimpleNamespace(value=J), None),
+    return so._At(J, err, None, g, (-26.0, r, target, record(J), record(0.0)),
                   None if abnormal else (g, r))
 
 
@@ -1012,7 +1031,12 @@ class TestMultistart:
         in order, each at the point the run started from, after 7 steps;
         returns the ends not yet used."""
         queue = [end for ends in starts for end in ends]
-        monkeypatch.setattr(so, "_newton", lambda fun, model, z0: (z0, queue.pop(0), 7))
+
+        def newton(fun, model, z0):
+            return z0, queue.pop(0), 7
+            yield  # a generator, as ``_multistart`` runs it, that needs no kernel run
+
+        monkeypatch.setattr(so, "_newton", newton)
         return queue
 
     @pytest.mark.parametrize("method", ["direct", "constrained"])
@@ -1036,7 +1060,11 @@ class TestMultistart:
 
     @pytest.mark.parametrize("name", ["free_endpoint", "iso_M3"])
     def test_undefined_at_every_start_exits_67(self, monkeypatch, tmp_path, name):
-        monkeypatch.setattr(so, "_newton", lambda fun, model, z0: (z0, so._UNDEFINED, 0))
+        def newton(fun, model, z0):
+            return z0, so._UNDEFINED, 0
+            yield
+
+        monkeypatch.setattr(so, "_newton", newton)
         path = cli._bundled_path(f"{name}.problem")
         assert cli.main(["solve", "--problem", str(path), "--out", str(tmp_path)]) == 67
 
@@ -1066,6 +1094,7 @@ class TestMultistart:
             s = len(refs)
             refs.append(weakref.ref(z0))
             return ((0, -s) if s % 2 else (1, s)), z0, None, s
+            yield  # a generator, as ``_multistart`` runs it, that needs no kernel run
 
         _, best, converged = so._multistart(p, SolverConfig(multistarts=6), run)
         gc.collect()
@@ -1075,13 +1104,70 @@ class TestMultistart:
         assert [ref() is None for ref in refs] == [True, False, True, False, True, False]
 
 
+def kernel_rows(monkeypatch, fn):
+    """fn() and the number of node rows of each of its kernel runs."""
+    rows, real = [], va._kernel
+
+    def kernel(Ld, Ln, slots):
+        run = real(Ld, Ln, slots)
+        return lambda *samples: rows.append(len(np.atleast_2d(samples[1]))) or run(*samples)
+
+    monkeypatch.setattr(va, "_kernel", kernel)
+    out = fn()
+    monkeypatch.setattr(va, "_kernel", real)
+    return out, rows
+
+
+def same_report(a, b):
+    """Two SolveReports field by field, the trajectory bit for bit."""
+    assert a.trajectory.values.tobytes() == b.trajectory.values.tobytes()
+    for field in dataclasses.fields(a):
+        if field.name != "trajectory":
+            assert getattr(a, field.name) == getattr(b, field.name), field.name
+
+
+class TestLockstep:
+    """The starts of a group run in lockstep: each round serves the largest
+    group of pending requests of one kind and integrand pair with one
+    kernel run on their stacked node rows."""
+
+    @pytest.mark.parametrize("case, most", [("iso_M4", 40), ("iso_M3", 26), ("free_endpoint", 8)])
+    def test_verify_case_kernel_runs(self, monkeypatch, case, most):
+        # one start at a time took 155, 129 and 46 kernel runs
+        manifest = cli.load_bundled_manifest()
+        (rows, ok), runs, n = count_evaluations(
+            monkeypatch, lambda: cli.run_verify_cases(manifest, SolverConfig(seed=0), case))
+        assert ok and len(runs) <= most and n == 0
+
+    def test_a_smaller_group_ends_every_start_where_it_did(self, monkeypatch):
+        # at most max(1, 2**16 // n) starts are in flight; shrinking the
+        # block to 3 rows' worth changes which rows share a kernel run, not
+        # one bit of the report
+        p = VariationalProblem(uniform(0, 1, 9), parse("v^2 + sin(y)^2"),
+                               parse("exp(0.5*v) + y^2"), 0.0, None)
+        rep, rows = kernel_rows(monkeypatch, lambda: solve(p, SolverConfig(multistarts=8)))
+        assert 1 < max(rows) <= min(8, 2**16 // 9)
+        monkeypatch.setattr(so, "_BLOCK_ELEMENTS", 3 * 9)
+        small, rows = kernel_rows(monkeypatch, lambda: solve(p, SolverConfig(multistarts=8)))
+        assert max(rows) == 3
+        same_report(small, rep)
+
+    def test_from_65536_points_one_start_at_a_time(self, monkeypatch):
+        # the straight line is the minimum, so start 0 takes no step
+        n = 2**16 + 5
+        p = quad_double(uniform(0, 1, n), 0.0, 1.0)
+        rep, rows = kernel_rows(monkeypatch, lambda: solve(p, SolverConfig(multistarts=2)))
+        assert rep.converged and rep.iterations == 0
+        assert len(rows) > 2 and set(rows) == {1}
+
+
 def dense_hessian(p, y):
     """The exact Hessian of J on the free block as a dense matrix, from the
     ``_model`` form that Newton factorizes."""
     cp = so._Compiled(p, y.values)
     z = cp.y[cp.lo : cp.hi].copy()
-    first = cp.value_grad(z, p.L_delta, p.L_nabla)[2]
-    return dense(so._model([(1.0, cp.hessian(p.L_delta, p.L_nabla, first))]))
+    first = run_alone(cp.value_grad(z, p.L_delta, p.L_nabla))[2]
+    return dense(so._model([(1.0, run_alone(cp.hessian(p.L_delta, p.L_nabla, first)))]))
 
 
 class TestProbe:
@@ -1263,6 +1349,28 @@ class TestReport:
             nbc = getattr(va, f"natural_bc_residual_{end}")
             want = lambda0 * nbc(p, y) - lam * nbc(pk, y)
             assert want != 0.0 and got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_a_solve_reports_from_its_own_records(self, monkeypatch, constrained):
+        # the report reads the first-order records of the reported start's
+        # last iterate: no kernel run, and the report of sampling it afresh
+        ts = uniform(0, 1, 6)
+        c = IsoperimetricConstraint(parse("t*v + y^2"), parse("1 + v^2"), 1.0)
+        p = VariationalProblem(ts, parse("v^2 + sin(y)^2"), parse("exp(0.5*v) + y^2"), 0.0,
+                               None, c if constrained else None)
+        calls, real = [], so._report
+
+        def report(*a, **k):
+            rep, runs, n = count_evaluations(monkeypatch, lambda: real(*a, **k))
+            calls.append((rep, runs, n, a, k))
+            return rep
+
+        monkeypatch.setattr(so, "_report", report)
+        (solve_isoperimetric if constrained else solve)(p, SolverConfig(multistarts=4))
+        ((rep, runs, n, a, k),) = calls
+        assert len(k.pop("records")) == 1 + constrained
+        assert runs == [] and n == 0
+        same_report(rep, real(*a, **k))
 
     def test_solve_auto_selects_the_method(self):
         ts = uniform(0, 2, 3)
