@@ -40,12 +40,13 @@ drawn a group at a time, as many as fit in _BLOCK_ELEMENTS node values.
 One loop, ``_multistart``, runs a method's per-start generator from each
 start of a group in lockstep (``_lockstep``): a Newton run yields the
 first-order records and Newton models it needs, and each round serves the
-largest group of pending requests of one kind and integrand pair with one
-kernel run on their stacked node rows.  A row gets the bits it gets alone,
-so each start ends exactly where it would alone.  The loop reports
-the end of lowest rank: the method's key (converged starts first), then
-the start's index.  A report's ``iterations`` counts the Newton steps of
-the reported start.
+largest group of pending requests of one kind and integrand pair, even a
+group of one, with one kernel run on their stacked node rows, and sends
+each run its row's outcome, which is what the row gets alone, bit for bit
+or a DomainViolation, so each start ends exactly where it would alone.
+The loop reports the end of lowest rank: the method's key (converged
+starts first), then the start's index.  A report's ``iterations`` counts
+the Newton steps of the reported start.
 
 Isoperimetric problems are solved by Newton's method on the KKT system
 gradJ - lam*gradK = 0, K = k, on the same core.  The Hessian of the
@@ -459,14 +460,14 @@ def _finite(val, grad):
 
 class _Compiled:
     """A problem compiled once for the solvers: its free nodes, which always
-    form one contiguous block [lo, hi), and the base trajectory y, which
+    form one contiguous block [lo, hi), and the trajectory ``base``, which
     carries the fixed values and is never written: each trial point is a
     node row of its own (``_at``).  ``value_grad`` and ``hessian`` are steps
     of a Newton run, generators like it: each yields one request, for the
     first-order record of an integrand pair at a node row or for the Newton
-    model on the samples of such a record, which ``_lockstep`` serves
-    through ``va.functional_gradient`` and ``va.functional_hessian``: one
-    run of the pair's compiled kernel per round, on the stacked rows of
+    model on the samples of such a record, and is sent its outcome, a
+    DomainViolation where it is undefined.  ``_lockstep`` serves it with
+    one run of the pair's compiled kernel per round, on the stacked rows of
     every run that asks, with partials differentiated once."""
 
     def __init__(self, p: va.VariationalProblem, base: np.ndarray):
@@ -474,13 +475,13 @@ class _Compiled:
         self.scale = p.scale
         self.lo = 0 if p.bc_a is None else 1
         self.hi = n if p.bc_b is None else n - 1
-        self.y = base.copy()
+        self.base = base
 
     def trajectory(self, z) -> GridFunction:
         return GridFunction(self.scale, self._at(z))
 
     def _at(self, z) -> np.ndarray:
-        y = self.y.copy()
+        y = self.base.copy()
         y[self.lo : self.hi] = z
         return y
 
@@ -488,9 +489,8 @@ class _Compiled:
         """Value, free-block gradient and ``va.ProductGradient`` of the
         product functional of (Ld, Ln) at z; (inf, None, None) where it is
         undefined or not finite."""
-        try:
-            first = yield _gradient, self.scale, Ld, Ln, self._at(z)
-        except ex.DomainViolation:
+        first = yield _gradient, self.scale, Ld, Ln, self._at(z)
+        if isinstance(first, ex.DomainViolation):
             return np.inf, None, None
         val, grad = first.value, first.gradient[self.lo : self.hi]
         if not (first.clean and math.isfinite(val)):  # a clean gradient is finite
@@ -502,9 +502,8 @@ class _Compiled:
         the nodes of ``first``, the ``va.ProductGradient`` of an evaluation,
         whose own samples it reuses; None where it is undefined or not
         finite."""
-        try:
-            H = yield _hessian, self.scale, Ld, Ln, first
-        except ex.DomainViolation:
+        H = yield _hessian, self.scale, Ld, Ln, first
+        if isinstance(H, ex.DomainViolation):
             return None
         lo, hi = self.lo, self.hi
         H = va.ProductHessian(H.J_delta, H.J_nabla, H.grad_delta[lo:hi], H.grad_nabla[lo:hi],
@@ -516,30 +515,27 @@ class _Compiled:
 
 
 def _gradient(ts, Ld, Ln, rows):
-    """A request of a Newton run: the ``va.ProductGradient`` of the pair at
-    a node row, or the list of them for a stack of rows."""
+    """The requests of Newton runs for the first-order records at node rows."""
     return va.functional_gradient(ts, Ld, Ln, rows, factors=True)
 
 
 def _hessian(ts, Ld, Ln, firsts):
-    """A request of a Newton run: the ``va.ProductHessian`` on the samples
-    of a first-order record, or the list of them for a list of records."""
+    """The requests of Newton runs for the Newton models at such records."""
     return va.functional_hessian(ts, Ld, Ln, None, firsts)
 
 
 def _lockstep(runs) -> list:
     """Run the generators ``runs`` side by side and return what each one
     returns, in order.  A run yields a request (kind, scale, Ld, Ln, arg),
-    kind ``_gradient`` or ``_hessian``, and is sent kind(scale, Ld, Ln,
-    arg), or thrown the DomainViolation that it raises.  Each round groups
-    the pending requests of the live runs by kind and integrand pair and
-    serves the largest group (the first of equals) with one call of its
-    kind on the stacked args, one kernel run, which gives every row the
-    bits it gets alone (``va._pair``).  The other requests wait, so the
-    runs behind catch up and later groups are larger.  Floating-point
-    faults are ignored while the runs run, since a value that overflows is
-    a rejected trial point, not a warning; the state is set here, so no run
-    holds it across a yield."""
+    kind ``_gradient`` or ``_hessian``, and is sent the outcome of its arg.
+    Each round groups the pending requests of the live runs by kind and
+    integrand pair and serves the largest group (the first of equals, of
+    one or more) with one call of its kind on their args, one kernel run,
+    which gives every row the outcome it gets alone (``va._pair``).  The
+    other requests wait, so the runs behind catch up and later groups are
+    larger.  Floating-point faults are ignored while the runs run, since a
+    value that overflows is a rejected trial point, not a warning; the
+    state is set here, so no run holds it across a yield."""
     runs = list(runs)
     ends = [None] * len(runs)
     asks, replies = {}, [(i, None) for i in range(len(runs))]
@@ -547,30 +543,17 @@ def _lockstep(runs) -> list:
         while True:
             for i, reply in replies:
                 try:
-                    if isinstance(reply, ex.DomainViolation):
-                        asks[i] = runs[i].throw(reply)
-                    else:
-                        asks[i] = runs[i].send(reply)
+                    asks[i] = runs[i].send(reply)
                 except StopIteration as stop:
                     ends[i] = stop.value
             if not asks:
                 break
-            if len(asks) == 1:
-                rows = list(asks)
-            else:
-                groups: dict = {}
-                for i, (kind, ts, Ld, Ln, _) in asks.items():
-                    groups.setdefault((kind, id(ts), id(Ld), id(Ln)), []).append(i)
-                rows = max(groups.values(), key=len)
+            groups: dict = {}
+            for i, (kind, ts, Ld, Ln, _) in asks.items():
+                groups.setdefault((kind, id(ts), id(Ld), id(Ln)), []).append(i)
+            rows = max(groups.values(), key=len)
             kind, ts, Ld, Ln, _ = asks[rows[0]]
-            if len(rows) > 1:
-                replies = list(zip(rows, kind(ts, Ld, Ln, [asks.pop(i)[4] for i in rows])))
-                continue
-            (i,) = rows  # a stack of one row is that row alone, which may raise
-            try:
-                replies = [(i, kind(ts, Ld, Ln, asks.pop(i)[4]))]
-            except ex.DomainViolation as err:
-                replies = [(i, err)]
+            replies = list(zip(rows, kind(ts, Ld, Ln, [asks.pop(i)[4] for i in rows])))
     return ends
 
 
@@ -682,14 +665,14 @@ _START_MODES = 3
 
 
 def _starts(cp: _Compiled, p: va.VariationalProblem, cfg: SolverConfig):
-    """The multistarts of cp, one at a time: the straight-line interpolant,
-    then seeded perturbations
-    of it, amp * sum over k = 1..3 of u_k/k^2 * sin(freq_k*s + phase) with u_k
-    uniform on [-1, 1] and s = (t - a)/(b - a); freq_k <= k*pi and the phase
-    make each mode vanish at the fixed endpoints.  Their slopes are at most
+    """The multistarts of cp, one at a time: the free block of cp.base, the
+    straight-line interpolant, then seeded perturbations of it, amp * sum
+    over k = 1..3 of u_k/k^2 * sin(freq_k*s + phase) with u_k uniform on
+    [-1, 1] and s = (t - a)/(b - a); freq_k <= k*pi and the phase make each
+    mode vanish at the fixed endpoints.  Their slopes are at most
     pi*(1 + 1/2 + 1/3)*amp/(b - a) on any mesh."""
     rng = np.random.default_rng(cfg.seed)
-    z = cp.y[cp.lo : cp.hi].copy()
+    z = cp.base[cp.lo : cp.hi]
     pts = p.scale.points
     s = (pts[cp.lo : cp.hi] - pts[0]) / (pts[-1] - pts[0])
     k = np.arange(1, _START_MODES + 1)[:, None]
@@ -697,7 +680,7 @@ def _starts(cp: _Compiled, p: va.VariationalProblem, cfg: SolverConfig):
     freq = (k - 1 + 0.5 * (a_fixed + b_fixed)) * np.pi
     modes = np.sin(freq * s + (0.0 if a_fixed else np.pi / 2))
     modes = _perturb_amplitude(p) * modes / k**2
-    yield z.copy()
+    yield z
     for _ in range(cfg.multistarts - 1):
         yield z + rng.uniform(-1.0, 1.0, _START_MODES) @ modes
 

@@ -35,9 +35,10 @@ samples, which share the difference quotient, followed by one assembly of
 the sums, the node gradients and the tridiagonal Hessian parts.  A kernel
 run has one fault check, a finite quotient and no floating-point fault,
 and falls back to the checked program of each integrand otherwise
-(``_pair``).  A kernel run may take a stack of node rows, one per solver
-start, and gives each row the bits it gets alone; on a fault each row
-runs again alone.  A gradient keeps its own copy of its samples, from
+(``_pair``).  Every kernel run takes a 2-D stack of node rows, one per
+solver start or one trajectory, and gives each row, bit for bit, its
+outcome alone: its record or its DomainViolation; a stack that faults
+runs again by halves.  A gradient keeps its own copy of its samples, from
 which the Hessian at the same point takes them.
 """
 
@@ -486,16 +487,16 @@ def first_variation(p: VariationalProblem, y: GridFunction, eta: GridFunction) -
 
 def _grads(w: np.ndarray, n: int, d2f, d3f, d2b, d3b):
     """Node gradients of the forward and the backward weighted sum over n
-    nodes from their samples of d2 and d3, one row or a stack of rows.
+    nodes from their samples of d2 and d3, for a stack of rows.
 
     Sample k couples nodes k and k+1 through w_k * L(t_k, y_s, Q_k) with
     Q_k = (y_{k+1} - y_k) / w_k; the state node s is k+1 in the forward sum
     (w = mu) and k in the backward sum (w = nu).
     """
-    gd, gn = np.zeros(d2f.shape[:-1] + (n,)), np.zeros(d2f.shape[:-1] + (n,))
+    gd, gn = np.zeros((len(d2f), n)), np.zeros((len(d2f), n))
     # views of the nodes after and before each sample: adding into them adds
     # into gd and gn
-    d_after, d_before, n_before, n_after = gd[..., 1:], gd[..., :-1], gn[..., :-1], gn[..., 1:]
+    d_after, d_before, n_before, n_after = gd[:, 1:], gd[:, :-1], gn[:, :-1], gn[:, 1:]
     d_after += w * d2f + d3f
     d_before -= d3f
     n_before += w * d2b - d3b
@@ -506,18 +507,26 @@ def _grads(w: np.ndarray, n: int, d2f, d3f, d2b, d3b):
 def _tridiagonal(w: np.ndarray, n: int, Jd, Jn, d22f, d23f, d33f, d22b, d23b, d33b):
     """Tridiagonal part (diagonal, off-diagonal) Jn * H_delta + Jd * H_nabla
     of the Hessian of J, from the samples of the second partials d22, d23
-    and d33 of both weighted sums, coupled as in ``_grads``; for a stack of
-    rows, Jd and Jn are columns, one factor per row."""
+    and d33 of both weighted sums of a stack of rows, coupled as in
+    ``_grads``; Jd and Jn are columns, one factor per row."""
     cf, cb = d33f / w, d33b / w
-    hd, hn = np.zeros(cf.shape[:-1] + (n,)), np.zeros(cf.shape[:-1] + (n,))
-    d_before, d_after, n_before, n_after = hd[..., :-1], hd[..., 1:], hn[..., :-1], hn[..., 1:]
+    hd, hn = np.zeros((len(cf), n)), np.zeros((len(cf), n))
+    d_before, d_after, n_before, n_after = hd[:, :-1], hd[:, 1:], hn[:, :-1], hn[:, 1:]
     d_before += cf
     d_after += cf
     d_after += w * d22f + 2.0 * d23f
     n_before += cb
     n_after += cb
     n_before += w * d22b - 2.0 * d23b
-    return Jn * hd + Jd * hn, Jn * (-d23f - cf) + Jd * (d23b - cb)
+    # Jn * hd + Jd * hn and Jn * off + Jd * off_b in place: at large n, fewer new arrays
+    hd *= Jn
+    hn *= Jd
+    hd += hn
+    off, off_b = -d23f - cf, d23b - cb
+    off *= Jn
+    off_b *= Jd
+    off += off_b
+    return hd, off
 
 
 class ProductGradient(NamedTuple):
@@ -571,85 +580,89 @@ def _kernel(Ld: ex.Expression, Ln: ex.Expression, slots: tuple):
 
 
 def _pair(ts: TimeScale, Ld, Ln, slots: tuple, y: np.ndarray, q, assemble):
-    """``assemble(w, q, partials)``, w the gaps, with the partials of the
-    pair named by ``slots`` (ordered as by ``_kernel``) at the nodes y, one
-    row or a 2-D stack of rows, and their difference quotient q, which is
-    formed here unless it is given, and then known to be finite.  The q
-    passed on is None unless the kernel ran clean.
+    """``assemble(w, q, partials)``, w the row of gaps, with the partials of the
+    pair named by ``slots`` (ordered as by ``_kernel``) at the 2-D stack of
+    node rows y and their difference quotients q, formed here unless they
+    are given, and then known to be finite: a list of one outcome per row.
+    The q passed on is that stack if the kernel ran clean, else [None].
 
     The kernel runs, and ``assemble`` with it, with floating-point faults
     raised (``_raised``).  A quotient is finite only when every node is, so
     it is the one input checked.  On a non-finite quotient, a fault or a
-    kernel that is None, a stack gives None, and its caller runs each row
-    on its own, so that a row's outcome does not depend on the others; one
-    row falls back to the checked per-integrand programs (``_sampled``),
-    which sample the forward side and then the backward one, so a
-    DomainViolation and every undefined value are those of sampling the
-    sides one at a time; both runs give bit-identical outputs, and so does
-    a stack, whose operations are elementwise and whose sums are each row's
-    own dot products."""
-    tf, tb, w = ts.points[:-1], ts.points[1:], ts.mu_values[:-1]
+    kernel that is None, a stack of several rows gives None, and its caller
+    runs it again by halves; one row falls back to the checked programs of
+    each integrand (``_sampled``), forward side first, so its outcome, a
+    DomainViolation included, is that of sampling the sides one at a time.
+    Both runs give bit-identical outputs, and so does a stack, whose
+    operations are elementwise and whose sums are each row's own dot
+    products."""
+    # w a row: then a stack of one needs no broadcasting
+    tf, tb, w = ts.points[:-1], ts.points[1:], ts.mu_values[None, :-1]
     run = _kernel(Ld, Ln, slots)
-    if run is not None:
-        try:
-            out = _raised(run, assemble, tf, tb, y, w, q)
-        except FloatingPointError:
-            out = None
-        if out is not None or y.ndim == 2:
-            return out
-    yf, yb = y[1:], y[:-1]
+    try:
+        out = None if run is None else _raised(run, assemble, tf, tb, y, w, q)
+    except FloatingPointError:
+        out = None
+    if out is not None or len(y) > 1:
+        return out
+    yf, yb = y[:, 1:], y[:, :-1]
     fq = (yf - yb) / w if q is None else q
-    return assemble(w, None, _sampled(Ld, slots, (tf, yf, fq)) + _sampled(Ln, slots, (tb, yb, fq)))
+    try:  # the scale's points as a row, so every partial has the row's shape
+        parts = _sampled(Ld, slots, (tf[None], yf, fq)) + _sampled(Ln, slots, (tb[None], yb, fq))
+    except ex.DomainViolation as err:
+        return [err]
+    return assemble(w, [None], parts)
 
 
 @np.errstate(over="raise", divide="raise", invalid="raise")  # set per call, cheaper than `with`
 def _raised(run, assemble, tf, tb, y, w, q):
     """The compiled path of ``_pair``: None when a quotient, formed here
     unless q is given, is not finite."""
-    yf, yb = y[..., 1:], y[..., :-1]
+    yf, yb = y[:, 1:], y[:, :-1]
     fq = (yf - yb) / w if q is None else q
     if q is None and not math.isfinite(np.add.reduce(fq, axis=None)):
         return None
-    if fq.ndim == 2:  # the kernel's inputs share one shape
-        tf, tb = tf[None].repeat(len(fq), 0), tb[None].repeat(len(fq), 0)
+    m = len(fq)  # the kernel's inputs share one shape; one row needs no copy
+    tf, tb = (tf[None], tb[None]) if m == 1 else (tf[None].repeat(m, 0), tb[None].repeat(m, 0))
     return assemble(w, fq, run(tf, yf, fq, tb, yb))
 
 
-def _alone(fn, *args):
-    """fn(*args), or the DomainViolation that it raises."""
-    try:
-        return fn(*args)
-    except ex.DomainViolation as err:
-        return err
+def _stack(rows) -> np.ndarray:
+    """The rows as a 2-D stack; one row is a view of itself, not a copy."""
+    return rows[0][None] if len(rows) == 1 else np.array(rows)
 
 
-def _records(kind, *columns) -> list:
-    """One ``kind`` per row, its fields the rows' entries of ``columns``."""
-    return [tuple.__new__(kind, fields) for fields in zip(*columns)]
+def _one(outcomes: list):
+    """The outcome of a stack of one row, raised if it is a DomainViolation."""
+    if isinstance(outcomes[0], ex.DomainViolation):
+        raise outcomes[0]
+    return outcomes[0]
 
 
-def _first(ts: TimeScale, Ld: ex.Expression, Ln: ex.Expression, yvals) -> ProductGradient | list:
-    """The ``ProductGradient`` of the pair at yvals, from one kernel run on
-    its own copy of the nodes.  For a 2-D stack of node rows, one kernel run
-    on the stack gives the list of each row's outcome: its ProductGradient,
-    bit for bit the one it gets alone, or the DomainViolation that it raises
-    alone (see ``_pair``)."""
+def _first(ts: TimeScale, Ld: ex.Expression, Ln: ex.Expression, yvals) -> list | ProductGradient:
+    """The outcome of the pair at each row of the 2-D stack of node rows
+    yvals, from one kernel run on its own copy of the stack: the list of
+    each row's ``ProductGradient``, or the DomainViolation that it raises
+    alone (see ``_pair``).  One row of nodes is a stack of one, whose
+    outcome is returned, or raised."""
     y = np.array(yvals, dtype=float)
+    one, y = y.ndim == 1, y.reshape(-1, y.shape[-1])
 
     def assemble(w, q, parts):
         Lf, d2f, d3f, Lb, d2b, d3b = parts
         del parts  # free each sample after its last use: fewer live arrays at large n
         Jd, Jn = np.vecdot(Lf, w), np.vecdot(Lb, w)
         del Lf, Lb
-        gd, gn = _grads(w, y.shape[-1], d2f, d3f, d2b, d3b)
+        gd, gn = _grads(w, y.shape[1], d2f, d3f, d2b, d3b)
         del d2f, d3f, d2b, d3b
-        if y.ndim == 1:
-            return ProductGradient(float(Jd), float(Jn), gd, gn, Jn * gd + Jd * gn, (y, q))
         g = Jn[:, None] * gd + Jd[:, None] * gn
-        return _records(ProductGradient, Jd.tolist(), Jn.tolist(), gd, gn, g, zip(y, q))
+        return list(map(ProductGradient._make, zip(Jd.tolist(), Jn.tolist(), gd, gn, g, zip(y, q))))
 
     out = _pair(ts, Ld, Ln, _FIRST, y, None, assemble)
-    return out if out is not None else [_alone(_first, ts, Ld, Ln, row) for row in y]
+    if out is None:
+        h = len(y) // 2
+        out = _first(ts, Ld, Ln, y[:h]) + _first(ts, Ld, Ln, y[h:])
+    return _one(out) if one else out
 
 
 def functional_gradient(
@@ -663,11 +676,13 @@ def functional_gradient(
     contributions.  One run of the pair's compiled kernel samples L, d2 L
     and d3 L of both integrands (see ``_pair``).  With ``factors`` the
     ``ProductGradient`` is returned instead, which ``functional_hessian``
-    can reuse, and for a 2-D stack of node rows the list of ``_first``'s
-    outcomes, one per row.
-    """
-    first = _first(ts, Ld, Ln, yvals)
-    return first if factors else (first.value, first.gradient)
+    can reuse.  For a 2-D stack of node rows, the list of each row's
+    outcome (see ``_first``): (value, gradient) or with ``factors`` the
+    ProductGradient, or its DomainViolation."""
+    out = _first(ts, Ld, Ln, yvals)
+    if factors or isinstance(out, ProductGradient):
+        return out if factors else (out.value, out.gradient)
+    return [f if isinstance(f, ex.DomainViolation) else (f.value, f.gradient) for f in out]
 
 
 class ProductHessian(NamedTuple):
@@ -715,28 +730,26 @@ def functional_hessian(
     ``ProductHessian`` and ``_pair``).  ``first``, the ``ProductGradient``
     of an evaluation at yvals, saves sampling the integrands and their first
     partials again: its own samples are reused, not taken again from yvals.
-    For a list of them (yvals is then not read), one kernel run on their
-    stacked samples gives the list of each one's outcome, as ``_first``
-    does for a stack."""
-    if first is None:
-        first = _first(ts, Ld, Ln, yvals)
-    if isinstance(first, list):
-        y = np.array([f.samples[0] for f in first])
-        qs = [f.samples[1] for f in first]
-        q = None if any(qr is None for qr in qs) else np.array(qs)
-        J = np.array([f[:2] for f in first])  # the columns J_delta and J_nabla
-
-        def assemble(w, q, parts):
-            diag, off = _tridiagonal(w, y.shape[1], J[:, :1], J[:, 1:], *parts)
-            return _records(ProductHessian, *zip(*(f[:4] for f in first)), diag, off)
-
-        out = _pair(ts, Ld, Ln, _SECOND, y, q, assemble)
-        return out if out is not None else [
-            _alone(functional_hessian, ts, Ld, Ln, None, f) for f in first]
-    y, q = first.samples
+    For a list of ``_first``'s outcomes (yvals is then not read), or for a
+    2-D stack yvals, one kernel run on the stacked samples gives the list of
+    each row's outcome, as ``_first`` does."""
+    first = _first(ts, Ld, Ln, yvals) if first is None else first
+    firsts = first if isinstance(first, list) else [first]
+    records = [f for f in firsts if isinstance(f, ProductGradient)]
+    if len(records) < len(firsts):  # a row's DomainViolation is its outcome
+        out = iter(functional_hessian(ts, Ld, Ln, None, records) if records else ())
+        return [next(out) if isinstance(f, ProductGradient) else f for f in firsts]
+    ys, qs = zip(*(f.samples for f in firsts))
+    y, q = _stack(ys), None if any(qr is None for qr in qs) else _stack(qs)
+    J = np.array([f[:2] for f in firsts])  # the columns J_delta and J_nabla
 
     def assemble(w, q, parts):
-        diag, off = _tridiagonal(w, y.size, first.J_delta, first.J_nabla, *parts)
-        return ProductHessian(*first[:4], diag, off)
+        diag, off = _tridiagonal(w, y.shape[1], J[:, :1], J[:, 1:], *parts)
+        return [ProductHessian(*f[:4], d, o) for f, d, o in zip(firsts, diag, off)]
 
-    return _pair(ts, Ld, Ln, _SECOND, y, q, assemble)
+    out = _pair(ts, Ld, Ln, _SECOND, y, q, assemble)
+    if out is None:
+        h = len(firsts) // 2
+        out = functional_hessian(ts, Ld, Ln, None, firsts[:h])
+        out += functional_hessian(ts, Ld, Ln, None, firsts[h:])
+    return out if isinstance(first, list) else _one(out)

@@ -322,5 +322,6 @@ def count_evaluations(monkeypatch, fn):
 
 def run_alone(gen):
     """What a solver generator (a Newton run, a merit's ``fun`` or ``model``,
-    or a ``_Compiled`` step) returns, run on its own by ``so._lockstep``."""
+    or a ``_Compiled`` step) returns, run on its own by ``so._lockstep``,
+    which serves each of its requests as a stack of one row."""
     return so._lockstep([gen])[0]

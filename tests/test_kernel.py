@@ -8,6 +8,7 @@ import pytest
 
 import helpers
 from helpers import random_integrand, run_alone
+from tsvar import cli
 from tsvar import expr as ex
 from tsvar import solver as so
 from tsvar import timescale as tsc
@@ -189,11 +190,12 @@ STACK_FAULTS = (
 
 def test_a_stack_gives_every_row_its_own_outcome():
     # a stack of 1-8 rows is one kernel run whose rows are bit for bit the
-    # one-row calls; a row that faults, first, in the middle or last, sends
-    # the stack through one-row runs, and the other rows do not notice
+    # one-row calls; a row that faults, first, in the middle or last, or two
+    # rows that fault, side by side or at both ends, send the stack through
+    # runs by halves, and the other rows do not notice
     rng = np.random.default_rng(2828)
     faulted = 0
-    for i in range(96):
+    for i in range(160):
         ts = random_kind_scale(rng, KINDS[i % 4])
         template, bad_row = STACK_FAULTS[i % len(STACK_FAULTS)]
         bad = parse(template.format(c=f"{rng.uniform(0.2, 0.9):.4f}"))
@@ -203,8 +205,8 @@ def test_a_stack_gives_every_row_its_own_outcome():
         m = int(rng.integers(1, 9))
         Y = rng.uniform(0.1, 1.5, (m, len(ts)))
         if i % 3 and m > 1:
-            at = (0, m // 2, m - 1)[(i // 3) % 3]
-            Y[at] = bad_row(ts, Y[at])
+            for at in ((0,), (m // 2,), (m - 1,), (m // 2 - 1, m // 2), (0, m - 1))[(i // 3) % 5]:
+                Y[at] = bad_row(ts, Y[at])
         with np.errstate(all="ignore"):  # an overflowing sum is inf, not a warning
             firsts = va._first(ts, Ld, Ln, Y)
             assert len(firsts) == m
@@ -219,3 +221,76 @@ def test_a_stack_gives_every_row_its_own_outcome():
             for first, got in zip(records, hessians):
                 assert_same_outcome(got, alone(lambda: functional_hessian(ts, Ld, Ln, None, first)))
     assert faulted >= 20
+
+
+def test_a_stack_at_the_public_boundary_gives_one_outcome_per_row():
+    # (value, gradient) without factors, the ProductGradient with them, and
+    # the ProductHessian of each row, or the DomainViolation of a row that
+    # raises one alone, here ln of a negative node
+    ts = tsc.uniform(0, 1, 6)
+    Ld, Ln = parse("ln(y) + v^2"), parse("exp(0.5*v) + y^2")
+    Y = np.array([np.linspace(0.5, 1.5, 6), [1.0, -0.5, 1.0, 1.0, 1.0, 1.0],
+                  np.linspace(1.0, 2.0, 6)])
+    pairs = functional_gradient(ts, Ld, Ln, Y)
+    firsts = functional_gradient(ts, Ld, Ln, Y, factors=True)
+    hessians = functional_hessian(ts, Ld, Ln, Y)
+    assert len(pairs) == len(firsts) == len(hessians) == len(Y)
+    for row, pair, first, H in zip(Y, pairs, firsts, hessians):
+        want = alone(lambda: functional_gradient(ts, Ld, Ln, row, factors=True))
+        assert_same_outcome(first, want)
+        if isinstance(want, ex.DomainViolation):
+            assert_same_outcome(pair, want)
+            assert_same_outcome(H, want)
+            continue
+        assert pair[0] == want.value and same_bits(pair[1], want.gradient)
+        assert_same_outcome(H, functional_hessian(ts, Ld, Ln, row))
+    assert sum(isinstance(f, ex.DomainViolation) for f in firsts) == 1
+
+
+def test_every_kernel_run_takes_a_stack_of_node_rows(monkeypatch):
+    # below the public entry points a kernel run has one shape: each of its
+    # five sample arrays is a 2-D stack of rows, one row for one trajectory
+    dims, real = [], va._kernel
+
+    def kernel(Ld, Ln, slots):
+        run = real(Ld, Ln, slots)
+        return lambda *samples: dims.append([np.ndim(x) for x in samples]) or run(*samples)
+
+    def runs(fn):
+        dims.clear()
+        assert fn()
+        return list(dims)
+
+    monkeypatch.setattr(va, "_kernel", kernel)
+    prob, traj = (str(cli._bundled_path(name))
+                  for name in ("product_unit.problem", "product_unit_trajectory.csv"))
+    p = VariationalProblem(tsc.uniform(0, 4, 5), parse("v^2"), parse("v^2"), 0.0, 4.0)
+    y = so.solve(p).trajectory
+    stages = {
+        "verify": runs(lambda: cli.run_verify_cases(cli.load_bundled_manifest(),
+                                                    so.SolverConfig(seed=0))[1]),
+        "eval": runs(lambda: cli.main(["eval", "--problem", prob, "--trajectory", traj]) == 0),
+        "residual": runs(lambda: cli.main(["residual", "--problem", prob, "--trajectory", traj,
+                                           "--form", "el1"]) == 0),
+        "probe": runs(lambda: so.probe_extremal_type(p, y) == "local-min-indication"),
+    }
+    for stage, shapes in stages.items():
+        assert all(d == [2] * 5 for d in shapes), stage
+    # eval samples each integrand's own program; the others run kernels
+    assert stages["verify"] and stages["residual"] and len(stages["probe"]) == 2
+
+
+def test_a_stack_without_a_compiled_kernel_gives_every_row_its_outcome():
+    # a constant that is not finite leaves the pair without a kernel; here
+    # it adds exp(-inf) * y = 0, so each row of a stack has its own record
+    zero = ex.BinOp("*", ex.Call("exp", ex.Const(-np.inf)), ex.Var("y"))
+    Ld, Ln = ex.BinOp("+", parse("v^2 + sin(y)"), zero), parse("exp(0.5*v) + y^2")
+    assert va._kernel(Ld, Ln, va._FIRST) is None
+    ts = tsc.uniform(0, 1, 7)
+    Y = np.random.default_rng(7).uniform(0.1, 1.5, (4, 7))
+    firsts = va._first(ts, Ld, Ln, Y)
+    hessians = functional_hessian(ts, Ld, Ln, None, firsts)
+    assert len(firsts) == len(hessians) == len(Y)
+    for row, first, H in zip(Y, firsts, hessians):
+        assert_same_outcome(first, va._first(ts, Ld, Ln, row))
+        assert_same_outcome(H, functional_hessian(ts, Ld, Ln, row))

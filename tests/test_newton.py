@@ -125,7 +125,7 @@ class TestExactHessian:
         run_alone(model(at))
         assert runs == [("yy", "yv", "vv")] and programs == []
         runs.clear()
-        functional_hessian(p.scale, p.L_delta, p.L_nabla, cp.y)
+        functional_hessian(p.scale, p.L_delta, p.L_nabla, cp.base)
         assert runs == [("", "y", "v"), ("yy", "yv", "vv")] and programs == []
 
     def test_partials_are_differentiated_once(self, monkeypatch):

@@ -925,7 +925,7 @@ class TestStarts:
         cp = so._Compiled(p, so._base_trajectory(p))
         starts = list(so._starts(cp, p, SolverConfig(seed=4, multistarts=16)))
         again = list(so._starts(cp, p, SolverConfig(seed=4, multistarts=16)))
-        np.testing.assert_array_equal(starts[0], cp.y[cp.lo : cp.hi])
+        np.testing.assert_array_equal(starts[0], cp.base[cp.lo : cp.hi])
         for z, z2 in zip(starts, again):
             np.testing.assert_array_equal(z, z2)
             y = cp.trajectory(z).values
@@ -1072,15 +1072,15 @@ class TestMultistart:
         ts = uniform(0, 1, 11)
         p = VariationalProblem(ts, parse("exp(0.7*v)"), parse("v^2"), 0.0, None)
         cp = so._Compiled(p, so._base_trajectory(p))
-        base = cp.y[cp.lo : cp.hi].copy()
+        base = cp.base[cp.lo : cp.hi].copy()
         other = so._Compiled(p, so._base_trajectory(p))
         fresh = list(so._starts(other, p, SolverConfig(multistarts=3)))
         started = time.perf_counter()
         starts = so._starts(cp, p, SolverConfig(multistarts=10**9))
         z0 = next(starts)
         assert time.perf_counter() - started < 1.0
-        # evaluating a start writes it into cp.y, which the later starts
-        # must not see: the generator copied the base block at its first start
+        # evaluating a start makes a node row of its own, so cp.base, of
+        # which the first start is the free block, is never written
         cp._at(z0 + 1.0)
         np.testing.assert_array_equal(z0, base)
         for want in fresh[1:]:
@@ -1165,7 +1165,7 @@ def dense_hessian(p, y):
     """The exact Hessian of J on the free block as a dense matrix, from the
     ``_model`` form that Newton factorizes."""
     cp = so._Compiled(p, y.values)
-    z = cp.y[cp.lo : cp.hi].copy()
+    z = cp.base[cp.lo : cp.hi].copy()
     first = run_alone(cp.value_grad(z, p.L_delta, p.L_nabla))[2]
     return dense(so._model([(1.0, run_alone(cp.hessian(p.L_delta, p.L_nabla, first)))]))
 
