@@ -555,8 +555,8 @@ def _pow(base: Expression, exponent: float) -> Expression:
         return base
     cb = _const_of(base)
     if cb is not None:
-        with np.errstate(all="ignore"):
-            folded = _fold_const(cb**exponent)
+        with np.errstate(all="ignore"):  # a power that is not a finite real is inf or nan
+            folded = _fold_const(np.float64(cb) ** exponent)
         if folded is not None:
             return folded
     return Pow(base, exponent)

@@ -70,8 +70,10 @@ Elsewhere the loop reduces to the zeros of one function of the ray angle,
 which a fixed grid brackets and multisection refines, all brackets at
 once: each call of that function samples every bracket on a grid of
 equally spaced points and keeps one or two of its cells; there the roots
-are those the grid resolves.  Deterministic, with no random starts and no
-finite differences.
+are those the grid resolves.  The integrands are sampled as a pair, as in
+a Newton step: the quadratics by one kernel run, and the trajectories of
+each call by one run of the value kernel (``va._values``).  Deterministic,
+with no random starts and no finite differences.
 
 ``solve_auto`` selects the method by the problem's shape (constrained,
 derivative-affine with both endpoints fixed, or otherwise direct), and every
@@ -905,19 +907,16 @@ _MIN_WIDTH = 1e-10  # a minimum's bracket is refined until narrower than this
 def _affine_pieces(p: va.VariationalProblem):
     """Each integrand on each interval as a quadratic in the slope v,
     L = c + p*v + q*v^2/2: (cd, pd, qd) for L_delta at the left point and
-    (cn, pn, qn) for L_nabla at the right point, from one sample at v = 0 of
-    L and its first and second v-partials (a state-independent integrand
-    with a v-affine v-partial is exactly this quadratic).  The stationarity
-    equation reads A*(pd + qd*v) + B*(pn + qn*v) = C on each interval.  An
-    integrand undefined at a point of the scale raises ``DomainViolation``
-    there."""
-    ts = p.scale
-    zeros = np.zeros(len(ts) - 1)
-
-    def quadratic(L, t):
-        return va._sampled(L, ("", "v", "vv"), (t, zeros, zeros))
-
-    return quadratic(p.L_delta, ts.points[:-1]) + quadratic(p.L_nabla, ts.points[1:])
+    (cn, pn, qn) for L_nabla at the right point, from one run of the pair's
+    kernel of L and its first and second v-partials on a zero row with a
+    zero quotient (a state-independent integrand with a v-affine v-partial
+    is exactly this quadratic).  The stationarity equation reads
+    A*(pd + qd*v) + B*(pn + qn*v) = C on each interval.  An integrand
+    undefined at a point of the scale raises ``DomainViolation`` there, the
+    forward one first."""
+    zero = np.zeros((1, len(p.scale)))
+    return va._one(va._pair(p.scale, p.L_delta, p.L_nabla, ("", "v", "vv"), zero, zero[:, 1:],
+                            lambda rows, w, q, parts: [tuple(piece[0] for piece in parts)]))
 
 
 def _trajectories(p, pieces, A, B):
@@ -946,23 +945,14 @@ def _trajectories(p, pieces, A, B):
 
 
 def _integrals(p, y, d):
-    """(J_nabla, J_delta) of each row of y with slopes d; NaN for a row along
-    which an integrand is undefined, without losing the other rows.  Each
-    row is reduced by its own dot product, so its bits do not depend on the
-    other rows (a matrix-vector product may block rows differently)."""
-    ts = p.scale
-    try:
-        (ld,) = va._program(p.L_delta, ("",))(ts.points[:-1], y[:, 1:], d)
-        (ln,) = va._program(p.L_nabla, ("",))(ts.points[1:], y[:, :-1], d)
-    except ex.DomainViolation:
-        if len(y) == 1:
-            return np.full(1, np.nan), np.full(1, np.nan)
-        h = len(y) // 2
-        (n1, d1), (n2, d2) = _integrals(p, y[:h], d[:h]), _integrals(p, y[h:], d[h:])
-        return np.concatenate([n1, n2]), np.concatenate([d1, d2])
-    with np.errstate(all="ignore"):
-        jn = np.vecdot(np.broadcast_to(ln, d.shape), ts.nu_values[1:])
-        jd = np.vecdot(np.broadcast_to(ld, d.shape), ts.mu_values[:-1])
+    """(J_nabla, J_delta) of each row of y with slopes d, from one run of the
+    pair's value kernel (``va._values``), which gives each row its outcome
+    alone: NaN for a row along which an integrand is undefined, without
+    losing the other rows."""
+    with np.errstate(all="ignore"):  # a sum that overflows is inf
+        out = va._values(p.scale, p.L_delta, p.L_nabla, y, d)
+    jd, jn = np.array([(np.nan, np.nan) if isinstance(o, ex.DomainViolation) else o
+                       for o in out]).reshape(-1, 2).T
     return jn, jd
 
 

@@ -28,18 +28,19 @@ node gradient (``_el_residual``); the natural boundary residuals are
 gradient dotted with eta.  A multiplier residual is the same running sum of
 lambda0 * gradJ - lambda * gradK.
 
-The exact gradient and structured Hessian of J, which every solver step
-evaluates, come from one compiled kernel per integrand pair and order
-(``_kernel``): one straight-line program of the forward and the backward
-samples, which share the difference quotient, followed by one assembly of
-the sums, the node gradients and the tridiagonal Hessian parts.  A kernel
-run has one fault check, a finite quotient and no floating-point fault,
-and falls back to the checked program of each integrand otherwise
-(``_pair``).  Every kernel run takes a 2-D stack of node rows, one per
-solver start or one trajectory, and gives each row, bit for bit, its
-outcome alone: its record or its DomainViolation; a stack that faults
-runs again by halves.  A gradient keeps its own copy of its samples, from
-which the Hessian at the same point takes them.
+Every evaluation of both integrands, J and K (``_values``), the exact
+gradient and structured Hessian that every solver step evaluates, and the
+consistency solver's samples, is one run of the compiled kernel of the
+integrand pair and its partials (``_kernel``): one straight-line program
+of the forward and the backward samples, which share the difference
+quotient, followed by one assembly of the sums, the node gradients or the
+tridiagonal Hessian parts.  A kernel run (``_pair``) takes a 2-D stack of
+node rows, one per solver start or one trajectory, has one fault check, a
+finite quotient and no floating-point fault, and gives each row, bit for
+bit, its outcome alone: its record or its DomainViolation.  A stack that
+faults runs again by halves, and one row falls back to the checked
+program of each integrand.  A gradient keeps its own copy of its samples,
+from which the Hessian at the same point takes them.
 """
 
 from __future__ import annotations
@@ -142,23 +143,17 @@ def _samples(ts: TimeScale, yvals: np.ndarray, forward: bool):
     return ts.points[1:], yvals[:-1], np.diff(yvals) / ts.nu_values[1:]
 
 
-def _program(e: ex.Expression, slots: tuple) -> ex.Program:
-    """The compiled program of the partials of ``e`` named by ``slots`` (see
-    ``_d``), kept on ``e`` like the partials themselves."""
-    memo = vars(e).setdefault("_programs", {})
-    hit = memo.get(slots)
-    if hit is None:
-        hit = memo[slots] = ex.Program(_d(e, s) for s in slots)
-    return hit
-
-
 def _sampled(e: ex.Expression, slots: tuple, samples: tuple) -> tuple:
-    """The partials of ``e`` named by ``slots`` at ``samples``, three arrays of
-    one shape, from one run of its program; a ``DomainViolation`` names the t
+    """The partials of ``e`` named by ``slots`` (see ``_d``) at ``samples``,
+    three arrays of one shape, from one run of their compiled program, kept
+    on ``e`` like the partials themselves; a ``DomainViolation`` names the t
     of the first non-finite element of the failing node (the first sample for
     a scalar node)."""
+    memo = vars(e).setdefault("_programs", {})
+    if slots not in memo:
+        memo[slots] = ex.Program(_d(e, s) for s in slots)
     try:
-        return _program(e, slots)(*samples)
+        return memo[slots](*samples)
     except ex.DomainViolation as err:
         ti = float(np.ravel(samples[0])[err.index or 0])
         raise ex.DomainViolation(f"{err.reason} at t={ti!r}", err.offset, err.index) from None
@@ -195,7 +190,11 @@ def eval_J_nabla(p: VariationalProblem, y: GridFunction) -> float:
 
 
 def eval_J(p: VariationalProblem, y: GridFunction) -> float:
-    return eval_J_delta(p, y) * eval_J_nabla(p, y)
+    """J_delta * J_nabla from one run of the pair's value kernel (``_values``),
+    which raises the DomainViolation of the forward side first."""
+    _check_trajectory(p, y)
+    Jd, Jn = _one(_values(p.scale, p.L_delta, p.L_nabla, y.values[None]))
+    return Jd * Jn
 
 
 def _require_constraint(p: VariationalProblem) -> IsoperimetricConstraint:
@@ -218,7 +217,7 @@ def eval_K_nabla(p: VariationalProblem, y: GridFunction) -> float:
 
 
 def eval_K(p: VariationalProblem, y: GridFunction) -> float:
-    return eval_K_delta(p, y) * eval_K_nabla(p, y)
+    return eval_J(_as_constraint_problem(p), y)
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +381,8 @@ def natural_bc_reduced(
     _check_trajectory(p, y)
     if which not in ("a", "b"):
         raise ValueError("which must be 'a' or 'b'")
+    if variant not in (None, "integral", "product"):
+        raise ValueError("variant must be None, 'integral' or 'product'")
     kind = _pure_kind(p)
     if kind == "mixed":
         raise ValueError("reduced natural boundary conditions need a pure problem")
@@ -579,52 +580,57 @@ def _kernel(Ld: ex.Expression, Ln: ex.Expression, slots: tuple):
     return hit[1]
 
 
-def _pair(ts: TimeScale, Ld, Ln, slots: tuple, y: np.ndarray, q, assemble):
-    """``assemble(w, q, partials)``, w the row of gaps, with the partials of the
-    pair named by ``slots`` (ordered as by ``_kernel``) at the 2-D stack of
-    node rows y and their difference quotients q, formed here unless they
-    are given, and then known to be finite: a list of one outcome per row.
-    The q passed on is that stack if the kernel ran clean, else [None].
+def _pair(ts: TimeScale, Ld, Ln, slots: tuple, y: np.ndarray, q, assemble, rows=slice(None)) -> list:
+    """One outcome per row in the slice ``rows`` of the 2-D stack of node rows
+    y, with q their difference quotients, formed here unless they are given,
+    and then known to be finite: ``assemble(rows, w, q, partials)`` on each
+    slice ``rows`` that one run serves, w the row of gaps, with the partials
+    of the pair named by ``slots`` (ordered as by ``_kernel``) at those rows.
+    The q passed on is theirs if the kernel ran clean, else [None].
 
     The kernel runs, and ``assemble`` with it, with floating-point faults
     raised (``_raised``).  A quotient is finite only when every node is, so
     it is the one input checked.  On a non-finite quotient, a fault or a
-    kernel that is None, a stack of several rows gives None, and its caller
-    runs it again by halves; one row falls back to the checked programs of
-    each integrand (``_sampled``), forward side first, so its outcome, a
-    DomainViolation included, is that of sampling the sides one at a time.
-    Both runs give bit-identical outputs, and so does a stack, whose
-    operations are elementwise and whose sums are each row's own dot
-    products."""
+    kernel that is None, a slice of several rows runs again by halves, and
+    one row falls back to the checked programs of each integrand
+    (``_sampled``), forward side first, so its outcome, a DomainViolation
+    included, is that of sampling the sides one at a time.  Both runs give
+    bit-identical outputs, and so does a stack, whose operations are
+    elementwise and whose sums are each row's own dot products."""
     # w a row: then a stack of one needs no broadcasting
     tf, tb, w = ts.points[:-1], ts.points[1:], ts.mu_values[None, :-1]
     run = _kernel(Ld, Ln, slots)
     try:
-        out = None if run is None else _raised(run, assemble, tf, tb, y, w, q)
+        out = None if run is None else _raised(run, assemble, rows, tf, tb, y, w, q)
     except FloatingPointError:
         out = None
-    if out is not None or len(y) > 1:
+    if out is not None:
         return out
-    yf, yb = y[:, 1:], y[:, :-1]
-    fq = (yf - yb) / w if q is None else q
+    lo, hi, _ = rows.indices(len(y))
+    if hi - lo > 1:
+        mid = (lo + hi) // 2
+        return (_pair(ts, Ld, Ln, slots, y, q, assemble, slice(lo, mid))
+                + _pair(ts, Ld, Ln, slots, y, q, assemble, slice(mid, hi)))
+    yf, yb = y[rows, 1:], y[rows, :-1]
+    fq = (yf - yb) / w if q is None else q[rows]
     try:  # the scale's points as a row, so every partial has the row's shape
         parts = _sampled(Ld, slots, (tf[None], yf, fq)) + _sampled(Ln, slots, (tb[None], yb, fq))
     except ex.DomainViolation as err:
         return [err]
-    return assemble(w, [None], parts)
+    return assemble(rows, w, [None], parts)
 
 
 @np.errstate(over="raise", divide="raise", invalid="raise")  # set per call, cheaper than `with`
-def _raised(run, assemble, tf, tb, y, w, q):
-    """The compiled path of ``_pair``: None when a quotient, formed here
-    unless q is given, is not finite."""
-    yf, yb = y[:, 1:], y[:, :-1]
-    fq = (yf - yb) / w if q is None else q
+def _raised(run, assemble, rows, tf, tb, y, w, q):
+    """The compiled path of ``_pair`` on the slice ``rows`` of the stack y:
+    None when a quotient, formed here unless q is given, is not finite."""
+    yf, yb = y[rows, 1:], y[rows, :-1]
+    fq = (yf - yb) / w if q is None else q[rows]
     if q is None and not math.isfinite(np.add.reduce(fq, axis=None)):
         return None
     m = len(fq)  # the kernel's inputs share one shape; one row needs no copy
     tf, tb = (tf[None], tb[None]) if m == 1 else (tf[None].repeat(m, 0), tb[None].repeat(m, 0))
-    return assemble(w, fq, run(tf, yf, fq, tb, yb))
+    return assemble(rows, w, fq, run(tf, yf, fq, tb, yb))
 
 
 def _stack(rows) -> np.ndarray:
@@ -639,16 +645,25 @@ def _one(outcomes: list):
     return outcomes[0]
 
 
+def _values(ts: TimeScale, Ld: ex.Expression, Ln: ex.Expression, y: np.ndarray, q=None) -> list:
+    """(J_delta, J_nabla) at each row of the 2-D stack of node rows y, with
+    difference quotients q unless they are formed here, each factor its own
+    dot product with the gaps, or the row's DomainViolation: one run of the
+    pair's value kernel (see ``_pair``)."""
+    return _pair(ts, Ld, Ln, ("",), y, q,
+                 lambda rows, w, q, parts: list(zip(*(np.vecdot(L, w).tolist() for L in parts))))
+
+
 def _first(ts: TimeScale, Ld: ex.Expression, Ln: ex.Expression, yvals) -> list | ProductGradient:
     """The outcome of the pair at each row of the 2-D stack of node rows
-    yvals, from one kernel run on its own copy of the stack: the list of
-    each row's ``ProductGradient``, or the DomainViolation that it raises
-    alone (see ``_pair``).  One row of nodes is a stack of one, whose
-    outcome is returned, or raised."""
+    yvals, from one first-order kernel run on its own copy of the stack,
+    which ``_pair`` splits where it faults: the list of each row's
+    ``ProductGradient``, or the DomainViolation that it raises alone.  One
+    row of nodes is a stack of one, whose outcome is returned, or raised."""
     y = np.array(yvals, dtype=float)
     one, y = y.ndim == 1, y.reshape(-1, y.shape[-1])
 
-    def assemble(w, q, parts):
+    def assemble(rows, w, q, parts):
         Lf, d2f, d3f, Lb, d2b, d3b = parts
         del parts  # free each sample after its last use: fewer live arrays at large n
         Jd, Jn = np.vecdot(Lf, w), np.vecdot(Lb, w)
@@ -656,12 +671,10 @@ def _first(ts: TimeScale, Ld: ex.Expression, Ln: ex.Expression, yvals) -> list |
         gd, gn = _grads(w, y.shape[1], d2f, d3f, d2b, d3b)
         del d2f, d3f, d2b, d3b
         g = Jn[:, None] * gd + Jd[:, None] * gn
-        return list(map(ProductGradient._make, zip(Jd.tolist(), Jn.tolist(), gd, gn, g, zip(y, q))))
+        samples = zip(y[rows], q)
+        return list(map(ProductGradient._make, zip(Jd.tolist(), Jn.tolist(), gd, gn, g, samples)))
 
     out = _pair(ts, Ld, Ln, _FIRST, y, None, assemble)
-    if out is None:
-        h = len(y) // 2
-        out = _first(ts, Ld, Ln, y[:h]) + _first(ts, Ld, Ln, y[h:])
     return _one(out) if one else out
 
 
@@ -731,8 +744,8 @@ def functional_hessian(
     of an evaluation at yvals, saves sampling the integrands and their first
     partials again: its own samples are reused, not taken again from yvals.
     For a list of ``_first``'s outcomes (yvals is then not read), or for a
-    2-D stack yvals, one kernel run on the stacked samples gives the list of
-    each row's outcome, as ``_first`` does."""
+    2-D stack yvals, one kernel run on the stacked samples, split as in
+    ``_first``, gives the list of each row's outcome."""
     first = _first(ts, Ld, Ln, yvals) if first is None else first
     firsts = first if isinstance(first, list) else [first]
     records = [f for f in firsts if isinstance(f, ProductGradient)]
@@ -743,13 +756,9 @@ def functional_hessian(
     y, q = _stack(ys), None if any(qr is None for qr in qs) else _stack(qs)
     J = np.array([f[:2] for f in firsts])  # the columns J_delta and J_nabla
 
-    def assemble(w, q, parts):
-        diag, off = _tridiagonal(w, y.shape[1], J[:, :1], J[:, 1:], *parts)
-        return [ProductHessian(*f[:4], d, o) for f, d, o in zip(firsts, diag, off)]
+    def assemble(rows, w, q, parts):
+        diag, off = _tridiagonal(w, y.shape[1], J[rows, :1], J[rows, 1:], *parts)
+        return [ProductHessian(*f[:4], d, o) for f, d, o in zip(firsts[rows], diag, off)]
 
     out = _pair(ts, Ld, Ln, _SECOND, y, q, assemble)
-    if out is None:
-        h = len(firsts) // 2
-        out = functional_hessian(ts, Ld, Ln, None, firsts[:h])
-        out += functional_hessian(ts, Ld, Ln, None, firsts[h:])
     return out if isinstance(first, list) else _one(out)

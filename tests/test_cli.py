@@ -306,6 +306,18 @@ class TestDomainViolations:
         assert rc == EXIT_DOMAIN
         assert capsys.readouterr().err == "domain violation in 'ln' at t=0.0 (node at offset 0)\n"
 
+    def test_overflowing_constant_power_exits_with_domain_code(self, tmp_path, capsys):
+        # 10^400 is not folded to a float: solve and the residual report the
+        # pow node as undefined, as eval does
+        text = (cli._bundled_path("ex1.problem").read_text(encoding="utf-8")
+                .replace("delta = v^2", "delta = 10^400*v^2"))
+        prob = write(tmp_path, "p.problem", text)
+        traj = line_csv(tmp_path, [0, 1, 2, 3, 4], [0, 1, 2, 3, 4])
+        for command in (["solve", "--out", str(tmp_path / "o")],
+                        ["residual", "--trajectory", traj, "--form", "el1"]):
+            assert main(command + ["--problem", prob]) == EXIT_DOMAIN
+            assert capsys.readouterr().err == "domain violation in 'pow' at t=0.0 (node at offset 2)\n"
+
     def test_solve_with_undefined_objective_exits_with_domain_code(self, tmp_path, capsys):
         text = GOOD.replace("delta = v^2", "delta = sqrt(-1 - y^2) + v^2")
         prob = write(tmp_path, "p.problem", text)

@@ -206,6 +206,23 @@ class TestDifferentiate:
         with pytest.raises(ValueError):
             differentiate(parse("v"), "x")
 
+    def test_constant_power_that_is_not_a_finite_real_stays_a_power(self):
+        # a complex power, an overflow and 0 to a negative power are not
+        # folded; the derivative of a constant is still 0
+        assert differentiate(Pow(Const(-8.0), 0.5), "y") == Const(0.0)
+        assert differentiate(parse("10^400 * v^2"), "y") == Const(0.0)
+        assert ex._pow(Const(10.0), 399.0) == Pow(Const(10.0), 399.0)
+        assert ex._pow(Const(-8.0), -0.5) == Pow(Const(-8.0), -0.5)
+        assert ex._pow(Const(0.0), -1.0) == Pow(Const(0.0), -1.0)
+
+    def test_constant_power_folds_to_the_python_power(self):
+        rng = np.random.default_rng(11)
+        for base, exponent in zip(rng.uniform(-9.0, 9.0, 400), rng.uniform(-6.0, 6.0, 400)):
+            exponent = float(round(exponent)) if base < 0 else float(exponent)
+            got = ex._pow(Const(float(base)), exponent)
+            if exponent not in (0.0, 1.0):
+                assert got.value.hex() == (float(base) ** exponent).hex()
+
 
 # ---------------------------------------------------------------------------
 # Randomized properties

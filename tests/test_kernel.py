@@ -13,6 +13,7 @@ from tsvar import expr as ex
 from tsvar import solver as so
 from tsvar import timescale as tsc
 from tsvar import variational as va
+from tsvar.calculus import GridFunction
 from tsvar.expr import parse
 from tsvar.variational import VariationalProblem, functional_gradient, functional_hessian
 
@@ -223,6 +224,61 @@ def test_a_stack_gives_every_row_its_own_outcome():
     assert faulted >= 20
 
 
+def same_value_outcome(got, want):
+    """Two outcomes of ``va._values``: the same factors bit for bit, or the
+    same DomainViolation."""
+    if isinstance(want, ex.DomainViolation):
+        assert isinstance(got, ex.DomainViolation)
+        assert (got.reason, got.offset, got.index) == (want.reason, want.offset, want.index)
+        return
+    assert isinstance(got, tuple) and same_bits(got, want)
+
+
+def test_a_value_stack_gives_every_row_its_own_outcome():
+    # the value kernel splits a faulting stack as the first-order one does:
+    # with its quotients formed from the nodes or given, as the consistency
+    # solver gives its slopes, each row of a stack of 1-8 gets the factors
+    # it gets alone, bit for bit, or the same DomainViolation; faulting rows
+    # are undefined, or their quotients overflow, or their sums do
+    ts, Ld, Ln = tsc.uniform(0, 50, 6), parse("10^307*y"), parse("v^2")
+    Y = np.array([np.zeros(6), np.ones(6), np.linspace(0.0, 1.0, 6)])
+    p = VariationalProblem(ts, Ld, Ln, None, None)
+    with np.errstate(all="ignore"):
+        outs = va._values(ts, Ld, Ln, Y)
+        for row, got in zip(Y, outs):
+            gf = GridFunction(ts, row)
+            same_value_outcome(got, (va.eval_J_delta(p, gf), va.eval_J_nabla(p, gf)))
+    assert [Jd for Jd, _ in outs] == [0.0, np.inf, np.inf]
+    rng = np.random.default_rng(3131)
+    faulted = 0
+    for i in range(160):
+        ts = random_kind_scale(rng, KINDS[i % 4])
+        template, bad_row = STACK_FAULTS[i % len(STACK_FAULTS)]
+        bad = parse(template.format(c=f"{rng.uniform(0.2, 0.9):.4f}"))
+        Ld, Ln = random_integrand(rng), random_integrand(rng)
+        if i % 3:
+            Ld, Ln = (bad, Ln) if i % 2 else (Ld, bad)
+        m = int(rng.integers(1, 9))
+        Y = rng.uniform(0.1, 1.5, (m, len(ts)))
+        big = np.where(np.arange(len(ts)) % 2, -1e307, 1e307)  # its quotients overflow
+        for at in ((0,), (m // 2,), (m - 1,), (m // 2 - 1, m // 2), (0, m - 1))[(i // 3) % 5]:
+            Y[at] = big if i % 3 == 0 else bad_row(ts, Y[at])
+        p = VariationalProblem(ts, Ld, Ln, None, None)
+        with np.errstate(all="ignore"):  # an overflowing quotient or sum is inf, not a warning
+            Q = np.diff(Y, axis=1) / ts.mu_values[:-1]
+            Q[np.isinf(Q)] = 1e300  # a finite slope given, too large for some integrands
+            outs = va._values(ts, Ld, Ln, Y), va._values(ts, Ld, Ln, Y, Q)
+            for r, (row, got, given) in enumerate(zip(Y, *outs)):
+                gf = GridFunction(ts, row)
+                want = alone(lambda: (va.eval_J_delta(p, gf), va.eval_J_nabla(p, gf)))
+                same_value_outcome(got, want)
+                same_value_outcome(va._values(ts, Ld, Ln, row[None])[0], want)
+                same_value_outcome(given, va._values(ts, Ld, Ln, Y[r : r + 1], Q[r : r + 1])[0])
+            assert len(outs[0]) == len(outs[1]) == m
+            faulted += any(isinstance(o, ex.DomainViolation) for o in outs[0] + outs[1])
+    assert faulted >= 40
+
+
 def test_a_stack_at_the_public_boundary_gives_one_outcome_per_row():
     # (value, gradient) without factors, the ProductGradient with them, and
     # the ProductHessian of each row, or the DomainViolation of a row that
@@ -254,7 +310,7 @@ def test_every_kernel_run_takes_a_stack_of_node_rows(monkeypatch):
 
     def kernel(Ld, Ln, slots):
         run = real(Ld, Ln, slots)
-        return lambda *samples: dims.append([np.ndim(x) for x in samples]) or run(*samples)
+        return run and (lambda *samples: dims.append([np.ndim(x) for x in samples]) or run(*samples))
 
     def runs(fn):
         dims.clear()

@@ -8,11 +8,10 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import dense, random_integrand, run_alone
+from helpers import count_evaluations, dense, random_integrand, run_alone
 from tsvar import cli
 from tsvar import expr as ex
 from tsvar import solver as so
-from tsvar import variational as va
 from tsvar.expr import parse
 from tsvar.solver import SolverConfig, solve
 from tsvar.timescale import from_points, q_scale, uniform
@@ -109,24 +108,11 @@ class TestExactHessian:
         cp = so._Compiled(p, so._base_trajectory(p))
         fun, model = so._merit(cp, p, 1e-9)
         at = run_alone(fun(np.linspace(0.2, 0.8, 7)))
-        runs, programs = [], []
-        real_kernel, real_program = va._kernel, ex.Program.__call__
-
-        def kernel(Ld, Ln, slots):
-            run = real_kernel(Ld, Ln, slots)
-            return lambda *samples: runs.append(slots) or run(*samples)
-
-        def program(self, t, yy, vv):
-            programs.append(self.exprs)
-            return real_program(self, t, yy, vv)
-
-        monkeypatch.setattr(va, "_kernel", kernel)
-        monkeypatch.setattr(ex.Program, "__call__", program)
-        run_alone(model(at))
-        assert runs == [("yy", "yv", "vv")] and programs == []
-        runs.clear()
-        functional_hessian(p.scale, p.L_delta, p.L_nabla, cp.base)
-        assert runs == [("", "y", "v"), ("yy", "yv", "vv")] and programs == []
+        _, runs, programs = count_evaluations(monkeypatch, lambda: run_alone(model(at)))
+        assert runs == [("yy", "yv", "vv")] and programs == 0
+        _, runs, programs = count_evaluations(
+            monkeypatch, lambda: functional_hessian(p.scale, p.L_delta, p.L_nabla, cp.base))
+        assert runs == [("", "y", "v"), ("yy", "yv", "vv")] and programs == 0
 
     def test_partials_are_differentiated_once(self, monkeypatch):
         calls = []

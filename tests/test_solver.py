@@ -351,6 +351,16 @@ class TestConsistencySolve:
             alone = so._integrals(p, y[i : i + 1], d[i : i + 1])
             np.testing.assert_array_equal(alone, [jn[i : i + 1], jd[i : i + 1]], strict=True)
 
+    @pytest.mark.parametrize("case, kernel_runs", [("ex1", 4), ("ex1_q", 4), ("product_3pt", 3)])
+    def test_consistency_cases_sample_through_the_pair_kernel(self, monkeypatch, case, kernel_runs):
+        # the quadratic pieces, each call of the ray integrals and the report
+        # are one kernel run of the integrand pair; no integrand's own
+        # program runs
+        manifest = cli.load_bundled_manifest()
+        (rows, ok), runs, n = count_evaluations(
+            monkeypatch, lambda: cli.run_verify_cases(manifest, SolverConfig(seed=0), case))
+        assert ok and len(runs) == kernel_runs and n == 0
+
     def test_g_has_no_pole_where_one_slope_denominator_vanishes(self):
         # at theta_i = atan2(-qn_i, qd_i) the denominator A*qd_i + B*qn_i of
         # interval i vanishes, but then s1 = sum(mu/denominator) grows without

@@ -5,8 +5,9 @@ import pytest
 
 import helpers
 from helpers import quadratic_expr, random_gridfn, random_quadratic_problem, random_scale
+from tsvar import cli
 from tsvar import expr as ex
-from tsvar.calculus import GridFunction, cumulative_delta, cumulative_nabla, from_callable
+from tsvar.calculus import GridFunction, cumulative_delta, cumulative_nabla, from_callable, read_csv
 from tsvar.expr import DomainViolation, parse
 from tsvar.timescale import from_points, h_integers, q_scale, uniform
 from tsvar.variational import (
@@ -20,6 +21,8 @@ from tsvar.variational import (
     eval_J_delta,
     eval_J_nabla,
     eval_K,
+    eval_K_delta,
+    eval_K_nabla,
     first_variation,
     functional_gradient,
     is_K_extremal,
@@ -113,6 +116,29 @@ class TestFunctionalValues:
         # the last forward sample holds y(sigma(t)) = -1 at t = 0.999
         assert str(err.value) == f"domain violation in 'ln' at t={float(ts.points[-2])!r} (node at offset 0)"
         assert err.value.index == 999
+
+    def test_J_and_K_are_one_kernel_run_of_their_pair(self, monkeypatch):
+        # the product of the per-side values, bit for bit, from one run of
+        # the pair's value kernel; no integrand's own program runs
+        p, _ = cli.parse_problem_text(
+            cli._bundled_path("product_unit.problem").read_text(encoding="utf-8"))
+        y = read_csv(str(cli._bundled_path("product_unit_trajectory.csv")), p.scale)
+        p = replace(p, constraint=IsoperimetricConstraint(parse("t*v + y^2"), parse("1 + v"), 1.0))
+        for J, delta, nabla in ((eval_J, eval_J_delta, eval_J_nabla),
+                                (eval_K, eval_K_delta, eval_K_nabla)):
+            value, runs, n = helpers.count_evaluations(monkeypatch, lambda: J(p, y))
+            assert runs == [("",)] and n == 0
+            assert value == delta(p, y) * nabla(p, y)
+
+    def test_J_raises_the_violation_of_the_forward_side_first(self):
+        ts, y = from_points([-1, 0, 1]), identity_on(from_points([-1, 0, 1]))
+        for Ld, Ln, side in (("ln(t)", "sqrt(t)", eval_J_delta), ("v^2", "sqrt(t - 1)", eval_J_nabla)):
+            p = VariationalProblem(ts, parse(Ld), parse(Ln), 0.0, 0.0)
+            with pytest.raises(DomainViolation) as want:
+                side(p, y)
+            with pytest.raises(DomainViolation) as got:
+                eval_J(p, y)
+            assert str(got.value) == str(want.value)
 
     def test_trajectory_scale_must_match(self):
         p = quad_problem(from_points([0, 1, 2]), 0.0, 2.0)
@@ -331,6 +357,13 @@ class TestNaturalBoundary:
             natural_bc_residual_a(p, identity_on(ts))
         with pytest.raises(ValueError):
             natural_bc_residual_b(p, identity_on(ts))
+
+    def test_unknown_reduced_variant_rejected(self):
+        ts = from_points([0, 1, 2])
+        for Ld, Ln, which in (("v^2", "1", "b"), ("1", "v^2", "a")):
+            p = VariationalProblem(ts, parse(Ld), parse(Ln), None, None)
+            with pytest.raises(ValueError, match="variant"):
+                natural_bc_reduced(p, identity_on(ts), which, "bogus")
 
     def test_mixed_problem_rejected_for_reduced_form(self):
         ts = from_points([0, 1, 2])
