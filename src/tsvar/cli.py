@@ -286,8 +286,7 @@ def _residual_rows(problem, y, args):
 def _cmd_residual(args) -> int:
     problem, _ = parse_problem_file(args.problem)
     y = _load_trajectory(args.trajectory, problem.scale)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises DomainViolation
-        t, values, defect, mean = _residual_rows(problem, y, args)
+    t, values, defect, mean = _residual_rows(problem, y, args)
     if args.out:
         outdir = _output_dir(args.out)
         with open(outdir / "residual.csv", "w", encoding="utf-8") as fh:
@@ -511,14 +510,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "residual":
-            return _cmd_residual(args)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        return _cmd_verify(args)
+    try:  # an overflow raises DomainViolation or is reported, never a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.command == "eval":
+                return _cmd_eval(args)
+            if args.command == "residual":
+                return _cmd_residual(args)
+            if args.command == "solve":
+                return _cmd_solve(args)
+            return _cmd_verify(args)
     except (ProblemFileError, ex.ExprSyntaxError) as err:
         print(f"parse error: {err}", file=sys.stderr)
         return EXIT_PARSE

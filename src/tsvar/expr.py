@@ -22,16 +22,21 @@ operators and parentheses); a longer one is a syntax error.  The limit bounds
 the depth of every tree: binary operators associate to the left, so a sum of
 k terms is k levels deep, and a second partial of an expression of n tokens
 is at most about 3n levels deep (a chain of quotients is the deepest).
-Parsing, differentiation, lowering to the compiled program and printing
+Parsing, differentiation, lowering to straight-line code and printing
 recurse once per level, so they stay well within Python's default recursion
-limit.  Array evaluation runs the lowered straight-line code and does not
-recurse.
+limit.  Array evaluation runs the lowered code and does not recurse.
+
+Lowered code (``_lower``) runs in one of two ways, with bit-identical
+outputs: checked, one instruction at a time (``_checked``; ``eval_arrays``
+is this run of one tree), or compiled into one Python function
+(``_compile``).  The compiled function is the kernel that ``variational``
+runs with floating-point faults raised, falling back to the checked run
+where it faults.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import re
 from dataclasses import dataclass, field
 
@@ -51,7 +56,6 @@ __all__ = [
     "parse",
     "evaluate",
     "eval_arrays",
-    "Program",
     "differentiate",
     "to_text",
     "is_constant",
@@ -168,7 +172,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                 f"unexpected character {stripped[0]!r}", len(text) - len(stripped)
             )
         kind = m.lastgroup
-        # every constant of a parsed tree is finite, as ``Program`` relies on
+        # every constant of a parsed tree is finite, as a compiled kernel relies on
         if kind == "number" and not np.isfinite(float(m.group(kind))):
             raise ExprSyntaxError("numeric literal out of range", m.start(kind))
         tokens.append((kind, m.group(kind), m.start(kind)))
@@ -300,38 +304,6 @@ _UFUNCS = {"+": "add", "-": "subtract", "*": "multiply", "/": "divide",
            "sin": "sin", "cos": "cos", "exp": "exp", "ln": "log", "sqrt": "sqrt"}
 
 
-class Program:
-    """Several expressions over the same (t, y, v), compiled into one
-    straight-line program in which shared subtrees are computed once.
-
-    Called on arrays t, y, v, it returns one fresh array per expression,
-    filled to the broadcast shape of the inputs where the expression is
-    constant.  The program runs with floating-point faults raised; on a
-    fault, a non-finite input or a scalar input it runs again checked, one
-    instruction at a time (``_checked``), so a failure raises the same
-    ``DomainViolation`` as evaluating the expressions one after another.
-    Both runs give bit-identical outputs.
-    """
-
-    def __init__(self, exprs):
-        self.exprs = tuple(exprs)
-        self._lowered = _lower(self.exprs)
-        self._run, self._reads = _compile(*self._lowered[:2])
-
-    def __call__(self, t, y, v):
-        ins = [np.asarray(x, dtype=float) for x in (t, y, v)]
-        if self._run is not None and min(x.ndim for x in ins) > 0:
-            try:
-                with np.errstate(over="raise", divide="raise", invalid="raise"):
-                    # the inputs read sum to a finite number without a fault
-                    # only when all of their elements are finite
-                    if math.isfinite(sum(np.add.reduce(ins[i], axis=None) for i in self._reads)):
-                        return self._run(*ins)
-            except FloatingPointError:
-                pass
-        return _checked(*self._lowered, t, y, v)
-
-
 def _lower(exprs, inputs=None) -> tuple[tuple, tuple, tuple]:
     """Hash-cons ``exprs`` into straight-line code: instructions ('k', hex of
     a constant), ('x', input index) or (ufunc name, operand indices...),
@@ -412,65 +384,57 @@ def _checked(code, outs, where, t, y, v):
 
 
 @functools.lru_cache(maxsize=256)
-def _compile(code: tuple, outs: tuple, arity: int = len(VARIABLES), shared: bool = False):
-    """The function of ``arity`` input arrays (t, y, v by default) -> outputs
-    that runs ``code``, and the indices of the inputs it reads; (None, ())
-    when a constant is not finite.
+def _compile(code: tuple, outs: tuple, arity: int = len(VARIABLES)):
+    """The function of ``arity`` input arrays of one shape (t, y, v by
+    default) -> outputs that runs ``code``; None when a constant is not
+    finite.
 
     The source names only generated registers and numpy functions; constants
-    are bound as values.  After its last use a register takes a result of
-    its own shape in place (``out=``) or is deleted, so the program holds no
-    more arrays at once than it needs.  An output that is an input, or
-    another output, is copied, and a constant one is filled to the broadcast
-    shape of the inputs, so every output is a fresh array.  With ``shared``
-    the inputs are arrays of one shape and outputs may share arrays: inputs
-    and repeated outputs are passed on as they are, and a constant is
-    filled once, to the shape of the first input."""
-    ns = {f: getattr(np, f) for f in ("negative", "power", "empty", "array", "broadcast", *_UFUNCS.values())}
+    are bound as values.  Every register that reads an input has the
+    inputs' shape, so after its last use it takes a result in place
+    (``out=``); any other dead register is deleted, so the program holds no
+    more arrays at once than it needs.  Outputs may share arrays: an input
+    or a repeated output is passed on as it is, and a constant is filled
+    once, to the inputs' shape."""
+    ns = {f: getattr(np, f) for f in ("negative", "power", "empty", *_UFUNCS.values())}
     last = {a: i for i, (op, *args) in enumerate(code) if op not in ("k", "x") for a in args}
     inputs = [f"x{j}" for j in range(arity)]
-    names, deps, body = [], [], []
+    names, varies, body = [], [], []
     for i, (op, *args) in enumerate(code):
         if op == "k":
             value = float.fromhex(args[0])
             if not np.isfinite(value):
-                return None, ()
+                return None
             names.append(f"k{i}")
-            deps.append(0)
+            varies.append(False)
             ns[names[i]] = np.float64(value)
         elif op == "x":
             names.append(inputs[args[0]])
-            deps.append(1 << args[0])
+            varies.append(True)
         else:
-            deps.append(functools.reduce(int.__or__, (deps[a] for a in args)))
+            varies.append(any(varies[a] for a in args))
             dead = [a for a in dict.fromkeys(args)
                     if last[a] == i and a not in outs and code[a][0] not in ("k", "x")]
-            into = [a for a in dead if deps[a] == deps[i] != 0][:1]
+            into = [a for a in dead if varies[a]][:1]
             names.append(names[into[0]] if into else f"r{i}")
             out = f", out={names[i]}" if into else ""
             body.append(f"{names[i]} = {op}({', '.join(names[a] for a in args)}{out})")
             if len(dead) > len(into):
                 body.append(f"del {', '.join(names[a] for a in dead if a not in into)}")
     results = []
-    if not all(deps[o] for o in outs):
-        shape = "x0.shape" if shared else f"broadcast({', '.join(inputs)}).shape"
-        body.append(f"shape = {shape}")
     for j, o in enumerate(outs):
-        if shared and o in outs[:j]:
+        if o in outs[:j]:
             results.append(results[outs.index(o)])
-        elif not deps[o]:
-            body.append(f"f{j} = empty(shape)")
+        elif not varies[o]:
+            body.append(f"f{j} = empty(x0.shape)")
             body.append(f"f{j}.fill({names[o]})")
             results.append(f"f{j}")
-        elif not shared and (code[o][0] == "x" or o in outs[:j]):
-            results.append(f"array({names[o]})")
         else:
             results.append(names[o])
     body.append(f"return ({', '.join(results)},)")
     source = f"def program({', '.join(inputs)}):\n" + "".join(f"    {line}\n" for line in body)
     exec(compile(source, "<tsvar program>", "exec"), ns)
-    reads = tuple(i for i in range(arity) if any(d >> i & 1 for d in deps))
-    return ns["program"], reads
+    return ns["program"]
 
 
 # ---------------------------------------------------------------------------

@@ -914,9 +914,8 @@ def _affine_pieces(p: va.VariationalProblem):
     A*(pd + qd*v) + B*(pn + qn*v) = C on each interval.  An integrand
     undefined at a point of the scale raises ``DomainViolation`` there, the
     forward one first."""
-    zero = np.zeros((1, len(p.scale)))
-    return va._one(va._pair(p.scale, p.L_delta, p.L_nabla, ("", "v", "vv"), zero, zero[:, 1:],
-                            lambda rows, w, q, parts: [tuple(piece[0] for piece in parts)]))
+    zero = np.zeros(len(p.scale))
+    return va._along(p.scale, p.L_delta, p.L_nabla, ("", "v", "vv"), zero, zero[1:])
 
 
 def _trajectories(p, pieces, A, B):

@@ -28,19 +28,22 @@ node gradient (``_el_residual``); the natural boundary residuals are
 gradient dotted with eta.  A multiplier residual is the same running sum of
 lambda0 * gradJ - lambda * gradK.
 
-Every evaluation of both integrands, J and K (``_values``), the exact
-gradient and structured Hessian that every solver step evaluates, and the
-consistency solver's samples, is one run of the compiled kernel of the
-integrand pair and its partials (``_kernel``): one straight-line program
-of the forward and the backward samples, which share the difference
-quotient, followed by one assembly of the sums, the node gradients or the
-tridiagonal Hessian parts.  A kernel run (``_pair``) takes a 2-D stack of
-node rows, one per solver start or one trajectory, has one fault check, a
-finite quotient and no floating-point fault, and gives each row, bit for
-bit, its outcome alone: its record or its DomainViolation.  A stack that
-faults runs again by halves, and one row falls back to the checked
-program of each integrand.  A gradient keeps its own copy of its samples,
-from which the Hessian at the same point takes them.
+Every evaluation is one run of a compiled kernel (``_kernel``): one
+straight-line program of the forward and the backward samples, which share
+the difference quotient, followed by one assembly of the sums, the node
+gradients or the tridiagonal Hessian parts.  The kernel of the integrand
+pair serves J and K (``_values``), the exact gradient and structured
+Hessian that every solver step evaluates, and the consistency solver's
+samples; the kernel of one integrand alone, its other side absent, serves
+J_delta, J_nabla, the differential forms and the reduced natural boundary
+conditions (``_values``, ``_along``).  A kernel run (``_pair``) takes a
+2-D stack of node rows, one per solver start or one trajectory, has one
+fault check, a finite quotient and no floating-point fault, and gives each
+row, bit for bit, its outcome alone: its record or its DomainViolation.  A
+stack that faults runs again by halves, and one row falls back to the
+checked run of each integrand present (``_sampled``).  A gradient keeps its
+own copy of its samples, from which the Hessian at the same point takes
+them.
 """
 
 from __future__ import annotations
@@ -134,26 +137,17 @@ def _check_trajectory(p: VariationalProblem, y: GridFunction):
         raise ValueError("trajectory must be defined at every point, a and b included")
 
 
-def _samples(ts: TimeScale, yvals: np.ndarray, forward: bool):
-    """The forward samples (t, y^sigma, Dy) over the scale minus its maximum
-    point, or the backward samples (t, y^rho, Ny) over the scale minus its
-    minimum point."""
-    if forward:
-        return ts.points[:-1], yvals[1:], np.diff(yvals) / ts.mu_values[:-1]
-    return ts.points[1:], yvals[:-1], np.diff(yvals) / ts.nu_values[1:]
-
-
 def _sampled(e: ex.Expression, slots: tuple, samples: tuple) -> tuple:
     """The partials of ``e`` named by ``slots`` (see ``_d``) at ``samples``,
-    three arrays of one shape, from one run of their compiled program, kept
-    on ``e`` like the partials themselves; a ``DomainViolation`` names the t
-    of the first non-finite element of the failing node (the first sample for
-    a scalar node)."""
-    memo = vars(e).setdefault("_programs", {})
+    (t, y, v), from one checked run of their lowered code (``ex._checked``),
+    kept on ``e`` like the partials themselves: the kernel's fallback for
+    one row.  A ``DomainViolation`` names the t of the first non-finite
+    element of the failing node (the first sample for a scalar node)."""
+    memo = vars(e).setdefault("_lowered", {})
     if slots not in memo:
-        memo[slots] = ex.Program(_d(e, s) for s in slots)
+        memo[slots] = ex._lower([_d(e, s) for s in slots])
     try:
-        return memo[slots](*samples)
+        return ex._checked(*memo[slots], *samples)
     except ex.DomainViolation as err:
         ti = float(np.ravel(samples[0])[err.index or 0])
         raise ex.DomainViolation(f"{err.reason} at t={ti!r}", err.offset, err.index) from None
@@ -178,15 +172,15 @@ def _d(e: ex.Expression, slots: str) -> ex.Expression:
 
 
 def eval_J_delta(p: VariationalProblem, y: GridFunction) -> float:
+    """J_delta from one run of the forward integrand's value kernel."""
     _check_trajectory(p, y)
-    (vals,) = _sampled(p.L_delta, ("",), _samples(p.scale, y.values, True))
-    return float(np.dot(p.scale.mu_values[:-1], vals))
+    return _one(_values(p.scale, p.L_delta, None, y.values[None]))[0]
 
 
 def eval_J_nabla(p: VariationalProblem, y: GridFunction) -> float:
+    """J_nabla from one run of the backward integrand's value kernel."""
     _check_trajectory(p, y)
-    (vals,) = _sampled(p.L_nabla, ("",), _samples(p.scale, y.values, False))
-    return float(np.dot(p.scale.nu_values[1:], vals))
+    return _one(_values(p.scale, None, p.L_nabla, y.values[None]))[0]
 
 
 def eval_J(p: VariationalProblem, y: GridFunction) -> float:
@@ -313,7 +307,7 @@ def el_differential_delta(p: VariationalProblem, y: GridFunction) -> GridFunctio
             stacklevel=2,
         )
     ts = p.scale
-    d3, d2 = _sampled(p.L_delta, ("v", "y"), _samples(ts, y.values, True))
+    d3, d2 = _along(ts, p.L_delta, None, ("v", "y"), y.values)
     dd3 = np.diff(d3) / ts.mu_values[: len(ts) - 2]
     return GridFunction(ts, dd3 - d2[:-1], range(0, len(ts) - 2))
 
@@ -328,7 +322,7 @@ def el_differential_nabla(p: VariationalProblem, y: GridFunction) -> GridFunctio
             stacklevel=2,
         )
     ts = p.scale
-    d3, d2 = _sampled(p.L_nabla, ("v", "y"), _samples(ts, y.values, False))
+    d3, d2 = _along(ts, None, p.L_nabla, ("v", "y"), y.values)
     nd3 = np.diff(d3) / ts.nu_values[2:]
     return GridFunction(ts, nd3 - d2[1:], range(2, len(ts)))
 
@@ -387,8 +381,8 @@ def natural_bc_reduced(
     if kind == "mixed":
         raise ValueError("reduced natural boundary conditions need a pure problem")
     ts = p.scale
-    L = p.L_delta if kind == "delta" else p.L_nabla
-    d2, d3 = _sampled(L, ("y", "v"), _samples(ts, y.values, kind == "delta"))
+    pair = (p.L_delta, None) if kind == "delta" else (None, p.L_nabla)
+    d2, d3 = _along(ts, *pair, ("y", "v"), y.values)
     if kind == "delta":
         if which == "a":
             return float(d3[0])
@@ -561,22 +555,30 @@ _FIRST = ("", "y", "v")  # the partials a gradient is assembled from
 _SECOND = ("yy", "yv", "vv")  # and a Hessian
 
 
-def _kernel(Ld: ex.Expression, Ln: ex.Expression, slots: tuple):
+def _kernel(Ld: ex.Expression | None, Ln: ex.Expression | None, slots: tuple):
     """The compiled kernel of an integrand pair: one straight-line program
     of the five sample arrays (t[:-1], y[1:], q, t[1:], y[:-1]) that returns
     the partials of Ld named by ``slots`` at the forward samples (t[:-1],
     y[1:], q), then those of Ln at the backward ones (t[1:], y[:-1], q).
     The forward and backward gaps mu[:-1] and nu[1:] are the same array, so
     both sides share the quotient q, and a subtree that reads only q and
-    constants is computed once for both.  None when a constant is not
-    finite.  Kept on Ld, which keeps Ln alive, so its id is a safe key."""
-    memo = vars(Ld).setdefault("_kernels", {})
-    hit = memo.get((id(Ln), slots))
+    constants is computed once for both.  A side that is None is absent:
+    the kernel of one integrand alone returns only its partials.  None when
+    a constant is not finite.
+
+    Kept on the first integrand present, keyed by the ids of both sides, so
+    the pair (L, L), the forward kernel (L, None) and the backward kernel
+    (None, L) stay apart; the entry keeps the other side alive, so its id
+    is a safe key."""
+    owner, other = (Ld, Ln) if Ld is not None else (Ln, None)
+    memo = vars(owner).setdefault("_kernels", {})
+    key = (id(Ld), id(Ln), slots)
+    hit = memo.get(key)
     if hit is None:
-        exprs = [_d(Ld, s) for s in slots] + [_d(Ln, s) for s in slots]
-        inputs = [(0, 1, 2)] * len(slots) + [(3, 4, 2)] * len(slots)
-        code, outs, _ = ex._lower(exprs, inputs)
-        hit = memo[(id(Ln), slots)] = (Ln, ex._compile(code, outs, 5, shared=True)[0])
+        sides = [(L, xs) for L, xs in ((Ld, (0, 1, 2)), (Ln, (3, 4, 2))) if L is not None]
+        exprs = [_d(L, s) for L, _ in sides for s in slots]
+        inputs = [xs for _, xs in sides for _ in slots]
+        hit = memo[key] = (other, ex._compile(*ex._lower(exprs, inputs)[:2], 5))
     return hit[1]
 
 
@@ -585,14 +587,15 @@ def _pair(ts: TimeScale, Ld, Ln, slots: tuple, y: np.ndarray, q, assemble, rows=
     y, with q their difference quotients, formed here unless they are given,
     and then known to be finite: ``assemble(rows, w, q, partials)`` on each
     slice ``rows`` that one run serves, w the row of gaps, with the partials
-    of the pair named by ``slots`` (ordered as by ``_kernel``) at those rows.
-    The q passed on is theirs if the kernel ran clean, else [None].
+    of the pair named by ``slots`` (ordered as by ``_kernel``; a side that
+    is None has none) at those rows.  The q passed on is theirs if the
+    kernel ran clean, else [None].
 
     The kernel runs, and ``assemble`` with it, with floating-point faults
     raised (``_raised``).  A quotient is finite only when every node is, so
     it is the one input checked.  On a non-finite quotient, a fault or a
     kernel that is None, a slice of several rows runs again by halves, and
-    one row falls back to the checked programs of each integrand
+    one row falls back to the checked run of each integrand present
     (``_sampled``), forward side first, so its outcome, a DomainViolation
     included, is that of sampling the sides one at a time.  Both runs give
     bit-identical outputs, and so does a stack, whose operations are
@@ -613,8 +616,9 @@ def _pair(ts: TimeScale, Ld, Ln, slots: tuple, y: np.ndarray, q, assemble, rows=
                 + _pair(ts, Ld, Ln, slots, y, q, assemble, slice(mid, hi)))
     yf, yb = y[rows, 1:], y[rows, :-1]
     fq = (yf - yb) / w if q is None else q[rows]
+    sides = ((Ld, (tf[None], yf, fq)), (Ln, (tb[None], yb, fq)))
     try:  # the scale's points as a row, so every partial has the row's shape
-        parts = _sampled(Ld, slots, (tf[None], yf, fq)) + _sampled(Ln, slots, (tb[None], yb, fq))
+        parts = sum((_sampled(L, slots, samples) for L, samples in sides if L is not None), ())
     except ex.DomainViolation as err:
         return [err]
     return assemble(rows, w, [None], parts)
@@ -645,13 +649,24 @@ def _one(outcomes: list):
     return outcomes[0]
 
 
-def _values(ts: TimeScale, Ld: ex.Expression, Ln: ex.Expression, y: np.ndarray, q=None) -> list:
+def _values(ts: TimeScale, Ld, Ln, y: np.ndarray, q=None) -> list:
     """(J_delta, J_nabla) at each row of the 2-D stack of node rows y, with
     difference quotients q unless they are formed here, each factor its own
     dot product with the gaps, or the row's DomainViolation: one run of the
-    pair's value kernel (see ``_pair``)."""
+    pair's value kernel (see ``_pair``).  A side that is None has no factor:
+    the tuples then hold the one factor of the side present."""
     return _pair(ts, Ld, Ln, ("",), y, q,
                  lambda rows, w, q, parts: list(zip(*(np.vecdot(L, w).tolist() for L in parts))))
+
+
+def _along(ts: TimeScale, Ld, Ln, slots: tuple, y: np.ndarray, q=None) -> tuple:
+    """The partials named by ``slots`` of each integrand present in the pair
+    (ordered as by ``_kernel``) along the one row of nodes y, with quotients
+    q unless they are formed here: 1-D arrays from one kernel run, or the
+    row's DomainViolation raised."""
+    q = None if q is None else q[None]
+    return _one(_pair(ts, Ld, Ln, slots, y[None], q,
+                      lambda rows, w, q, parts: [tuple(part[0] for part in parts)]))
 
 
 def _first(ts: TimeScale, Ld: ex.Expression, Ln: ex.Expression, yvals) -> list | ProductGradient:

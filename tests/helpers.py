@@ -202,8 +202,8 @@ def bisect(G, a, b, neg_a, n):
 
 # The per-side assembly of the product functional, one integrand at a time:
 # an oracle for the compiled kernel of a pair (``tsvar.variational._pair``).
-# Each side samples its own program of partials (``_sampled``), so a fault
-# raises the DomainViolation of the forward side first.
+# Each side samples its own partials in one checked run (``_sampled``), so a
+# fault raises the DomainViolation of the forward side first.
 
 
 def side_samples(ts, yvals, forward):
@@ -213,11 +213,12 @@ def side_samples(ts, yvals, forward):
     return ts.points[1:], yvals[:-1], np.diff(yvals) / ts.nu_values[1:]
 
 
-def side_sum(e, ts, yvals, forward):
-    """The weighted sum of e over one side and its samples of d2 e and d3 e."""
-    L, d2, d3 = va._sampled(e, ("", "y", "v"), side_samples(ts, yvals, forward))
+def side_sum(e, ts, yvals, forward, slots=("", "y", "v")):
+    """The weighted sum of e over one side and its samples of the other
+    partials named by ``slots``, by default d2 e and d3 e."""
+    L, *partials = va._sampled(e, slots, side_samples(ts, yvals, forward))
     w = ts.mu_values[:-1] if forward else ts.nu_values[1:]
-    return float(np.dot(w, L)), d2, d3
+    return float(np.dot(w, L)), *partials
 
 
 def side_grad(ts, side, forward):
@@ -299,25 +300,25 @@ def reference_first_order(ts, Ld, Ln, yvals, eta):
 
 
 def count_evaluations(monkeypatch, fn):
-    """fn(), the slots of its kernel runs and its number of ``ex.Program``
-    runs (the fallback of a kernel run)."""
-    runs, programs = [], []
-    real_kernel, real_program = va._kernel, ex.Program.__call__
+    """fn(), the slots of its kernel runs and its number of checked
+    per-side runs (``va._sampled``, the fallback of a kernel run)."""
+    runs, checked = [], []
+    real_kernel, real_sampled = va._kernel, va._sampled
 
     def kernel(Ld, Ln, slots):  # a pair without a kernel still has none
         run = real_kernel(Ld, Ln, slots)
         return run and (lambda *samples: runs.append(slots) or run(*samples))
 
-    def program(self, t, y, v):
-        programs.append(self.exprs)
-        return real_program(self, t, y, v)
+    def sampled(e, slots, samples):
+        checked.append(slots)
+        return real_sampled(e, slots, samples)
 
     monkeypatch.setattr(va, "_kernel", kernel)
-    monkeypatch.setattr(ex.Program, "__call__", program)
+    monkeypatch.setattr(va, "_sampled", sampled)
     out = fn()
     monkeypatch.setattr(va, "_kernel", real_kernel)
-    monkeypatch.setattr(ex.Program, "__call__", real_program)
-    return out, runs, len(programs)
+    monkeypatch.setattr(va, "_sampled", real_sampled)
+    return out, runs, len(checked)
 
 
 def run_alone(gen):

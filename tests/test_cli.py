@@ -318,6 +318,17 @@ class TestDomainViolations:
             assert main(command + ["--problem", prob]) == EXIT_DOMAIN
             assert capsys.readouterr().err == "domain violation in 'pow' at t=0.0 (node at offset 2)\n"
 
+    def test_overflowing_node_differences_print_only_the_violation(self, tmp_path, capsys):
+        # the differences of the nodes 1e308 and -1e308 overflow; every
+        # command runs under one np.errstate, so eval prints no numpy
+        # warning before its violation, as residual does not either
+        prob = str(cli._bundled_path("ex1.problem"))
+        traj = line_csv(tmp_path, [0, 1, 2, 3, 4], [0, 1e308, -1e308, 3, 4])
+        for command in (["eval"], ["residual", "--form", "el1"]):
+            rc = main(command + ["--problem", prob, "--trajectory", traj])
+            assert rc == EXIT_DOMAIN
+            assert capsys.readouterr().err == "domain violation in 'pow' at t=0.0 (node at offset 1)\n"
+
     def test_solve_with_undefined_objective_exits_with_domain_code(self, tmp_path, capsys):
         text = GOOD.replace("delta = v^2", "delta = sqrt(-1 - y^2) + v^2")
         prob = write(tmp_path, "p.problem", text)

@@ -1,7 +1,9 @@
 """The library imports nothing beyond the standard library and numpy:
-scipy, sympy and hypothesis stay out of ``src/``."""
+scipy, sympy and hypothesis stay out of ``src/``; and every name a module
+exports exists."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -37,3 +39,14 @@ def test_foreign_imports_are_found_anywhere_in_a_module():
         "    from hypothesis import strategies\n"
     )
     assert foreign_imports(source) == ["scipy.linalg", "sympy", "hypothesis"]
+
+
+def test_every_exported_name_resolves():
+    # a name left in __all__ after its definition goes fails here, not at
+    # a user's ``from tsvar.<module> import *``
+    missing = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "__init__":
+            module = importlib.import_module(f"tsvar.{path.stem}")
+            missing[path.stem] = [n for n in module.__all__ if not hasattr(module, n)]
+    assert len(missing) >= 6 and {name: bad for name, bad in missing.items() if bad} == {}

@@ -5,6 +5,7 @@ import pytest
 
 from tsvar import cli
 from tsvar import expr as ex
+from tsvar import timescale as tsc
 from tsvar import variational as va
 from tsvar.expr import (
     Binding,
@@ -100,14 +101,19 @@ class TestParse:
         e = parse(make(k))
         with pytest.raises(ExprSyntaxError, match=f"expression longer than {ex.MAX_TOKENS} tokens"):
             parse(make(k + 1))
-        partials = [e] + [differentiate(e, s) for s in "yv"]
-        partials += [differentiate(d, s) for d, s in ((partials[1], "y"), (partials[2], "y"), (partials[2], "v"))]
-        program = ex.Program(partials)
-        compiled = program(np.array([0.5, 1.5]), np.array([0.75, 2.0]), np.array([1.25, 0.5]))
-        walked = program(0.5, 0.75, 1.25)  # scalar inputs run the program checked
-        for d, a, b in zip(partials, compiled, walked):
-            assert a[0] == b and np.isfinite(a).all()
-            assert to_text(d)
+        slots = ("", "y", "v", "yy", "yv", "vv")
+        # the forward kernel of e and its partials, compiled, on the samples
+        # t = (0.5, 1.5), y = (0.75, 2.0), v = (1.25, 1.25) of a stack of one
+        # row, and their checked run at the first sample
+        run = va._kernel(e, None, slots)
+        t, y, v = np.array([[0.5, 1.5]]), np.array([[0.75, 2.0]]), np.array([[1.25, 1.25]])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            compiled = run(t, y, v, t, y)
+        walked = va._sampled(e, slots, (0.5, 0.75, 1.25))
+        along = va._along(tsc.uniform(0.5, 2.5, 3), e, None, slots, np.array([-0.5, 0.75, 2.0]))
+        for s, a, b, c in zip(slots, compiled, walked, along):
+            assert a[0, 0] == b and np.isfinite(a).all() and (a[0] == c).all()
+            assert to_text(va._d(e, s))
 
     def test_expressions_over_the_token_limit_are_syntax_errors(self):
         # each of these exhausted the recursion limit in the parser or in _diff

@@ -1,7 +1,8 @@
 """Property tests of the expression language on generated trees over t, y, v:
 exact partials against sympy, the print/parse round trip, and array
-evaluation against scalar evaluation and against a reference tree walk,
-including where evaluation fails."""
+evaluation, checked and compiled as a kernel runs it, against scalar
+evaluation and against a reference tree walk, including where evaluation
+fails."""
 
 import itertools
 
@@ -10,6 +11,8 @@ import pytest
 from helpers import walk
 
 from tsvar import expr as ex
+from tsvar import timescale as tsc
+from tsvar import variational as va
 
 hypothesis = pytest.importorskip("hypothesis")
 sp = pytest.importorskip("sympy")
@@ -148,15 +151,7 @@ def _assert_eval_arrays_is_the_walk(e, t, y, v):
     assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
 
 
-def _partials(e):
-    """e and its partials in the slots every sampler reads."""
-    out = [e]
-    for slots in ("y", "v", "yy", "yv", "vv"):
-        d = e
-        for var in slots:
-            d = ex.differentiate(d, var)
-        out.append(d)
-    return out
+KERNEL_SLOTS = ("", "y", "v", "yy", "yv", "vv")  # e and every partial a sampler reads
 
 
 def _walk(exprs, t, y, v):
@@ -170,34 +165,67 @@ def _walk(exprs, t, y, v):
     return [np.full(shape, x) if np.ndim(x) == 0 else x for x in outs]
 
 
-def _assert_program_is_the_walk(exprs, t, y, v):
-    want = _walk(exprs, t, y, v)
+def _assert_same(got, want):
+    """Two outcomes: the same arrays bit for bit, or the same DomainViolation."""
     if isinstance(want, ex.DomainViolation):
-        with pytest.raises(ex.DomainViolation) as got:
-            ex.Program(exprs)(t, y, v)
-        assert (got.value.reason, got.value.offset, got.value.index) == (
-            want.reason, want.offset, want.index)
+        assert isinstance(got, ex.DomainViolation)
+        assert (got.reason, got.offset, got.index) == (want.reason, want.offset, want.index)
         return
-    got = ex.Program(exprs)(t, y, v)
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert g.shape == w.shape
-        np.testing.assert_array_equal(g, w, strict=True)
-    # every output is a fresh array
-    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations([*got, t, y, v], 2))
+        w = np.asarray(w, dtype=float)
+        assert (g.shape, g.dtype, g.tobytes()) == (w.shape, w.dtype, w.tobytes())
+
+
+def _assert_kernel_is_the_walk(exprs, t, y, v):
+    """Both halves of the one compiled form of ``exprs`` at t, y, v are the
+    walk: its checked run (``ex._checked``), outputs or DomainViolation; and,
+    on arrays of one shape, its compiled code run with faults raised, as a
+    kernel runs it.  On finite inputs that code faults exactly where the walk
+    fails and otherwise gives the walk's outputs; a kernel never runs it on
+    inputs that are not finite, since its quotient check sends them to the
+    checked run."""
+    want = _walk(exprs, t, y, v)
+    code, outs, where = ex._lower(exprs)
+    try:
+        got = ex._checked(code, outs, where, t, y, v)
+    except ex.DomainViolation as err:
+        got = err
+    _assert_same(got, want)
+    ins = [np.asarray(x, dtype=float) for x in (t, y, v)]
+    if min(x.ndim for x in ins) == 0 or len({x.shape for x in ins}) > 1:
+        return
+    run = ex._compile(code, outs)
+    if run is None:  # a constant is not finite: a kernel then takes the checked run
+        assert not all(np.isfinite(float.fromhex(c)) for op, c, *_ in code if op == "k")
+        return
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            compiled = run(*ins)
+    except FloatingPointError:
+        compiled = None
+    if all(np.isfinite(x).all() for x in ins):
+        assert (compiled is None) == isinstance(want, ex.DomainViolation)
+    if compiled is not None and not isinstance(want, ex.DomainViolation):
+        _assert_same(compiled, want)
+
+
+def _partials(e):
+    """e and its partials in the slots every sampler reads."""
+    return [va._d(e, s) for s in KERNEL_SLOTS]
 
 
 @SETTINGS
 @hypothesis.given(PARSED, st.permutations(GRID), st.booleans())
 def test_program_is_the_walk(e, points, two_d):
-    # the 125 grid points as one row, or as 5 rows of 25 with t broadcast
-    # across the rows as the consistency scan samples them
+    # the 125 grid points as one row, or as a stack of 5 rows of 25 with t
+    # repeated across the rows, as the consistency scan samples them
     t, y, v = (np.array(col) for col in zip(*points))
     if two_d:
-        t, y, v = t[:25], y.reshape(5, 25), v.reshape(5, 25)
-    _assert_program_is_the_walk(_partials(e), t, y, v)
-    # and at the first point as scalars, which the program runs checked
-    _assert_program_is_the_walk(_partials(e), *points[0])
+        t, y, v = np.tile(t[:25], (5, 1)), y.reshape(5, 25), v.reshape(5, 25)
+    _assert_kernel_is_the_walk(_partials(e), t, y, v)
+    # and at the first point as scalars, which only the checked run takes
+    _assert_kernel_is_the_walk(_partials(e), *points[0])
 
 
 @SETTINGS
@@ -206,45 +234,75 @@ def test_program_is_the_walk(e, points, two_d):
 def test_program_on_non_finite_inputs_is_the_walk(e, points, slot, at, bad):
     cols = [np.array(col) for col in zip(*points)]
     cols[slot][at % len(points)] = bad
-    _assert_program_is_the_walk(_partials(e), *cols)
+    _assert_kernel_is_the_walk(_partials(e), *cols)
+
+
+@SETTINGS
+@hypothesis.given(PARSED, st.lists(st.sampled_from(VALUES), min_size=6, max_size=6),
+                  st.integers(0, 5), st.sampled_from([np.inf, -np.inf, np.nan]), st.booleans())
+def test_a_stack_through_the_kernel_is_the_walk_row_by_row(e, nodes, at, bad, forward):
+    # a one-sided kernel run (``va._pair``) on a stack of a clean row and a
+    # row with a node that is not finite: each row gets the walk at its own
+    # samples, the faulting one through the checked run, whose violation
+    # names the t of its first non-finite element
+    ts = tsc.uniform(-1.5, 1.0, 6)
+    Y = np.array([nodes, nodes], dtype=float)
+    Y[1, at] = bad
+    pair = (e, None) if forward else (None, e)
+    outs = va._pair(ts, *pair, KERNEL_SLOTS, Y, None, lambda rows, w, q, parts: list(zip(*parts)))
+    assert len(outs) == 2
+    t = ts.points[:-1] if forward else ts.points[1:]
+    for row, got in zip(Y, outs):
+        with np.errstate(all="ignore"):
+            q = np.diff(row) / ts.mu_values[:-1]
+        want = _walk(_partials(e), t, row[1:] if forward else row[:-1], q)
+        if isinstance(want, ex.DomainViolation):
+            ti = float(t[want.index or 0])
+            want = ex.DomainViolation(f"{want.reason} at t={ti!r}", want.offset, want.index)
+        _assert_same(got, want)
 
 
 def test_program_keeps_signed_zeros_apart():
-    y = np.array([1.0, 2.0])
-    plus, minus = ex.Program([ex.parse("y * 0"), ex.BinOp("*", ex.Var("y"), ex.Const(-0.0))])(y, y, y)
-    assert not np.signbit(plus).any() and np.signbit(minus).all()
+    # y * 0 and y * -0.0 are two instructions, so the pair's two outputs differ in sign
+    ts, nodes = tsc.uniform(0, 1, 3), np.array([1.0, 2.0, 3.0])
+    plus, minus = ex.parse("y * 0"), ex.BinOp("*", ex.Var("y"), ex.Const(-0.0))
+    got_plus, got_minus = va._along(ts, plus, minus, ("",), nodes)
+    assert not np.signbit(got_plus).any() and np.signbit(got_minus).all()
     assert ex._lower([ex.Const(0.0), ex.Const(-0.0)])[1] == (0, 1)
 
 
-def test_program_outputs_are_fresh():
-    # a repeated expression, an input and a constant each get their own array
-    y = np.array([0.5, 1.0])
-    outs = ex.Program([ex.parse(text) for text in ("sin(y)", "sin(y)", "y", "2", "2")])(y, y, y)
-    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations([*outs, y], 2))
-    np.testing.assert_array_equal(outs[3], [2.0, 2.0])
+def test_program_outputs_have_the_inputs_shape():
+    # a repeated expression, an input and a constant each give the value of
+    # their output over the stack; outputs may share arrays
+    y = np.array([[0.5, 1.0], [1.5, 2.0]])
+    exprs = [ex.parse(text) for text in ("sin(y)", "sin(y)", "y", "2", "2")]
+    outs = ex._compile(*ex._lower(exprs)[:2])(y, y, y)
+    _assert_same(outs, [np.sin(y), np.sin(y), y, np.full((2, 2), 2.0), np.full((2, 2), 2.0)])
+
+
+def test_a_non_finite_constant_is_checked_where_it_is_used():
+    # a hand-built constant can be non-finite; such code is not compiled, a
+    # kernel that has it is None, and the checked run names the node that
+    # uses the constant
+    y = np.array([1.0, 0.0, -2.0])
+    inf = ex.Const(np.inf, span=2)
+    times = ex.BinOp("*", ex.Var("y", span=0), inf, span=1)
+    assert ex._compile(*ex._lower([times])[:2]) is None and va._kernel(times, None, ("",)) is None
+    ts, nodes = tsc.uniform(0, 3, 4), np.r_[9.0, y]  # forward samples y[1:] are y
+    with pytest.raises(ex.DomainViolation) as err:
+        va._along(ts, times, None, ("",), nodes)
+    assert (err.value.reason, err.value.offset, err.value.index) == ("domain violation in '*' at t=0.0", 1, 0)
+    _assert_both_are_the_walk(times, y, y, y)
+    # exp(-inf) is finite, so this one evaluates
+    vanishing = ex.BinOp("*", ex.Var("y"), ex.Call("exp", ex.Neg(inf)))
+    _assert_same(va._along(ts, vanishing, None, ("",), nodes), [[0.0, 0.0, -0.0]])
+    _assert_both_are_the_walk(vanishing, y, y, y)
 
 
 def _assert_both_are_the_walk(e, *inputs):
     t, y, v = (np.array(x, dtype=float) for x in inputs)  # three distinct arrays
     _assert_eval_arrays_is_the_walk(e, t, y, v)
-    _assert_program_is_the_walk([e], t, y, v)
-
-
-def test_a_non_finite_constant_is_checked_where_it_is_used():
-    # a hand-built constant can be non-finite; such a program is not
-    # compiled, and its checked run names the node that uses the constant
-    y = np.array([1.0, 0.0, -2.0])
-    inf = ex.Const(np.inf, span=2)
-    times = ex.BinOp("*", ex.Var("y", span=0), inf, span=1)
-    assert ex._compile(*ex._lower([times])[:2]) == (None, ())
-    with pytest.raises(ex.DomainViolation) as err:
-        ex.Program([times])(y, y, y)
-    assert (err.value.reason, err.value.offset, err.value.index) == ("domain violation in '*'", 1, 0)
-    _assert_both_are_the_walk(times, y, y, y)
-    # exp(-inf) is finite, so this one evaluates
-    vanishing = ex.BinOp("*", ex.Var("y"), ex.Call("exp", ex.Neg(inf)))
-    np.testing.assert_array_equal(ex.Program([vanishing])(y, y, y)[0], [0.0, 0.0, -0.0], strict=True)
-    _assert_both_are_the_walk(vanishing, y, y, y)
+    _assert_kernel_is_the_walk([e], t, y, v)
 
 
 @pytest.mark.parametrize("text, y, name, offset, index", [
@@ -257,9 +315,8 @@ def test_a_non_finite_constant_is_checked_where_it_is_used():
 def test_the_first_failing_node_is_named(text, y, name, offset, index):
     e = ex.parse(text)
     t = v = np.ones(np.shape(y))
-    for run in (lambda: ex.eval_arrays(e, t, y, v), lambda: ex.Program([e])(t, y, v)):
-        with pytest.raises(ex.DomainViolation) as err:
-            run()
-        assert (err.value.reason, err.value.offset, err.value.index) == (
-            f"domain violation in {name!r}", offset, index)
+    with pytest.raises(ex.DomainViolation) as err:
+        ex.eval_arrays(e, t, y, v)
+    assert (err.value.reason, err.value.offset, err.value.index) == (
+        f"domain violation in {name!r}", offset, index)
     _assert_both_are_the_walk(e, t, y, v)

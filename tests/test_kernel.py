@@ -13,7 +13,6 @@ from tsvar import expr as ex
 from tsvar import solver as so
 from tsvar import timescale as tsc
 from tsvar import variational as va
-from tsvar.calculus import GridFunction
 from tsvar.expr import parse
 from tsvar.variational import VariationalProblem, functional_gradient, functional_hessian
 
@@ -234,6 +233,13 @@ def same_value_outcome(got, want):
     assert isinstance(got, tuple) and same_bits(got, want)
 
 
+def side_values(ts, Ld, Ln, row):
+    """(J_delta, J_nabla) at the row of nodes from the checked per-side sums,
+    forward side first."""
+    return (helpers.side_sum(Ld, ts, row, True, ("",))[0],
+            helpers.side_sum(Ln, ts, row, False, ("",))[0])
+
+
 def test_a_value_stack_gives_every_row_its_own_outcome():
     # the value kernel splits a faulting stack as the first-order one does:
     # with its quotients formed from the nodes or given, as the consistency
@@ -242,12 +248,10 @@ def test_a_value_stack_gives_every_row_its_own_outcome():
     # are undefined, or their quotients overflow, or their sums do
     ts, Ld, Ln = tsc.uniform(0, 50, 6), parse("10^307*y"), parse("v^2")
     Y = np.array([np.zeros(6), np.ones(6), np.linspace(0.0, 1.0, 6)])
-    p = VariationalProblem(ts, Ld, Ln, None, None)
     with np.errstate(all="ignore"):
         outs = va._values(ts, Ld, Ln, Y)
         for row, got in zip(Y, outs):
-            gf = GridFunction(ts, row)
-            same_value_outcome(got, (va.eval_J_delta(p, gf), va.eval_J_nabla(p, gf)))
+            same_value_outcome(got, side_values(ts, Ld, Ln, row))
     assert [Jd for Jd, _ in outs] == [0.0, np.inf, np.inf]
     rng = np.random.default_rng(3131)
     faulted = 0
@@ -263,14 +267,12 @@ def test_a_value_stack_gives_every_row_its_own_outcome():
         big = np.where(np.arange(len(ts)) % 2, -1e307, 1e307)  # its quotients overflow
         for at in ((0,), (m // 2,), (m - 1,), (m // 2 - 1, m // 2), (0, m - 1))[(i // 3) % 5]:
             Y[at] = big if i % 3 == 0 else bad_row(ts, Y[at])
-        p = VariationalProblem(ts, Ld, Ln, None, None)
         with np.errstate(all="ignore"):  # an overflowing quotient or sum is inf, not a warning
             Q = np.diff(Y, axis=1) / ts.mu_values[:-1]
             Q[np.isinf(Q)] = 1e300  # a finite slope given, too large for some integrands
             outs = va._values(ts, Ld, Ln, Y), va._values(ts, Ld, Ln, Y, Q)
             for r, (row, got, given) in enumerate(zip(Y, *outs)):
-                gf = GridFunction(ts, row)
-                want = alone(lambda: (va.eval_J_delta(p, gf), va.eval_J_nabla(p, gf)))
+                want = alone(lambda: side_values(ts, Ld, Ln, row))
                 same_value_outcome(got, want)
                 same_value_outcome(va._values(ts, Ld, Ln, row[None])[0], want)
                 same_value_outcome(given, va._values(ts, Ld, Ln, Y[r : r + 1], Q[r : r + 1])[0])
@@ -332,8 +334,9 @@ def test_every_kernel_run_takes_a_stack_of_node_rows(monkeypatch):
     }
     for stage, shapes in stages.items():
         assert all(d == [2] * 5 for d in shapes), stage
-    # eval samples each integrand's own program; the others run kernels
+    # eval runs each integrand's own kernel, one run per side
     assert stages["verify"] and stages["residual"] and len(stages["probe"]) == 2
+    assert len(stages["eval"]) == 2
 
 
 def test_a_stack_without_a_compiled_kernel_gives_every_row_its_outcome():

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +9,7 @@ import helpers
 from helpers import quadratic_expr, random_gridfn, random_quadratic_problem, random_scale
 from tsvar import cli
 from tsvar import expr as ex
+from tsvar import variational as va
 from tsvar.calculus import GridFunction, cumulative_delta, cumulative_nabla, from_callable, read_csv
 from tsvar.expr import DomainViolation, parse
 from tsvar.timescale import from_points, h_integers, q_scale, uniform
@@ -118,17 +121,20 @@ class TestFunctionalValues:
         assert err.value.index == 999
 
     def test_J_and_K_are_one_kernel_run_of_their_pair(self, monkeypatch):
-        # the product of the per-side values, bit for bit, from one run of
-        # the pair's value kernel; no integrand's own program runs
+        # the product of the checked per-side sums, bit for bit, from one run
+        # of the pair's value kernel; no checked per-side run
         p, _ = cli.parse_problem_text(
             cli._bundled_path("product_unit.problem").read_text(encoding="utf-8"))
         y = read_csv(str(cli._bundled_path("product_unit_trajectory.csv")), p.scale)
-        p = replace(p, constraint=IsoperimetricConstraint(parse("t*v + y^2"), parse("1 + v"), 1.0))
-        for J, delta, nabla in ((eval_J, eval_J_delta, eval_J_nabla),
-                                (eval_K, eval_K_delta, eval_K_nabla)):
+        c = IsoperimetricConstraint(parse("t*v + y^2"), parse("1 + v"), 1.0)
+        p = replace(p, constraint=c)
+        for J, delta, nabla, Ld, Ln in ((eval_J, eval_J_delta, eval_J_nabla, p.L_delta, p.L_nabla),
+                                        (eval_K, eval_K_delta, eval_K_nabla, c.K_delta, c.K_nabla)):
             value, runs, n = helpers.count_evaluations(monkeypatch, lambda: J(p, y))
             assert runs == [("",)] and n == 0
-            assert value == delta(p, y) * nabla(p, y)
+            Jd = helpers.side_sum(Ld, p.scale, y.values, True, ("",))[0]
+            Jn = helpers.side_sum(Ln, p.scale, y.values, False, ("",))[0]
+            assert (value, delta(p, y), nabla(p, y)) == (Jd * Jn, Jd, Jn)
 
     def test_J_raises_the_violation_of_the_forward_side_first(self):
         ts, y = from_points([-1, 0, 1]), identity_on(from_points([-1, 0, 1]))
@@ -159,6 +165,68 @@ class TestFunctionalValues:
             VariationalProblem(ts, V2, V2, np.nan, 2.0)
         with pytest.raises(ValueError):
             IsoperimetricConstraint(V2, V2, np.inf)
+
+
+class TestOneSidedEvaluations:
+    """eval_J_delta and eval_J_nabla, the differential forms and the reduced
+    natural boundary conditions each run the kernel of their one integrand."""
+
+    SMOOTH, UNDEFINED = "v^2 + sin(y)", "ln(-1)"  # the second is undefined everywhere
+
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_one_side_does_not_need_the_other(self, forward):
+        ts = uniform(0, 1, 6)
+        y = GridFunction(ts, np.linspace(0.2, 0.9, 6) ** 2)
+        L, bad = parse(self.SMOOTH), parse(self.UNDEFINED)
+        p = VariationalProblem(ts, *((L, bad) if forward else (bad, L)), None, None)
+        value, other = (eval_J_delta, eval_J_nabla) if forward else (eval_J_nabla, eval_J_delta)
+        for undefined in (other, eval_J):
+            with pytest.raises(DomainViolation):
+                undefined(p, y)
+        assert value(p, y) == helpers.side_sum(L, ts, y.values, forward, ("",))[0]
+        differential = el_differential_delta if forward else el_differential_nabla
+        assert np.isfinite(differential(p, y).values).all()
+        for which in "ab":
+            assert natural_bc_reduced(p, y, which, "integral") == natural_bc_reduced(p, y, which, "product")
+
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_each_is_one_kernel_run_of_its_integrand(self, monkeypatch, forward):
+        ts = uniform(0, 1, 6)
+        y = GridFunction(ts, np.linspace(0.2, 0.9, 6) ** 2)
+        L, one = parse(self.SMOOTH), parse("1")
+        p = VariationalProblem(ts, *((L, one) if forward else (one, L)), None, None)
+        calls = {
+            ("",): lambda: eval_J_delta(p, y) if forward else eval_J_nabla(p, y),
+            ("v", "y"): lambda: (el_differential_delta if forward else el_differential_nabla)(p, y),
+            ("y", "v"): lambda: natural_bc_reduced(p, y, "b" if forward else "a"),
+        }
+        for slots, fn in calls.items():
+            _, runs, checked = helpers.count_evaluations(monkeypatch, fn)
+            assert runs == [slots] and checked == 0
+
+    def test_the_pair_and_each_side_keep_their_own_kernel(self):
+        # one integrand on both sides: the pair (L, L), the forward kernel
+        # (L, None) and the backward kernel (None, L) are kept apart
+        ts = uniform(0, 1, 6)
+        L = parse(self.SMOOTH)
+        kernels = [va._kernel(*pair, ("",)) for pair in ((L, L), (L, None), (None, L))]
+        assert len(set(map(id, kernels))) == 3 and set(vars(L)["_kernels"]) == {
+            (id(L), id(L), ("",)), (id(L), id(None), ("",)), (id(None), id(L), ("",))}
+        p, y = VariationalProblem(ts, L, L, None, None), identity_on(ts)
+        Jd, Jn = eval_J_delta(p, y), eval_J_nabla(p, y)
+        assert Jd != Jn and eval_J(p, y) == Jd * Jn
+        assert (Jd, Jn) == (helpers.side_sum(L, ts, y.values, True, ("",))[0],
+                            helpers.side_sum(L, ts, y.values, False, ("",))[0])
+
+    def test_a_kernel_lives_as_long_as_its_integrand(self):
+        ts = uniform(0, 1, 5)
+        p = VariationalProblem(ts, parse("v^2"), parse("v^2 + y"), 0.0, 1.0)
+        ref = weakref.ref(p.L_nabla)
+        eval_J_nabla(p, identity_on(ts))
+        assert vars(ref())["_kernels"]
+        del p
+        gc.collect()
+        assert ref() is None
 
 
 class TestEulerLagrangeResiduals:
